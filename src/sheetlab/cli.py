@@ -10,10 +10,9 @@ wall time never appears in data rows.
 Exit status: 0 when every check passes, 2 when the run completed but some
 check failed (or an iteration diverged), 1 on usage errors.
 
-Every experiment accepts ``seed`` and ``workers``.  The worker pool
-parallelizes replicate maps in the experiments where the runner owns the
-replication loop; results are reduced in replicate order, so the output is
-bit-identical for any worker count.
+Experiments that draw random numbers take their seeds as keys (``seed``, or
+``seed1`` and ``seed2`` for control-search); all randomness flows from them,
+so a run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -97,14 +95,6 @@ def _write_csv(path: str, meta: dict, header, rows) -> None:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _pmap(fn, count: int, workers: int):
-    """fn(index) over range(count), reduced in index order."""
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _report(label: str, passed: bool) -> bool:
     print(f"[{'PASS' if passed else 'FAIL'}] {label}")
     return passed
@@ -136,7 +126,7 @@ def _run_sheet_stats(p, out_path):
             float((phi * dB).sum()) ** 2,
         )
 
-    samples = np.array(_pmap(one, reps, p["workers"]))
+    samples = np.array([one(rep) for rep in range(reps)])
     var = float(np.var(samples[:, 0], ddof=1))
     cov, cov_se = float(samples[:, 1].mean()), float(samples[:, 1].std(ddof=1) / np.sqrt(reps))
     iso, iso_se = float(samples[:, 2].mean()), float(samples[:, 2].std(ddof=1) / np.sqrt(reps))
@@ -277,7 +267,7 @@ def _run_chaos_closed_form(p, out_path):
         exact = closed_form_solution(cfg, sheet)
         return float(np.sqrt(np.mean((sim.values - exact.values) ** 2)))
 
-    gaps = _pmap(gap, len(ks), p["workers"])
+    gaps = [gap(idx) for idx in range(len(ks))]
     rows, checks = [], []
     for idx, k in enumerate(ks):
         ok = idx == 0 or gaps[idx] < gaps[idx - 1]
@@ -345,7 +335,7 @@ def _run_fokker_planck(p, out_path):
         zero = abs(weak_residual(ensemble, np.zeros(1), grid.horizon))
         return [res for _, res in table], zero
 
-    results = _pmap(one, p["reps"], p["workers"])
+    results = [one(rep) for rep in range(p["reps"])]
     residuals = np.array([r[0] for r in results])  # (reps, Q)
     zero_residuals = np.array([r[1] for r in results])
     rows, checks = [], []
@@ -475,14 +465,14 @@ def _run_control_search(p, out_path):
 
 
 EXPERIMENTS = {
-    "sheet-stats": (_run_sheet_stats, {"reps": 10000, "k": 128, "seed": 0, "workers": 1}),
+    "sheet-stats": (_run_sheet_stats, {"reps": 10000, "k": 128, "seed": 0}),
     "ito-check": (
         _run_ito_check,
-        {"case": "quadratic", "grids": [16, 32, 64], "reps": 100, "seed": 0, "workers": 1},
+        {"case": "quadratic", "grids": [16, 32, 64], "reps": 100, "seed": 0},
     ),
     "est-check": (
         _run_est_check,
-        {"pairs": 100, "c": [0.1, 1, 10], "order": 40, "slack": 0.02, "seed": 0, "workers": 1},
+        {"pairs": 100, "c": [0.1, 1, 10], "order": 40, "slack": 0.02, "seed": 0},
     ),
     "chaos-rate": (
         _run_chaos_rate,
@@ -494,12 +484,11 @@ EXPERIMENTS = {
             "k": 32,
             "y0": 1.0,
             "seed": 0,
-            "workers": 1,
         },
     ),
     "chaos-closed-form": (
         _run_chaos_closed_form,
-        {"N": 4, "grids": [16, 32, 64], "a": 1.0, "y0": 1.0, "seed": 0, "workers": 1},
+        {"N": 4, "grids": [16, 32, 64], "a": 1.0, "y0": 1.0, "seed": 0},
     ),
     "picard": (
         _run_picard,
@@ -513,7 +502,6 @@ EXPERIMENTS = {
             "factors": [0.9, 1.2],
             "series_terms": 120,
             "seed": 0,
-            "workers": 1,
         },
     ),
     "fokker-planck": (
@@ -526,7 +514,6 @@ EXPERIMENTS = {
             "rate": 0.5,
             "y0": 1.0,
             "seed": 0,
-            "workers": 1,
         },
     ),
     "lemma61": (
@@ -539,7 +526,6 @@ EXPERIMENTS = {
             "tol_constants": 5e-3,
             "tol_separable": 2e-3,
             "seed": 0,
-            "workers": 1,
         },
     ),
     "control-equiv": (
@@ -551,7 +537,6 @@ EXPERIMENTS = {
             "reps": 8,
             "y0": 2.0,
             "seed": 0,
-            "workers": 1,
         },
     ),
     "control-search": (
@@ -564,7 +549,6 @@ EXPERIMENTS = {
             "y0": 2.0,
             "seed1": 0,
             "seed2": 1,
-            "workers": 1,
         },
     ),
 }

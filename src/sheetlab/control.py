@@ -35,8 +35,8 @@ import numpy as np
 
 from .measures import EmpiricalMeasure
 from .plane import Grid, Point
-from .rng import DOMAIN_CONTROL, substream
-from .solver import CoefficientField, ParticleEnsemble, solve_conditional_mkv
+from .rng import DOMAIN_CONTROL
+from .solver import CoefficientField, ParticleEnsemble, _replicate_increments, solve_conditional_mkv
 
 __all__ = [
     "ControlPolicy",
@@ -127,20 +127,6 @@ def curry_policy(
     )
 
 
-def _control_increments(grid: Grid, m: int, M: int, seed: int, rep: int):
-    """Per-replicate ensemble noise in the control domain (CRN across policies)."""
-    scale = np.sqrt(grid.dt * grid.dx)
-    common = substream(seed, DOMAIN_CONTROL, stream=rep, channel=0).normal(
-        0.0, scale, (grid.nt, grid.nx)
-    )
-    idio = np.empty((M, m - 1, grid.nt, grid.nx))
-    for p in range(M):
-        for c in range(m - 1):
-            gen = substream(seed, DOMAIN_CONTROL, stream=rep, channel=1 + p * (m - 1) + c)
-            idio[p, c] = gen.normal(0.0, scale, (grid.nt, grid.nx))
-    return common, idio
-
-
 @dataclass(frozen=True)
 class PerformanceEstimate:
     theta: float
@@ -193,6 +179,8 @@ def _performance(
     seed: int,
     route: str,
 ) -> PerformanceEstimate:
+    if route not in ("direct", "measure"):
+        raise ValueError(f"route must be 'direct' or 'measure', got {route!r}")
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
     if not (
@@ -204,7 +192,7 @@ def _performance(
         )
     values = np.empty(replicates)
     for rep in range(replicates):
-        common, idio = _control_increments(grid, controlled.m, M, seed, rep)
+        common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
         common_values = _common_node_values(grid, common)
         coeffs = curry_policy(controlled, policy, common_values, grid)
         ensemble = solve_conditional_mkv(

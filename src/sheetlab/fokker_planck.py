@@ -43,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .plane import Grid, Point, mixed_partial, quarter_indicator
-from .solver import ParticleEnsemble
+from .solver import ParticleEnsemble, coefficient_table
 
 __all__ = [
     "FrequencyGrid",
@@ -128,24 +127,6 @@ def kernel_a(idx: int, w, ctx: KernelContext):
     return value
 
 
-def _coefficient_tables(ensemble: ParticleEnsemble, i: int, j: int):
-    """alpha (M, i, j, n) and beta (M, i, j, n, m) along the solved ensemble."""
-    coeffs = ensemble.coeffs
-    grid = ensemble.grid
-    M, n, m = ensemble.particles, coeffs.n, coeffs.m
-    alpha = np.empty((M, i, j, n))
-    beta = np.empty((M, i, j, n, m))
-    for row in range(i):
-        t_r = row * grid.dt
-        for col in range(j):
-            states = ensemble.values[:, row, col, :]
-            mu = EmpiricalMeasure(samples=states) if coeffs.depends_on_measure else None
-            z = Point(t_r, col * grid.dx)
-            alpha[:, row, col] = np.asarray(coeffs.drift(z, states, mu), dtype=float)
-            beta[:, row, col] = np.asarray(coeffs.diffusion(z, states, mu), dtype=float)
-    return alpha, beta
-
-
 def _col(F: np.ndarray) -> np.ndarray:
     return np.cumsum(F, axis=-2)
 
@@ -175,7 +156,7 @@ def weak_residual(ensemble: ParticleEnsemble, w, z: Point, chunk: int = 256) -> 
     if i == 0 or j == 0:
         return lhs  # empty rectangle: all integrals vanish
 
-    alpha, beta = _coefficient_tables(ensemble, i, j)
+    alpha, beta = coefficient_table(ensemble.coeffs, ensemble.values, grid, i, j)
     return lhs - _five_term_sum(ensemble, alpha, beta, w, i, j, chunk)
 
 
@@ -227,7 +208,7 @@ def residual_table(ensemble: ParticleEnsemble, freqs: FrequencyGrid, z: Point) -
     i, j = grid.node_index(z)
     if i == 0 or j == 0:
         return [(np.array(wrow), weak_residual(ensemble, wrow, z)) for wrow in freqs]
-    alpha, beta = _coefficient_tables(ensemble, i, j)
+    alpha, beta = coefficient_table(ensemble.coeffs, ensemble.values, grid, i, j)
     out = []
     for wrow in freqs:
         w = np.asarray(wrow, dtype=float)

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .noise import SheetPath, cell_increments, sample_sheet
 from .plane import Grid, Point
-from .solver import CoefficientField, StateField, solve_goursat
+from .solver import CoefficientField, StateField, coefficient_table, solve_goursat
 
 __all__ = [
     "TestFunction",
@@ -104,33 +103,6 @@ class ItoTermReport:
     residual: float
 
 
-def _coefficients_on_corners(coeffs: CoefficientField, field: StateField, i: int, j: int):
-    """alpha (i, j, n) and beta (i, j, n, m) along the solved corner states."""
-    grid = field.grid
-    n, m = coeffs.n, coeffs.m
-    states = field.values[:i, :j, :]
-    if not coeffs.depends_on_measure:
-        xs = np.arange(j) * grid.dx
-        alpha = np.empty((i, j, n))
-        beta = np.empty((i, j, n, m))
-        for row in range(i):
-            z = Point(np.full(j, row * grid.dt), xs)
-            alpha[row] = np.asarray(coeffs.drift(z, states[row], None), dtype=float)
-            beta[row] = np.asarray(coeffs.diffusion(z, states[row], None), dtype=float)
-        return alpha, beta
-    # single-path conditional reading: the measure collapses to the particle's own state
-    alpha = np.empty((i, j, n))
-    beta = np.empty((i, j, n, m))
-    for row in range(i):
-        for col in range(j):
-            z = Point(row * grid.dt, col * grid.dx)
-            y = states[row, col][None, :]
-            mu = EmpiricalMeasure(samples=y)
-            alpha[row, col] = np.asarray(coeffs.drift(z, y, mu), dtype=float)[0]
-            beta[row, col] = np.asarray(coeffs.diffusion(z, y, mu), dtype=float)[0]
-    return alpha, beta
-
-
 def _col(F: np.ndarray) -> np.ndarray:
     """Inclusive cumulative sum along the t axis (the zeta factor of a pair)."""
     return np.cumsum(F, axis=0)
@@ -156,8 +128,8 @@ def ito_terms(
     n, m = coeffs.n, coeffs.m
     dtdx = grid.dt * grid.dx
 
-    alpha, beta = _coefficients_on_corners(coeffs, field, max(i, 1), max(j, 1))
-    alpha, beta = alpha[:i, :j], beta[:i, :j]
+    # single-path conditional reading: a measure collapses to the path's own state
+    alpha, beta = (t[0] for t in coefficient_table(coeffs, field.values[None], grid, i, j))
     dB = np.stack([cell_increments(sheet, c)[:i, :j] for c in range(m)], axis=-1)  # (i, j, m)
 
     Yc = field.values[:i, :j, :]

@@ -14,12 +14,18 @@ is discretized by the explicit lower-corner recursion
 which telescopes exactly to the discrete integrals: on-grid, the solved field
 *is* y0 + rect_integral(drift) + ito_integral(each diffusion column), an
 algebraic identity the test suite pins at 1e-10.  Advancing a row only needs
-row-i data, so each row is one vectorized cumulative sum.
+row-i data, so each row is one vectorized cumulative sum: the boundary column
+stays at y0, so row i+1 is row i plus the running sum of row i's sources.
 
 Coefficient callables are vectorized over a batch axis: drift(z, y, mu) takes
-y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  The batch
-is the particle axis (z scalar) in the mean-field method, or the row-node
-axis (z holds arrays) in the plain single-path solve.
+y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers
+and validators all read them through one row-wise pass,
+:func:`coefficient_rows`, under one contract.  A measure-dependent field is
+called once per node: y is the (M, n) cloud of the M paths' states there, z a
+scalar Point, mu their EmpiricalMeasure or the measure the caller supplies.
+A measure-free field is called once per grid row with mu = None: y is the
+(M*nx, n) batch of the row's states, particle-major, and z holds arrays of
+the matching node coordinates.  Every return is shape-checked.
 
 The conditional mean-field system couples M particles through the empirical
 measure of their states at the current node: channel 1 of the sheet is shared
@@ -54,6 +60,8 @@ __all__ = [
     "CoefficientField",
     "StateField",
     "ParticleEnsemble",
+    "coefficient_rows",
+    "coefficient_table",
     "solve_goursat",
     "solve_conditional_mkv",
     "sample_ensemble_increments",
@@ -146,6 +154,82 @@ def _check_shapes(tag: str, arr: np.ndarray, expected: tuple) -> np.ndarray:
     return arr
 
 
+def coefficient_rows(
+    coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int, measure_source=None
+):
+    """Yield (alpha (M, cols, n), beta (M, cols, n, m)) for grid rows 0..rows-1.
+
+    The coefficients are read on the states ``values`` (M, >= rows, >= cols, n),
+    nodes j < cols of each row.  Row i is read only when its pair is requested,
+    so a solver may fill values[:, i] between two steps.  A measure-dependent
+    field is called per node with the EmpiricalMeasure of the M states there,
+    or with ``measure_source(i, j)`` when given; a measure-free field is called
+    per row on the (M*cols, n) batch.
+    """
+    M, n, m = values.shape[0], coeffs.n, coeffs.m
+    if coeffs.depends_on_measure:
+        for i in range(rows):
+            alpha = np.empty((M, cols, n))
+            beta = np.empty((M, cols, n, m))
+            for j in range(cols):
+                states = values[:, i, j, :]
+                mu = EmpiricalMeasure(samples=states) if measure_source is None else measure_source(i, j)
+                z = Point(i * grid.dt, j * grid.dx)
+                alpha[:, j] = _check_shapes("drift", coeffs.drift(z, states, mu), (M, n))
+                beta[:, j] = _check_shapes("diffusion", coeffs.diffusion(z, states, mu), (M, n, m))
+            yield alpha, beta
+        return
+    batch = M * cols
+    xs = np.tile(np.arange(cols) * grid.dx, M)
+    for i in range(rows):
+        z = Point(np.full(batch, i * grid.dt), xs)
+        states = values[:, i, :cols, :].reshape(batch, n)
+        alpha = _check_shapes("drift", coeffs.drift(z, states, None), (batch, n))
+        beta = _check_shapes("diffusion", coeffs.diffusion(z, states, None), (batch, n, m))
+        yield alpha.reshape(M, cols, n), beta.reshape(M, cols, n, m)
+
+
+def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int):
+    """alpha (M, rows, cols, n) and beta (M, rows, cols, n, m): every row of
+    :func:`coefficient_rows` at once, with no call on an empty rectangle."""
+    M, n, m = values.shape[0], coeffs.n, coeffs.m
+    alpha = np.empty((M, rows, cols, n))
+    beta = np.empty((M, rows, cols, n, m))
+    for i, (a, b) in enumerate(coefficient_rows(coeffs, values, grid, rows if cols else 0, cols)):
+        alpha[:, i] = a
+        beta[:, i] = b
+    return alpha, beta
+
+
+def _ensemble_noise_rows(common: np.ndarray, idio: np.ndarray):
+    """Row i's cell noise (M, nx, m) from the shared channel ``common`` (nt, nx)
+    and the per-particle channels ``idio`` (M, m-1, nt, nx), in one reused buffer."""
+    dB = np.empty((idio.shape[0], common.shape[1], idio.shape[1] + 1))
+    for shared, own in zip(common, idio.transpose(2, 0, 3, 1)):
+        dB[:, :, 0] = shared
+        dB[:, :, 1:] = own
+        yield dB
+
+
+def _sweep(coeffs, y0, grid, M, noise_rows, frozen=None, measure_source=None) -> np.ndarray:
+    """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
+
+    Coefficients are read along the states being solved (row i once it is
+    filled) or, for a Picard step, along the ``frozen`` previous iterate;
+    ``noise_rows`` yields each row's cell increments (M, nx, m).
+    """
+    nt, nx = grid.nt, grid.nx
+    Y = np.empty((M, nt + 1, nx + 1, coeffs.n))
+    Y[:, 0, :, :] = y0
+    Y[:, :, 0, :] = y0
+    rows = coefficient_rows(coeffs, Y if frozen is None else frozen, grid, nt, nx, measure_source)
+    dtdx = grid.dt * grid.dx
+    for i, ((alpha, beta), dB) in enumerate(zip(rows, noise_rows)):
+        src = alpha * dtdx + np.einsum("pjnm,pjm->pjn", beta, dB)
+        np.add(Y[:, i, 1:, :], np.cumsum(src, axis=1), out=Y[:, i + 1, 1:, :])
+    return Y
+
+
 def solve_goursat(
     coeffs: CoefficientField,
     y0,
@@ -165,32 +249,22 @@ def solve_goursat(
     if coeffs.depends_on_measure and measure_source is None:
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    nt, nx, n, m = grid.nt, grid.nx, coeffs.n, coeffs.m
-    dB = np.stack([cell_increments(sheet, c) for c in range(m)], axis=-1)  # (nt, nx, m)
-    dtdx = grid.dt * grid.dx
-    Y = np.empty((nt + 1, nx + 1, n))
-    Y[0, :, :] = y0
-    Y[:, 0, :] = y0
-    xs = np.arange(nx) * grid.dx
-    for i in range(nt):
-        t_i = i * grid.dt
-        row_state = Y[i, :nx, :]  # (nx, n)
-        if measure_source is None:
-            z = Point(np.full(nx, t_i), xs)
-            alpha = _check_shapes("drift", coeffs.drift(z, row_state, None), (nx, n))
-            beta = _check_shapes("diffusion", coeffs.diffusion(z, row_state, None), (nx, n, m))
-        else:
-            alpha = np.empty((nx, n))
-            beta = np.empty((nx, n, m))
-            for j in range(nx):
-                z = Point(t_i, j * grid.dx)
-                mu = measure_source(i, j)
-                yj = row_state[j : j + 1, :]
-                alpha[j] = _check_shapes("drift", coeffs.drift(z, yj, mu), (1, n))[0]
-                beta[j] = _check_shapes("diffusion", coeffs.diffusion(z, yj, mu), (1, n, m))[0]
-        src = alpha * dtdx + np.einsum("jnm,jm->jn", beta, dB[i])
-        Y[i + 1, 1:, :] = Y[i + 1, 0, :] + (Y[i, 1:, :] - Y[i, 0, :]) + np.cumsum(src, axis=0)
-    return StateField(values=Y, grid=grid)
+    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)], axis=-1)  # (nt, nx, m)
+    Y = _sweep(coeffs, y0, grid, 1, dB[:, None], measure_source=measure_source)
+    return StateField(values=Y[0], grid=grid)
+
+
+def _replicate_increments(domain: int, grid: Grid, m: int, M: int, seed: int, rep: int):
+    """Ensemble noise keyed by replicate: stream = rep, channel 0 common and
+    channel 1 + p*(m-1) + c for particle p's idiosyncratic channel c."""
+    scale = np.sqrt(grid.dt * grid.dx)
+    common = substream(seed, domain, stream=rep, channel=0).normal(0.0, scale, (grid.nt, grid.nx))
+    idio = np.empty((M, m - 1, grid.nt, grid.nx))
+    for p in range(M):
+        for c in range(m - 1):
+            gen = substream(seed, domain, stream=rep, channel=1 + p * (m - 1) + c)
+            idio[p, c] = gen.normal(0.0, scale, (grid.nt, grid.nx))
+    return common, idio
 
 
 def sample_ensemble_increments(grid: Grid, m: int, M: int, seed: int):
@@ -221,16 +295,7 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
     across ensemble sizes and the common sheet does not depend on M at all —
     which is what pairs an M-refinement comparison replicate by replicate.
     """
-    scale = np.sqrt(grid.dt * grid.dx)
-    common = substream(seed, DOMAIN_REPLICATE, stream=rep, channel=0).normal(
-        0.0, scale, (grid.nt, grid.nx)
-    )
-    idio = np.empty((M, m - 1, grid.nt, grid.nx))
-    for p in range(M):
-        for c in range(m - 1):
-            gen = substream(seed, DOMAIN_REPLICATE, stream=rep, channel=1 + p * (m - 1) + c)
-            idio[p, c] = gen.normal(0.0, scale, (grid.nt, grid.nx))
-    return common, idio
+    return _replicate_increments(DOMAIN_REPLICATE, grid, m, M, seed, rep)
 
 
 def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
@@ -260,6 +325,28 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     )
 
 
+def _ensemble_noise(coeffs: CoefficientField, M: int, grid: Grid, seed: int, common=None, idio=None):
+    """Validated (common, idio) noise of an M-particle ensemble; either array
+    may be given, the other is drawn from the standard streams of ``seed``."""
+    if M < 1:
+        raise ValueError(f"need at least one particle, got M={M}")
+    if coeffs.m < 2:
+        raise ValueError("conditional dynamics need m >= 2: one common plus idiosyncratic channels")
+    if common is None or idio is None:
+        sampled = sample_ensemble_increments(grid, coeffs.m, M, seed)
+        common = sampled[0] if common is None else common
+        idio = sampled[1] if idio is None else idio
+    common = np.asarray(common, dtype=float)
+    idio = np.asarray(idio, dtype=float)
+    if common.shape != (grid.nt, grid.nx):
+        raise ValueError(f"common increments shape {common.shape} != {(grid.nt, grid.nx)}")
+    if idio.shape != (M, coeffs.m - 1, grid.nt, grid.nx):
+        raise ValueError(
+            f"idiosyncratic increments shape {idio.shape} != {(M, coeffs.m - 1, grid.nt, grid.nx)}"
+        )
+    return common, idio
+
+
 def solve_conditional_mkv(
     coeffs: CoefficientField,
     y0,
@@ -277,50 +364,13 @@ def solve_conditional_mkv(
     increment arrays override the seed-derived noise — the hook used for
     common-random-number and refinement-coupled experiments.
     """
-    if M < 1:
-        raise ValueError(f"need at least one particle, got M={M}")
-    if coeffs.m < 2:
-        raise ValueError("conditional dynamics need m >= 2: one common plus idiosyncratic channels")
-    if common_increments is None or idio_increments is None:
-        sampled = sample_ensemble_increments(grid, coeffs.m, M, seed)
-        common_increments = sampled[0] if common_increments is None else common_increments
-        idio_increments = sampled[1] if idio_increments is None else idio_increments
-    common_increments = np.asarray(common_increments, dtype=float)
-    idio_increments = np.asarray(idio_increments, dtype=float)
-    if common_increments.shape != (grid.nt, grid.nx):
-        raise ValueError(f"common increments shape {common_increments.shape} != {(grid.nt, grid.nx)}")
-    if idio_increments.shape != (M, coeffs.m - 1, grid.nt, grid.nx):
-        raise ValueError(
-            f"idiosyncratic increments shape {idio_increments.shape} != "
-            f"{(M, coeffs.m - 1, grid.nt, grid.nx)}"
-        )
+    common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    nt, nx, n, m = grid.nt, grid.nx, coeffs.n, coeffs.m
-    dtdx = grid.dt * grid.dx
-    Y = np.empty((M, nt + 1, nx + 1, n))
-    Y[:, 0, :, :] = y0
-    Y[:, :, 0, :] = y0
-    dB = np.empty((M, m))
-    src = np.empty((M, nx, n))
-    for i in range(nt):
-        t_i = i * grid.dt
-        for j in range(nx):
-            states = Y[:, i, j, :]
-            mu = EmpiricalMeasure(samples=states) if coeffs.depends_on_measure else None
-            z = Point(t_i, j * grid.dx)
-            alpha = _check_shapes("drift", coeffs.drift(z, states, mu), (M, n))
-            beta = _check_shapes("diffusion", coeffs.diffusion(z, states, mu), (M, n, m))
-            dB[:, 0] = common_increments[i, j]
-            dB[:, 1:] = idio_increments[:, :, i, j]
-            src[:, j, :] = alpha * dtdx + np.einsum("pnm,pm->pn", beta, dB)
-        Y[:, i + 1, 1:, :] = (
-            Y[:, i + 1, 0, None, :] + (Y[:, i, 1:, :] - Y[:, i, 0, None, :]) + np.cumsum(src, axis=1)
-        )
     return ParticleEnsemble(
-        values=Y,
+        values=_sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio)),
         grid=grid,
-        common_increments=common_increments,
-        idio_increments=idio_increments,
+        common_increments=common,
+        idio_increments=idio,
         seed=seed,
         coeffs=coeffs,
         y0=y0,
@@ -355,39 +405,15 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    common, idio = sample_ensemble_increments(grid, coeffs.m, M, seed)
+    common, idio = _ensemble_noise(coeffs, M, grid, seed)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    nt, nx, n, m = grid.nt, grid.nx, coeffs.n, coeffs.m
-    dtdx = grid.dt * grid.dx
-    prev = np.broadcast_to(y0, (M, nt + 1, nx + 1, n)).copy()
+    prev = np.broadcast_to(y0, (M, grid.nt + 1, grid.nx + 1, coeffs.n)).copy()
     gaps = []
     converged = diverged = False
-    dB = np.empty((M, m))
-    iterations = 0
     for _ in range(max_iter):
-        cur = np.empty_like(prev)
-        cur[:, 0, :, :] = y0
-        cur[:, :, 0, :] = y0
-        src = np.empty((M, nx, n))
-        for i in range(nt):
-            t_i = i * grid.dt
-            for j in range(nx):
-                states = prev[:, i, j, :]  # frozen at the previous iterate
-                mu = EmpiricalMeasure(samples=states) if coeffs.depends_on_measure else None
-                z = Point(t_i, j * grid.dx)
-                alpha = _check_shapes("drift", coeffs.drift(z, states, mu), (M, n))
-                beta = _check_shapes("diffusion", coeffs.diffusion(z, states, mu), (M, n, m))
-                dB[:, 0] = common[i, j]
-                dB[:, 1:] = idio[:, :, i, j]
-                src[:, j, :] = alpha * dtdx + np.einsum("pnm,pm->pn", beta, dB)
-            cur[:, i + 1, 1:, :] = (
-                cur[:, i + 1, 0, None, :]
-                + (cur[:, i, 1:, :] - cur[:, i, 0, None, :])
-                + np.cumsum(src, axis=1)
-            )
+        cur = _sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio), frozen=prev)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
-        iterations += 1
         prev = cur
         if gap < tol:
             converged = True
@@ -407,7 +433,7 @@ def picard_solve(
     return PicardResult(
         ensemble=ensemble,
         gaps=np.asarray(gaps),
-        iterations=iterations,
+        iterations=len(gaps),
         converged=converged,
         diverged=diverged,
     )

@@ -154,6 +154,11 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search([], controlled, cost, 1.0, 2, g, 2, 0)
 
+    def test_unknown_route_rejected(self):
+        g, controlled, cost = instance(4)
+        with pytest.raises(ValueError, match="drect"):
+            grid_search([mean_feedback_policy(0.0)], controlled, cost, 1.0, 2, g, 2, 0, route="drect")
+
     def test_mean_reversion_beats_runaway_feedback(self):
         # strong positive feedback destabilizes the mean; the reward must
         # separate it from mild negative feedback under shared noise

@@ -15,6 +15,7 @@ from sheetlab import (
     sample_ensemble_increments,
     sample_replicate_increments,
     sample_sheet,
+    sheet_from_increments,
     solve_conditional_mkv,
     solve_goursat,
     state_slice_csv,
@@ -177,6 +178,40 @@ class TestConditionalEnsemble:
         with pytest.raises(ValueError):
             solve_conditional_mkv(constant_field(0.0, [1.0]), 0.0, 2, g, seed=0)
 
+    def test_goursat_with_the_ensemble_measures_reproduces_each_particle(self):
+        # the single-path solver fed the frozen ensemble measures walks each particle's path
+        g = square_grid(8)
+        co = mean_reversion_field(1.2, (0.6, 0.4))
+        ens = solve_conditional_mkv(co, 1.0, 5, g, seed=3)
+        source = lambda i, j: EmpiricalMeasure(ens.values[:, i, j])  # noqa: E731
+        for p in range(ens.particles):
+            increments = np.stack([ens.common_increments, ens.idio_increments[p, 0]])
+            sheet = sheet_from_increments(g, increments, ens.seed)
+            field = solve_goursat(co, 1.0, sheet, g, measure_source=source)
+            np.testing.assert_allclose(field.values, ens.values[p], rtol=0, atol=1e-12)
+
+    def test_measure_free_field_is_called_once_per_row_on_all_particles(self):
+        g = square_grid(6)
+        batches = []
+
+        def drift(z, y, mu):
+            batches.append(y.shape)
+            return np.sin(3.0 * z.t + 2.0 * z.x)[:, None] - 0.4 * y
+
+        co = CoefficientField(
+            n=1,
+            m=2,
+            drift=drift,
+            diffusion=lambda z, y, mu: np.stack([np.full(y.shape, 0.5), 0.3 + 0.1 * z.x[:, None]], -1),
+            depends_on_measure=False,
+        )
+        ens = solve_conditional_mkv(co, 1.0, 3, g, seed=2)
+        assert batches == [(3 * 6, 1)] * 6
+        for p in range(ens.particles):
+            increments = np.stack([ens.common_increments, ens.idio_increments[p, 0]])
+            field = solve_goursat(co, 1.0, sheet_from_increments(g, increments), g)
+            np.testing.assert_allclose(field.values, ens.values[p], rtol=0, atol=1e-12)
+
 
 class TestPicardIteration:
     def test_converges_to_the_direct_solution(self):
@@ -215,6 +250,20 @@ class TestPicardIteration:
         g = square_grid(4)
         with pytest.raises(ValueError):
             picard_solve(mean_reversion_field(1.0, (0.5, 0.5)), 0.0, 2, g, 0, max_iter=0, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "co, M, message",
+        [
+            (constant_field(0.0, [1.0]), 2, "m >= 2"),
+            (mean_reversion_field(1.0, (0.5, 0.5)), 0, "at least one particle"),
+        ],
+    )
+    def test_rejects_what_the_direct_solver_rejects(self, co, M, message):
+        g = square_grid(4)
+        with pytest.raises(ValueError, match=message):
+            solve_conditional_mkv(co, 0.0, M, g, seed=0)
+        with pytest.raises(ValueError, match=message):
+            picard_solve(co, 0.0, M, g, 0, max_iter=3, tol=1e-6)
 
 
 class TestRadiusReport:
