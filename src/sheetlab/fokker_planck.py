@@ -26,19 +26,38 @@ zeta' argument):
 Only the common channel drives the stochastic integrals: the idiosyncratic
 channels are independent across particles, so their conditional averages
 vanish and dropping them costs O(M^{-1/2}) — the Monte Carlo floor of the
-residual.  The quarter-ordered pair sums reuse the cumulative-sum
-factorization of the Ito validator; crucially the mixed kernel a4 cannot be
-summed merged — each orientation (deterministic factor at zeta vs at zeta')
-must pair its own cumulative direction, or tie cells are over-counted by an
-O(1) amount.
+residual.
 
-At w = 0 every kernel vanishes and the left side is exactly zero, so the
-residual is identically 0.0 — a structural identity the tests pin.  The
-residual is also conjugate-symmetric in w to rounding.
+Every term is a polynomial of degree <= 4 in w whose coefficients depend only
+on the cell, so the sums are built from per-cell tables once and reused for
+every frequency.  Per cell, with A = alpha dt dx, B = beta_1 dB1 (common
+channel), D = A + B and Q = beta beta^T dt dx (n x n), cX / rX the running sum
+of X along t / along x (the cumulative-sum factorization of the quarter-ordered
+pair sums, shared with the Ito validator), x the per-cell outer product and
+w^k the k-fold outer power of w, the kernel sum at a cell is
+
+    [ w^2 . (-Q/2 + D x D - A x A - cD x rD) + w^4 . (cQ x rQ / 4) ]
+      + i [ w . (-D) + w^3 . ((cQ x rD + cD x rQ) / 2 - Q x B) ]
+
+times exp(-i w.Y).  The pair sums of the noise kernels a3, a4 leave out the
+cell paired with itself, which D x D - A x A and - Q x B take back out of
+cD x rD and the a4 part of the cubic table; the area x area pair a5 keeps it.
+The mixed kernel a4 cannot be summed merged: each orientation (deterministic
+factor at zeta vs at zeta') must pair its own cumulative direction, or tie
+cells are over-counted by an O(1) amount.  The tables keep both, in cD x rD
+for the drift part and as the two distinct products cQ x rD and cD x rQ for
+the diffusion part.  A frequency then costs one cos and one sin per cell and
+a (2, cells) x (cells, n + n^2 + n^3 + n^4) product.
+
+At w = 0 every monomial of w vanishes, so the kernel sum is an exact zero,
+and so is the left side: the residual is identically 0.0 — a structural
+identity the tests pin.  Negating w flips the sign of the sines and of the odd
+monomials only, so the residual is conjugate-symmetric in w to rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,97 +146,100 @@ def kernel_a(idx: int, w, ctx: KernelContext):
     return value
 
 
-def _col(F: np.ndarray) -> np.ndarray:
-    return np.cumsum(F, axis=-2)
+_CELLS = 1 << 14  # cells per kernel chunk: keeps the (cells, n + n^2 + n^3 + n^4) table in cache
 
 
-def _row(F: np.ndarray) -> np.ndarray:
-    return np.cumsum(F, axis=-1)
-
-
-def weak_residual(ensemble: ParticleEnsemble, w, z: Point, chunk: int = 256) -> complex:
+def weak_residual(ensemble: ParticleEnsemble, w, z: Point) -> complex:
     """Residual of the five-term identity at frequency w, evaluated at z.
 
     Requires an ensemble that carries its coefficient field and initial state
     (both recorded by the mean-field solvers).  Exactly 0.0 at w = 0.
     """
-    if ensemble.coeffs is None or ensemble.y0 is None:
-        raise ValueError("ensemble does not carry coefficients; re-solve with the library solvers")
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (ensemble.n,):
-        raise ValueError(f"frequency shape {w.shape} does not match state dimension {ensemble.n}")
-    grid = ensemble.grid
-    i, j = grid.node_index(z)
-
-    lhs = complex(
-        np.mean(np.exp(-1j * ensemble.values[:, i, j, :] @ w))
-        - np.exp(-1j * float(ensemble.y0 @ w))
-    )
-    if i == 0 or j == 0:
-        return lhs  # empty rectangle: all integrals vanish
-
-    alpha, beta = coefficient_table(ensemble.coeffs, ensemble.values, grid, i, j)
-    return lhs - _five_term_sum(ensemble, alpha, beta, w, i, j, chunk)
-
-
-def _five_term_sum(
-    ensemble: ParticleEnsemble,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    w: np.ndarray,
-    i: int,
-    j: int,
-    chunk: int,
-) -> complex:
-    grid = ensemble.grid
-    dtdx = grid.dt * grid.dx
-    dBc = ensemble.common_increments[:i, :j]
-    M = ensemble.particles
-
-    wa, wb, wq = _wa_wb_wq(w, alpha, beta)  # each (M, i, j)
-    total = 0.0 + 0.0j
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        E = np.exp(-1j * np.einsum("pijn,n->pij", ensemble.values[lo:hi, :i, :j, :], w))
-        aD = wa[lo:hi] * dtdx
-        bD = wb[lo:hi] * dBc
-        qD = wq[lo:hi] * dtdx
-        cdet = -aD + 0.5j * qD  # the a4 deterministic factor, orientation-split
-
-        t1 = np.sum((-1j * aD - 0.5 * qD) * E)
-        t2 = np.sum(-1j * bD * E)
-        t3 = -np.sum((_col(bD) * _row(bD) - bD * bD) * E)
-        t4 = np.sum((_col(cdet) * _row(bD) - cdet * bD) * E) + np.sum(
-            (_col(bD) * _row(cdet) - bD * cdet) * E
-        )
-        t5 = np.sum(
-            (
-                -_col(aD) * _row(aD)
-                + 0.5j * (_col(qD) * _row(aD) + _col(aD) * _row(qD))
-                + 0.25 * _col(qD) * _row(qD)
-            )
-            * E
-        )
-        total += t1 + t2 + t3 + t4 + t5
-    return total / M
+    return complex(_residuals(ensemble, w[None], z)[0])
 
 
 def residual_table(ensemble: ParticleEnsemble, freqs: FrequencyGrid, z: Point) -> list:
     """[(w row, complex residual)] sharing one coefficient evaluation pass."""
+    residuals = _residuals(ensemble, freqs.values, z)
+    return [(w, complex(res)) for w, res in zip(freqs.values, residuals)]
+
+
+def _residuals(ensemble: ParticleEnsemble, W: np.ndarray, z: Point) -> np.ndarray:
+    """Residuals (Q,) at the frequency rows W (Q, n): one coefficient pass, one kernel."""
+    if ensemble.coeffs is None or ensemble.y0 is None:
+        raise ValueError("ensemble does not carry coefficients; re-solve with the library solvers")
+    if W.ndim != 2 or W.shape[1] != ensemble.n:
+        raise ValueError(
+            f"frequency shape {W.shape[1:]} does not match state dimension {ensemble.n}"
+        )
     grid = ensemble.grid
     i, j = grid.node_index(z)
-    if i == 0 or j == 0:
-        return [(np.array(wrow), weak_residual(ensemble, wrow, z)) for wrow in freqs]
+    lhs = np.mean(np.exp(-1j * (ensemble.values[:, i, j, :] @ W.T)), axis=0) - np.exp(
+        -1j * (W @ ensemble.y0)
+    )
     alpha, beta = coefficient_table(ensemble.coeffs, ensemble.values, grid, i, j)
-    out = []
-    for wrow in freqs:
-        w = np.asarray(wrow, dtype=float)
-        lhs = complex(
-            np.mean(np.exp(-1j * ensemble.values[:, i, j, :] @ w))
-            - np.exp(-1j * float(ensemble.y0 @ w))
+    return lhs - _five_term_sums(ensemble, alpha, beta, W, i, j)
+
+
+def _outer(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-row outer product of (rows, a) and (rows, b), flattened to (rows, a*b)."""
+    return (X[:, :, None] * Y[:, None, :]).reshape(X.shape[0], X.shape[1] * Y.shape[1])
+
+
+def _five_term_sums(
+    ensemble: ParticleEnsemble,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    W: np.ndarray,
+    i: int,
+    j: int,
+) -> np.ndarray:
+    """Particle mean of the five summed integrals over R_z at each row of W (Q, n).
+
+    alpha (M, i, j, n) and beta (M, i, j, n, m) are read on the cells of R_z.
+    Each chunk of particles builds its table T (cells, K) once: the real part's
+    w^2 and w^4 coefficients, then the imaginary part's w and w^3 ones (module
+    docstring).  Per frequency, sum_cells (T @ mono) exp(-i w.Y) equals
+    (c @ T - i s @ T) @ mono with c, s = cos, sin(w.Y), mono = [w^2, w^4, i w, i w^3].
+    """
+    grid = ensemble.grid
+    dtdx = grid.dt * grid.dx
+    dBc = ensemble.common_increments[:i, :j, None]
+    M, n = ensemble.particles, ensemble.n
+    w1, w2, w3, w4 = itertools.accumulate([W] * 4, _outer)
+    mono = np.concatenate([w2, w4, 1j * w1, 1j * w3], axis=1)
+    step = max(1, _CELLS // max(i * j, 1))
+    total = np.zeros(len(W), dtype=complex)
+    for lo in range(0, M, step):
+        b = beta[lo : lo + step]
+        cells = b.shape[0] * i * j
+        A = alpha[lo : lo + step] * dtdx
+        B = b[..., 0] * dBc
+        D = A + B
+        Q = np.einsum("...km,...lm->...kl", b, b) * dtdx
+        cD, rD = (np.cumsum(D, axis=ax).reshape(cells, n) for ax in (1, 2))
+        cQ, rQ = (np.cumsum(Q, axis=ax).reshape(cells, n * n) for ax in (1, 2))
+        A, B, D = (X.reshape(cells, n) for X in (A, B, D))
+        Q = Q.reshape(cells, n * n)
+        T = np.concatenate(
+            [
+                -0.5 * Q + _outer(D, D) - _outer(A, A) - _outer(cD, rD),
+                0.25 * _outer(cQ, rQ),
+                -D,
+                0.5 * (_outer(cQ, rD) + _outer(cD, rQ)) - _outer(Q, B),
+            ],
+            axis=1,
         )
-        out.append((w, lhs - _five_term_sum(ensemble, alpha, beta, w, i, j, 256)))
-    return out
+        Y = ensemble.values[lo : lo + step, :i, :j, :].reshape(cells, n)
+        cs = np.empty((2, cells))
+        for q, w in enumerate(W):
+            theta = np.dot(Y, w)  # matmul is several times slower for n = 1
+            np.cos(theta, out=cs[0])
+            np.sin(theta, out=cs[1])
+            cT, sT = cs @ T
+            total[q] += (cT - 1j * sT) @ mono[q]
+    return total / M
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,13 @@ __all__ = [
 _NODE_RTOL = 1e-9
 
 
+def _negative(v) -> bool:
+    """Whether a coordinate (scalar or array) has a negative entry; NaN does not count."""
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return v < 0
+    return bool((np.asarray(v) < 0).any())
+
+
 @dataclass(frozen=True)
 class Point:
     """A point z = (t, x) of the quarter-plane; fields may be numpy arrays."""
@@ -43,7 +50,7 @@ class Point:
     x: object
 
     def __post_init__(self):
-        if np.any(np.asarray(self.t) < 0) or np.any(np.asarray(self.x) < 0):
+        if _negative(self.t) or _negative(self.x):
             raise ValueError(f"plane points need nonnegative coordinates, got ({self.t}, {self.x})")
 
     @property

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheetlab import (
+    CoefficientField,
     FrequencyGrid,
     Grid,
     KernelContext,
@@ -19,7 +20,8 @@ from sheetlab import (
     solve_conditional_mkv,
     weak_residual,
 )
-from sheetlab.fokker_planck import _quarter_product_sum
+from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _wa_wb_wq
+from sheetlab.solver import coefficient_table
 
 
 def square_grid(k):
@@ -130,6 +132,121 @@ class TestWeakResidual:
     def test_frequency_dimension_checked(self, ensemble):
         with pytest.raises(ValueError):
             weak_residual(ensemble, np.array([1.0, 2.0]), Point(1.0, 1.0))
+
+    @pytest.mark.parametrize("z", [Point(1.0, 1.0), Point(0.0, 1.0)])
+    def test_residual_table_needs_carried_coefficients(self, ensemble, z):
+        from dataclasses import replace
+
+        stripped = replace(ensemble, coeffs=None, y0=None)
+        with pytest.raises(ValueError, match="does not carry coefficients"):
+            residual_table(stripped, FrequencyGrid(np.array([1.0])), z)
+
+    def test_residual_table_checks_frequency_width(self, ensemble):
+        with pytest.raises(ValueError, match="does not match state dimension"):
+            residual_table(ensemble, FrequencyGrid(np.ones((2, 2))), Point(1.0, 1.0))
+
+
+# Reference: the per-frequency complex-array kernel that the per-cell polynomial
+# tables of fokker_planck._five_term_sums replaced, one frequency per call.
+
+
+def _col(F: np.ndarray) -> np.ndarray:
+    return np.cumsum(F, axis=-2)
+
+
+def _row(F: np.ndarray) -> np.ndarray:
+    return np.cumsum(F, axis=-1)
+
+
+def _five_term_sum(
+    ensemble,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    w: np.ndarray,
+    i: int,
+    j: int,
+    chunk: int,
+) -> complex:
+    grid = ensemble.grid
+    dtdx = grid.dt * grid.dx
+    dBc = ensemble.common_increments[:i, :j]
+    M = ensemble.particles
+
+    wa, wb, wq = _wa_wb_wq(w, alpha, beta)  # each (M, i, j)
+    total = 0.0 + 0.0j
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        E = np.exp(-1j * np.einsum("pijn,n->pij", ensemble.values[lo:hi, :i, :j, :], w))
+        aD = wa[lo:hi] * dtdx
+        bD = wb[lo:hi] * dBc
+        qD = wq[lo:hi] * dtdx
+        cdet = -aD + 0.5j * qD  # the a4 deterministic factor, orientation-split
+
+        t1 = np.sum((-1j * aD - 0.5 * qD) * E)
+        t2 = np.sum(-1j * bD * E)
+        t3 = -np.sum((_col(bD) * _row(bD) - bD * bD) * E)
+        t4 = np.sum((_col(cdet) * _row(bD) - cdet * bD) * E) + np.sum(
+            (_col(bD) * _row(cdet) - bD * cdet) * E
+        )
+        t5 = np.sum(
+            (
+                -_col(aD) * _row(aD)
+                + 0.5j * (_col(qD) * _row(aD) + _col(aD) * _row(qD))
+                + 0.25 * _col(qD) * _row(qD)
+            )
+            * E
+        )
+        total += t1 + t2 + t3 + t4 + t5
+    return total / M
+
+
+def coupled_field(n, m):
+    """State-dependent, measure-coupled coefficients with a full beta beta^T."""
+    rng = np.random.default_rng(10 * n + m)
+    K = 0.3 * rng.normal(size=(n, n))
+    S = 0.5 * rng.normal(size=(n, m))
+
+    def drift(z, y, mu):
+        return y @ K.T - 0.4 * (y - mu.samples.mean(axis=0))
+
+    def diffusion(z, y, mu):
+        return S[None] * (1.0 + 0.2 * np.sin(y))[:, :, None]
+
+    return CoefficientField(n=n, m=m, drift=drift, diffusion=diffusion)
+
+
+class TestPolynomialTableKernel:
+    """The per-cell tables against the per-frequency complex-array kernel they
+    replaced (kept above as the reference), in one to three state dimensions."""
+
+    @pytest.fixture(scope="class", params=[(1, 2), (2, 3), (3, 2)], ids=["n1m2", "n2m3", "n3m2"])
+    def coupled(self, request):
+        n, m = request.param
+        y0 = np.linspace(0.2, 0.6, n)
+        ens = solve_conditional_mkv(coupled_field(n, m), y0, 300, square_grid(6), seed=3)
+        return ens, np.random.default_rng(n).normal(size=(4, n))
+
+    @pytest.mark.parametrize("corner", [(6, 6), (3, 5), (6, 1)])
+    def test_matches_the_per_frequency_reference(self, coupled, corner):
+        ens, W = coupled
+        i, j = corner
+        alpha, beta = coefficient_table(ens.coeffs, ens.values, ens.grid, i, j)
+        got = _five_term_sums(ens, alpha, beta, W, i, j)
+        want = [_five_term_sum(ens, alpha, beta, w, i, j, 256) for w in W]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_conjugate_symmetry_in_every_dimension(self, coupled):
+        ens, W = coupled
+        z = Point(1.0, 1.0)
+        plus = residual_table(ens, FrequencyGrid(W), z)
+        minus = residual_table(ens, FrequencyGrid(-W), z)
+        for (_, p), (_, q) in zip(plus, minus):
+            assert abs(q - np.conj(p)) <= 1e-12
+
+    def test_zero_frequency_is_exact_in_two_dimensions(self):
+        y0 = np.array([0.2, 0.6])
+        ens = solve_conditional_mkv(coupled_field(2, 3), y0, 300, square_grid(6), seed=3)
+        assert weak_residual(ens, np.zeros(2), Point(1.0, 1.0)) == 0.0
 
 
 class TestAgainstChangeOfVariables:

@@ -26,6 +26,20 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, np.float64(-0.5), np.int64(-2), np.float32(-0.5), np.array([0.0, 0.3, -0.1]), [0.2, -1.0]],
+    )
+    def test_rejects_negative_scalar_and_array_entries(self, bad):
+        with pytest.raises(ValueError):
+            Point(bad, 1.0)
+        with pytest.raises(ValueError):
+            Point(np.zeros(3), bad)
+
+    def test_nan_coordinates_pass_validation(self):
+        Point(float("nan"), 1.0)
+        Point(np.array([0.0, np.nan]), np.float64(np.nan))
+
     def test_area(self):
         assert Point(0.5, 2.0).area == pytest.approx(1.0)
         assert Point(0.0, 3.0).area == 0.0
