@@ -36,7 +36,14 @@ import numpy as np
 from .measures import EmpiricalMeasure
 from .plane import Grid, Point
 from .rng import DOMAIN_CONTROL
-from .solver import CoefficientField, ParticleEnsemble, _replicate_increments, solve_conditional_mkv
+from .solver import (
+    CoefficientField,
+    ParticleEnsemble,
+    _replicate_increments,
+    _row_points,
+    _uniform_weights,
+    solve_conditional_mkv,
+)
 
 __all__ = [
     "ControlPolicy",
@@ -102,6 +109,19 @@ def _common_node_values(grid: Grid, common_increments: np.ndarray) -> np.ndarray
     return values
 
 
+def _observation_views(common_values: np.ndarray, grid: Grid) -> dict:
+    """The read-only views common_values[: i + 1, : j + 1] of every node (i, j),
+    keyed by the node's coordinates (i * dt, j * dx)."""
+    observed = common_values.view()
+    observed.setflags(write=False)
+    dt, dx = grid.dt, grid.dx
+    return {
+        (i * dt, j * dx): observed[: i + 1, : j + 1]
+        for i in range(grid.nt + 1)
+        for j in range(grid.nx + 1)
+    }
+
+
 def curry_policy(
     controlled: ControlledCoefficients,
     policy: ControlPolicy,
@@ -109,12 +129,23 @@ def curry_policy(
     grid: Grid,
 ) -> CoefficientField:
     """Close the control slot: an ordinary coefficient field driven by the policy."""
+    return _curry(controlled, policy, _observation_views(common_values, grid), grid)
+
+
+def _curry(controlled: ControlledCoefficients, policy: ControlPolicy, views: dict, grid: Grid):
+    """:func:`curry_policy` on prebuilt :func:`_observation_views`.
+
+    A node Point built from the grid finds its view by its coordinates; any
+    other z goes through ``grid.node_index``, which rejects off-node points.
+    """
+    rule = policy.rule
 
     def observe(z, mu):
-        i, j = grid.node_index(z)
-        view = common_values[: i + 1, : j + 1].view()
-        view.setflags(write=False)
-        return np.atleast_1d(np.asarray(policy.rule(z, view, mu), dtype=float))
+        view = views.get((z.t, z.x))
+        if view is None:
+            i, j = grid.node_index(z)
+            view = views[i * grid.dt, j * grid.dx]
+        return np.atleast_1d(np.asarray(rule(z, view, mu), dtype=float))
 
     def drift(z, y, mu):
         return controlled.drift(z, y, mu, observe(z, mu))
@@ -140,23 +171,26 @@ def _replicate_cost(
     ensemble: ParticleEnsemble,
     policy: ControlPolicy,
     cost: CostSpec,
-    common_values: np.ndarray,
+    views: dict,
     route: str,
 ) -> float:
+    """One replicate's cost on the solved ensemble, with the node measures,
+    Points and observation ``views`` built as the solver's coefficient pass
+    builds them."""
     grid = ensemble.grid
-    dtdx = grid.dt * grid.dx
+    dt, dx = grid.dt, grid.dx
+    dtdx = dt * dx
     M = ensemble.particles
+    weights = _uniform_weights(M)
+    xs = [j * dx for j in range(grid.nx)]
+    rule, running = policy.rule, cost.running
     per_particle = np.zeros(M)
     measure_total = 0.0
     for i in range(grid.nt):
-        for j in range(grid.nx):
-            z = Point(i * grid.dt, j * grid.dx)
-            states = ensemble.values[:, i, j, :]
-            mu = EmpiricalMeasure(samples=states)
-            view = common_values[: i + 1, : j + 1].view()
-            view.setflags(write=False)
-            u = np.atleast_1d(np.asarray(policy.rule(z, view, mu), dtype=float))
-            ell = np.asarray(cost.running(z, states, u), dtype=float)
+        for z, states in zip(_row_points(i * dt, xs), ensemble.values[:, i].swapaxes(0, 1)):
+            mu = EmpiricalMeasure._unchecked(states, weights)
+            u = np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
+            ell = np.asarray(running(z, states, u), dtype=float)
             if route == "direct":
                 per_particle += ell * dtdx
             else:
@@ -193,12 +227,12 @@ def _performance(
     values = np.empty(replicates)
     for rep in range(replicates):
         common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
-        common_values = _common_node_values(grid, common)
-        coeffs = curry_policy(controlled, policy, common_values, grid)
+        views = _observation_views(_common_node_values(grid, common), grid)
+        coeffs = _curry(controlled, policy, views, grid)
         ensemble = solve_conditional_mkv(
             coeffs, y0, M, grid, seed, common_increments=common, idio_increments=idio
         )
-        values[rep] = _replicate_cost(ensemble, policy, cost, common_values, route)
+        values[rep] = _replicate_cost(ensemble, policy, cost, views, route)
     return PerformanceEstimate(
         theta=policy.theta,
         value=float(values.mean()),
@@ -270,11 +304,17 @@ def grid_search(
 
 
 def mean_feedback_policy(theta: float) -> ControlPolicy:
-    """u = theta * mean of the conditional measure (componentwise)."""
-    return ControlPolicy(
-        theta=theta,
-        rule=lambda z, common, mu: theta * mu.samples.mean(axis=0),
-    )
+    """u = theta * mean of the conditional measure (componentwise).
+
+    The mean is the unweighted mean of ``mu.samples``: the solver and the cost
+    pass hand the policy uniform weights.
+    """
+
+    def rule(z, common, mu):
+        s = mu.samples
+        return theta * (np.add.reduce(s, axis=0) / s.shape[0])
+
+    return ControlPolicy(theta=theta, rule=rule)
 
 
 def constant_policy(value) -> ControlPolicy:
@@ -289,12 +329,16 @@ def controlled_linear_field(
 ) -> ControlledCoefficients:
     """Scalar controlled dynamics alpha = gain*y + control, beta constant."""
     sigma_arr = np.asarray(sigma, dtype=float).reshape(1, 1, -1)
+    betas = {}  # batch size -> read-only broadcast view of sigma
 
     def drift(z, y, mu, u):
         return drift_gain * y + control_gain * u[None, :]
 
     def diffusion(z, y, mu, u):
-        return np.broadcast_to(sigma_arr, (y.shape[0], 1, sigma_arr.shape[-1]))
+        beta = betas.get(y.shape[0])
+        if beta is None:
+            beta = betas[y.shape[0]] = np.broadcast_to(sigma_arr, (y.shape[0], 1, sigma_arr.shape[-1]))
+        return beta
 
     return ControlledCoefficients(
         n=1, m=sigma_arr.shape[-1], d=1, drift=drift, diffusion=diffusion
@@ -312,8 +356,8 @@ def lq_cost(
 
     def running(z, y, u):
         return -(
-            state_weight * np.sum((y - target) ** 2, axis=-1)
-            + control_weight * float(np.sum(u**2))
+            state_weight * np.add.reduce((y - target) ** 2, axis=-1)
+            + control_weight * float(np.add.reduce(u**2, axis=None))
         )
 
     def terminal(y):

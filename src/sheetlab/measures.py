@@ -75,6 +75,15 @@ class EmpiricalMeasure:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _unchecked(cls, samples: np.ndarray, weights: np.ndarray) -> EmpiricalMeasure:
+        """A measure with no validation or copy: the caller guarantees float64
+        samples of shape (M, n), M >= 1, and valid (M,) weights."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "samples", samples)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     @property
     def dim(self) -> int:
         return self.samples.shape[1]

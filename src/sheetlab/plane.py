@@ -53,6 +53,15 @@ class Point:
         if _negative(self.t) or _negative(self.x):
             raise ValueError(f"plane points need nonnegative coordinates, got ({self.t}, {self.x})")
 
+    @classmethod
+    def _unchecked(cls, t, x) -> Point:
+        """A Point with no sign check, for grid nodes i*dt, j*dx: a Grid's
+        horizon was validated, so its node coordinates are nonnegative."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "t", t)
+        object.__setattr__(z, "x", x)
+        return z
+
     @property
     def area(self) -> float:
         """|z| = t*x, the area of the rectangle R_z."""

@@ -27,6 +27,13 @@ A measure-free field is called once per grid row with mu = None: y is the
 (M*nx, n) batch of the row's states, particle-major, and z holds arrays of
 the matching node coordinates.  Every return is shape-checked.
 
+The empirical measure the pass builds itself skips validation, since the
+grid and the solver guarantee it: its ``samples`` is a view of the solver's
+states at the node (the same array as y), and its ``weights`` is one
+read-only uniform array shared by every node of the pass.  A field must not
+write to either.  Node Points are likewise built unchecked, because grid
+coordinates i*dt and j*dx are nonnegative.
+
 The conditional mean-field system couples M particles through the empirical
 measure of their states at the current node: channel 1 of the sheet is shared
 by all particles (the common noise), channels 2..m are drawn independently
@@ -154,6 +161,21 @@ def _check_shapes(tag: str, arr: np.ndarray, expected: tuple) -> np.ndarray:
     return arr
 
 
+def _uniform_weights(M: int) -> np.ndarray:
+    """The read-only uniform weights (M,) that every node's empirical measure
+    of an M-particle pass shares."""
+    if M < 1:
+        raise ValueError(f"an empirical measure needs at least one sample, got M={M}")
+    weights = np.full(M, 1.0 / M)
+    weights.setflags(write=False)
+    return weights
+
+
+def _row_points(t: float, xs: list) -> list:
+    """The nodes (t, x) of one grid row; grid coordinates need no sign check."""
+    return [Point._unchecked(t, x) for x in xs]
+
+
 def coefficient_rows(
     coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int, measure_source=None
 ):
@@ -166,26 +188,33 @@ def coefficient_rows(
     or with ``measure_source(i, j)`` when given; a measure-free field is called
     per row on the (M*cols, n) batch.
     """
+    values = np.asarray(values, dtype=float)
     M, n, m = values.shape[0], coeffs.n, coeffs.m
+    drift, diffusion = coeffs.drift, coeffs.diffusion
     if coeffs.depends_on_measure:
+        weights = _uniform_weights(M) if measure_source is None else None
+        xs = [j * grid.dx for j in range(cols)]
+        alpha_shape, beta_shape = (M, n), (M, n, m)
         for i in range(rows):
             alpha = np.empty((M, cols, n))
             beta = np.empty((M, cols, n, m))
-            for j in range(cols):
-                states = values[:, i, j, :]
-                mu = EmpiricalMeasure(samples=states) if measure_source is None else measure_source(i, j)
-                z = Point(i * grid.dt, j * grid.dx)
-                alpha[:, j] = _check_shapes("drift", coeffs.drift(z, states, mu), (M, n))
-                beta[:, j] = _check_shapes("diffusion", coeffs.diffusion(z, states, mu), (M, n, m))
+            nodes = zip(_row_points(i * grid.dt, xs), values[:, i].swapaxes(0, 1))
+            for j, (z, states) in enumerate(nodes):
+                if measure_source is None:
+                    mu = EmpiricalMeasure._unchecked(states, weights)
+                else:
+                    mu = measure_source(i, j)
+                alpha[:, j] = _check_shapes("drift", drift(z, states, mu), alpha_shape)
+                beta[:, j] = _check_shapes("diffusion", diffusion(z, states, mu), beta_shape)
             yield alpha, beta
         return
     batch = M * cols
     xs = np.tile(np.arange(cols) * grid.dx, M)
     for i in range(rows):
-        z = Point(np.full(batch, i * grid.dt), xs)
+        z = Point._unchecked(np.full(batch, i * grid.dt), xs)
         states = values[:, i, :cols, :].reshape(batch, n)
-        alpha = _check_shapes("drift", coeffs.drift(z, states, None), (batch, n))
-        beta = _check_shapes("diffusion", coeffs.diffusion(z, states, None), (batch, n, m))
+        alpha = _check_shapes("drift", drift(z, states, None), (batch, n))
+        beta = _check_shapes("diffusion", diffusion(z, states, None), (batch, n, m))
         yield alpha.reshape(M, cols, n), beta.reshape(M, cols, n, m)
 
 
@@ -230,6 +259,15 @@ def _sweep(coeffs, y0, grid, M, noise_rows, frozen=None, measure_source=None) ->
     return Y
 
 
+def _check_finite(Y: np.ndarray) -> np.ndarray:
+    """Return the solved states Y (M, nt+1, nx+1, n), or raise naming the first
+    node (i, j), in row-major order, where some state is not finite."""
+    if not np.isfinite(Y).all():
+        i, j = np.argwhere(~np.isfinite(Y).all(axis=(0, 3)))[0]
+        raise ValueError(f"the solve left a non-finite state at node (i, j) = ({i}, {j})")
+    return Y
+
+
 def solve_goursat(
     coeffs: CoefficientField,
     y0,
@@ -241,6 +279,7 @@ def solve_goursat(
 
     ``measure_source``, required when coeffs.depends_on_measure, is a callable
     (i, j) -> EmpiricalMeasure supplying the frozen measure at each node.
+    Raises ValueError naming the first node whose state is not finite.
     """
     if sheet.channels != coeffs.m:
         raise ValueError(f"sheet has {sheet.channels} channels, coefficients declare m={coeffs.m}")
@@ -250,7 +289,7 @@ def solve_goursat(
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)], axis=-1)  # (nt, nx, m)
-    Y = _sweep(coeffs, y0, grid, 1, dB[:, None], measure_source=measure_source)
+    Y = _check_finite(_sweep(coeffs, y0, grid, 1, dB[:, None], measure_source=measure_source))
     return StateField(values=Y[0], grid=grid)
 
 
@@ -301,19 +340,26 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
 def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     """Conditional OU dynamics: drift = rate * (mean of mu - y), constant beta.
 
-    The drift is rate-Lipschitz in the state and rate-Lipschitz in the
-    measure (through the mean), so the declared joint constant is 2 * rate.
+    The mean is the unweighted mean of ``mu.samples``: the solvers hand every
+    field uniform weights.  The drift is rate-Lipschitz in the state and
+    rate-Lipschitz in the measure (through the mean), so the declared joint
+    constant is 2 * rate.
     """
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
         sigma_arr = np.broadcast_to(sigma_arr[None, :], (n, sigma_arr.shape[0]))
     m = sigma_arr.shape[1]
+    betas = {}  # batch size -> read-only broadcast view of sigma
 
     def drift(z, y, mu):
-        return rate * (mu.samples.mean(axis=0)[None, :] - y)
+        s = mu.samples
+        return rate * (np.add.reduce(s, axis=0) / s.shape[0] - y)
 
     def diffusion(z, y, mu):
-        return np.broadcast_to(sigma_arr, (y.shape[0], n, m))
+        beta = betas.get(y.shape[0])
+        if beta is None:
+            beta = betas[y.shape[0]] = np.broadcast_to(sigma_arr, (y.shape[0], n, m))
+        return beta
 
     return CoefficientField(
         n=n,
@@ -362,12 +408,13 @@ def solve_conditional_mkv(
     coefficients (frozen before any particle advances).  Channel 1 increments
     are identical across particles; channels 2..m are per-particle.  Optional
     increment arrays override the seed-derived noise — the hook used for
-    common-random-number and refinement-coupled experiments.
+    common-random-number and refinement-coupled experiments.  Raises
+    ValueError naming the first node (i, j) where a state is not finite.
     """
     common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     return ParticleEnsemble(
-        values=_sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio)),
+        values=_check_finite(_sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio))),
         grid=grid,
         common_increments=common,
         idio_increments=idio,
@@ -401,7 +448,8 @@ def picard_solve(
     with drift/diffusion evaluated along iterate k (states and empirical
     measures), on one fixed set of noise arrays.  Gaps are sup-over-nodes
     mean-square iterate differences; the divergence flag trips after three
-    consecutive gap increases.
+    consecutive gap increases, or at once on a non-finite gap (an iterate that
+    overflowed), which also stops the iteration.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -415,6 +463,9 @@ def picard_solve(
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur
+        if not np.isfinite(gap):
+            diverged = True
+            break
         if gap < tol:
             converged = True
             break

@@ -18,6 +18,9 @@ from sheetlab import (
     performance_direct,
     performance_measure_based,
 )
+from sheetlab.control import _common_node_values
+from sheetlab.rng import DOMAIN_CONTROL
+from sheetlab.solver import _replicate_increments
 
 
 def square_grid(k):
@@ -65,6 +68,30 @@ class TestBuildingBlocks:
         np.testing.assert_allclose(const.rule(Point(0.0, 0.0), None, mu), [2.5])
 
 
+class TestStockCallbacks:
+    @pytest.mark.parametrize("M", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stock_callbacks_match_their_former_expressions_bit_for_bit(self, M, n):
+        rng = np.random.default_rng(10 * M + n)
+        theta, sw, cw, target = -0.7, 1.3, 0.25, 0.4
+        s = rng.normal(size=(M, n)) * 3.0
+        y = rng.normal(size=(M, n))
+        u = rng.normal(size=n)
+        mu = EmpiricalMeasure(s)
+        z = Point(0.25, 0.5)
+        assert np.array_equal(mean_feedback_policy(theta).rule(z, None, mu), theta * s.mean(0))
+        running = lq_cost(Point(1.0, 1.0), sw, cw, 1.0, target).running(z, y, u)
+        former = -(sw * np.sum((y - target) ** 2, axis=-1) + cw * float(np.sum(u**2)))
+        assert np.array_equal(running, former)
+        field = controlled_linear_field(-1.2, 0.8, sigma=(0.5, 0.3, 0.1))
+        y1, u1 = y[:, :1], u[:1]
+        assert np.array_equal(field.drift(z, y1, mu, u1), -1.2 * y1 + 0.8 * u1[None, :])
+        for batch in (y1, y1[:1], y1):
+            beta = field.diffusion(z, batch, mu, u1)
+            assert np.array_equal(beta, np.broadcast_to([[[0.5, 0.3, 0.1]]], (batch.shape[0], 1, 3)))
+            assert not beta.flags.writeable
+
+
 class TestCurriedObservation:
     def test_policy_sees_only_the_past_rectangle_read_only(self):
         g, controlled, _ = instance(4)
@@ -83,6 +110,44 @@ class TestCurriedObservation:
         np.testing.assert_array_equal(view, common_values[:3, :2])
         with pytest.raises((ValueError, RuntimeError)):
             view[0, 0] = 99.0
+
+    def test_off_grid_point_is_rejected(self):
+        g, controlled, _ = instance(4)
+        coeffs = curry_policy(controlled, constant_policy(0.0), np.zeros((5, 5)), g)
+        mu = EmpiricalMeasure(samples=np.zeros((2, 1)))
+        for z in (Point(0.3, 0.25), Point(0.5, 0.26), Point(1.25, 0.0)):
+            with pytest.raises(ValueError, match="not a node"):
+                coeffs.drift(z, np.zeros((2, 1)), mu)
+
+    def test_a_node_within_rounding_still_finds_its_view(self):
+        g, controlled, _ = instance(3)
+        seen = []
+        rule = lambda z, common, mu: seen.append(common) or np.zeros(1)  # noqa: E731
+        common_values = np.arange(16.0).reshape(4, 4)
+        coeffs = curry_policy(controlled, ControlPolicy(theta=0.0, rule=rule), common_values, g)
+        z = Point(1.0 / 3.0 + 1e-13, 2.0 / 3.0 - 1e-13)  # node (1, 2), off its exact coordinates
+        coeffs.drift(z, np.zeros((2, 1)), EmpiricalMeasure(samples=np.zeros((2, 1))))
+        np.testing.assert_array_equal(seen[0], common_values[:2, :3])
+
+    def test_performance_policy_sees_exactly_its_read_only_rectangle(self):
+        g, controlled, cost = instance(4)
+        seen = []
+
+        def probe_rule(z, common, mu):
+            seen.append((g.node_index(z), common))
+            return np.zeros(1)
+
+        policy = ControlPolicy(theta=0.0, rule=probe_rule)
+        performance_direct(policy, controlled, cost, 1.0, 3, g, replicates=2, seed=4)
+        assert len(seen) == 2 * 3 * g.nt * g.nx  # drift, diffusion and cost at every node
+        per_replicate = len(seen) // 2
+        for rep in range(2):
+            common, _ = _replicate_increments(DOMAIN_CONTROL, g, controlled.m, 3, 4, rep)
+            common_values = _common_node_values(g, common)
+            for (i, j), view in seen[rep * per_replicate : (rep + 1) * per_replicate]:
+                assert view.shape == (i + 1, j + 1)
+                assert np.array_equal(view, common_values[: i + 1, : j + 1])
+                assert not view.flags.writeable
 
     def test_curried_field_declares_measure_dependence(self):
         g, controlled, _ = instance(4)

@@ -20,12 +20,24 @@ from sheetlab import (
     solve_goursat,
     state_slice_csv,
 )
+from sheetlab.solver import coefficient_table
 
 R0 = 1.4457964907366958
 
 
 def square_grid(k, t=1.0, x=1.0):
     return Grid(horizon=Point(t, x), nt=k, nx=k)
+
+
+def exploding_field(depends_on_measure=True):
+    # its states overflow a few rows in on an 8 x 8 grid
+    return CoefficientField(
+        n=1,
+        m=2,
+        drift=lambda z, y, mu: np.exp(y) * 1e3,
+        diffusion=lambda z, y, mu: np.ones(y.shape + (2,)),
+        depends_on_measure=depends_on_measure,
+    )
 
 
 def constant_field(alpha, betas):
@@ -96,6 +108,13 @@ class TestSinglePathSolve:
         needs_mu = mean_reversion_field(1.0, (0.5, 0.5))
         with pytest.raises(ValueError):
             solve_goursat(needs_mu, 0.0, sample_sheet(g, 2, 0), g)  # no measure source
+
+    def test_non_finite_state_names_its_first_node(self):
+        g = square_grid(8)
+        sheet = sample_sheet(g, 2, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite state at node \(i, j\) = \(3, 3\)"):
+                solve_goursat(exploding_field(depends_on_measure=False), 0.0, sheet, g)
 
 
 class TestEnsembleNoise:
@@ -190,6 +209,44 @@ class TestConditionalEnsemble:
             field = solve_goursat(co, 1.0, sheet, g, measure_source=source)
             np.testing.assert_allclose(field.values, ens.values[p], rtol=0, atol=1e-12)
 
+    def test_non_finite_state_names_its_first_node(self):
+        g = square_grid(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite state at node \(i, j\) = \(3, 3\)"):
+                solve_conditional_mkv(exploding_field(), 0.0, 3, g, seed=0)
+
+    def test_field_sees_the_node_measure_and_point_it_would_build(self):
+        g = square_grid(5, t=1.0, x=0.7)
+        seen = []
+
+        def drift(z, y, mu):
+            seen.append((z, y, mu))
+            return 0.3 * (mu.samples.mean(axis=0) - y)
+
+        co = CoefficientField(
+            n=2,
+            m=2,
+            drift=drift,
+            diffusion=lambda z, y, mu: np.full(y.shape + (2,), 0.4),
+        )
+        ens = solve_conditional_mkv(co, (1.0, -0.5), 4, g, seed=1)
+        nodes = [(i, j) for i in range(g.nt) for j in range(g.nx)]
+        assert len(seen) == len(nodes)
+        for (i, j), (z, y, mu) in zip(nodes, seen):
+            assert type(z) is Point and z == Point(i * g.dt, j * g.dx)
+            reference = EmpiricalMeasure(ens.values[:, i, j])
+            assert mu.samples is y
+            assert np.shares_memory(mu.samples, ens.values)
+            np.testing.assert_array_equal(mu.samples, reference.samples)
+            np.testing.assert_array_equal(mu.weights, reference.weights)
+            assert not mu.weights.flags.writeable
+        assert all(mu.weights is seen[0][2].weights for _, _, mu in seen)
+
+    def test_empty_ensemble_is_still_rejected(self):
+        g = square_grid(3)
+        with pytest.raises(ValueError, match="at least one sample"):
+            coefficient_table(mean_reversion_field(1.0, (0.5, 0.5)), np.empty((0, 4, 4, 1)), g, 2, 2)
+
     def test_measure_free_field_is_called_once_per_row_on_all_particles(self):
         g = square_grid(6)
         batches = []
@@ -211,6 +268,25 @@ class TestConditionalEnsemble:
             increments = np.stack([ens.common_increments, ens.idio_increments[p, 0]])
             field = solve_goursat(co, 1.0, sheet_from_increments(g, increments), g)
             np.testing.assert_allclose(field.values, ens.values[p], rtol=0, atol=1e-12)
+
+
+class TestStockField:
+    @pytest.mark.parametrize("M", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_mean_reversion_matches_its_former_expressions_bit_for_bit(self, M, n):
+        rng = np.random.default_rng(10 * M + n)
+        rate, sigma = 0.37, rng.normal(size=(n, 2))
+        co = mean_reversion_field(rate, sigma, n=n)
+        s = rng.normal(size=(M, n)) * 3.0
+        y = rng.normal(size=(M, n))
+        mu = EmpiricalMeasure(s)
+        z = Point(0.25, 0.5)
+        assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(0) - y))
+        assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(axis=0)[None, :] - y))
+        for batch in (y, y[:1], y):
+            beta = co.diffusion(z, batch, mu)
+            assert np.array_equal(beta, np.broadcast_to(sigma, (batch.shape[0], n, 2)))
+            assert not beta.flags.writeable
 
 
 class TestPicardIteration:
@@ -245,6 +321,15 @@ class TestPicardIteration:
             result = picard_solve(co, 2.5, 4, g, seed=0, max_iter=14, tol=1e-12)
         assert result.diverged and not result.converged
         assert result.gaps[-1] > result.gaps[0]
+
+    def test_overflowing_iterate_is_reported_as_divergence(self):
+        # the second iterate overflows: gap inf, then NaN, which never counts as rising
+        g = square_grid(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = picard_solve(exploding_field(), 1.0, 3, g, seed=0, max_iter=12, tol=1e-12)
+        assert result.diverged and not result.converged
+        assert result.iterations == 2
+        assert np.isfinite(result.gaps[0]) and result.gaps[1] == np.inf
 
     def test_rejects_zero_iterations(self):
         g = square_grid(4)
