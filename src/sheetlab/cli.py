@@ -37,7 +37,7 @@ from .control import (
     performance_direct,
     performance_measure_based,
 )
-from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table, weak_residual
+from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table
 from .ito_check import ito_refinement_study, scalar_function
 from .noise import cell_increments, coarsen_increments, sample_sheet, sheet_from_increments
 from .plane import Grid, Point
@@ -325,15 +325,17 @@ def _run_fokker_planck(p, out_path):
     grid = _square_grid(p["k"])
     coeffs = mean_reversion_field(p["rate"], (0.7, 0.5))
     freqs = FrequencyGrid(np.asarray(_as_list(p["w"]), dtype=float))
+    # w = 0 rides along as one extra row of the same table, so each replicate
+    # takes one coefficient pass; its residual is split off before the rows.
+    with_zero = FrequencyGrid(np.vstack([freqs.values, np.zeros((1, 1))]))
 
     def one(rep):
         common, idio = sample_replicate_increments(grid, coeffs.m, p["M"], p["seed"], rep)
         ensemble = solve_conditional_mkv(
             coeffs, p["y0"], p["M"], grid, p["seed"], common_increments=common, idio_increments=idio
         )
-        table = residual_table(ensemble, freqs, grid.horizon)
-        zero = abs(weak_residual(ensemble, np.zeros(1), grid.horizon))
-        return [res for _, res in table], zero
+        *table, (_, zero) = residual_table(ensemble, with_zero, grid.horizon)
+        return [res for _, res in table], abs(zero)
 
     results = [one(rep) for rep in range(p["reps"])]
     residuals = np.array([r[0] for r in results])  # (reps, Q)

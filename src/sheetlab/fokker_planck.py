@@ -49,6 +49,18 @@ for the drift part and as the two distinct products cQ x rD and cD x rQ for
 the diffusion part.  A frequency then costs one cos and one sin per cell and
 a (2, cells) x (cells, n + n^2 + n^3 + n^4) product.
 
+The tables are built while the coefficients stream in: R_z, the cells
+[0, i) x [0, j), is read one grid row at a time from solver.coefficient_rows,
+and the rectangle's alpha and beta are never held whole.  A row's table
+needs its own A, B, D and Q, the running sums rD, rQ along x, which stay
+inside the row, and cD, cQ along t.  These two are carries, one (M, j, n)
+array for D and one (M, j, n, n) for Q, to which each row adds its D and Q
+before its table is built.  A row of more than _CELLS cells is split into
+sub-chunks of _CELLS // j particles, which bounds the table.  Transient
+memory is thus one row plus the two carries, O(M j), for the same single
+coefficient pass over R_z; an empty rectangle (i = 0 or j = 0) makes no
+drift or diffusion call at all.
+
 At w = 0 every monomial of w vanishes, so the kernel sum is an exact zero,
 and so is the left side: the residual is identically 0.0 — a structural
 identity the tests pin.  Negating w flips the sign of the sines and of the odd
@@ -63,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plane import Grid, Point, mixed_partial, quarter_indicator
-from .solver import ParticleEnsemble, coefficient_table
+from .solver import ParticleEnsemble, coefficient_rows
 
 __all__ = [
     "FrequencyGrid",
@@ -173,13 +185,11 @@ def _residuals(ensemble: ParticleEnsemble, W: np.ndarray, z: Point) -> np.ndarra
         raise ValueError(
             f"frequency shape {W.shape[1:]} does not match state dimension {ensemble.n}"
         )
-    grid = ensemble.grid
-    i, j = grid.node_index(z)
+    i, j = ensemble.grid.node_index(z)
     lhs = np.mean(np.exp(-1j * (ensemble.values[:, i, j, :] @ W.T)), axis=0) - np.exp(
         -1j * (W @ ensemble.y0)
     )
-    alpha, beta = coefficient_table(ensemble.coeffs, ensemble.values, grid, i, j)
-    return lhs - _five_term_sums(ensemble, alpha, beta, W, i, j)
+    return lhs - _five_term_sums(ensemble, W, i, j)
 
 
 def _outer(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -187,59 +197,76 @@ def _outer(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * Y[:, None, :]).reshape(X.shape[0], X.shape[1] * Y.shape[1])
 
 
-def _five_term_sums(
-    ensemble: ParticleEnsemble,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    W: np.ndarray,
-    i: int,
-    j: int,
-) -> np.ndarray:
+def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -> np.ndarray:
     """Particle mean of the five summed integrals over R_z at each row of W (Q, n).
 
-    alpha (M, i, j, n) and beta (M, i, j, n, m) are read on the cells of R_z.
-    Each chunk of particles builds its table T (cells, K) once: the real part's
-    w^2 and w^4 coefficients, then the imaginary part's w and w^3 ones (module
-    docstring).  Per frequency, sum_cells (T @ mono) exp(-i w.Y) equals
-    (c @ T - i s @ T) @ mono with c, s = cos, sin(w.Y), mono = [w^2, w^4, i w, i w^3].
+    R_z holds the cells [0, i) x [0, j).  Their coefficients are read one grid
+    row at a time from :func:`coefficient_rows`, so nothing larger than a row
+    is held: the running sums along t (cD, cQ) are carries that each row adds
+    to, the ones along x (rD, rQ) are cumulative sums within the row.  A row
+    of more than _CELLS cells is taken in particle sub-chunks of _CELLS // j
+    particles, each summed by :func:`_chunk_sums`, whose temporaries are freed
+    before the next chunk builds its own.
     """
     grid = ensemble.grid
     dtdx = grid.dt * grid.dx
-    dBc = ensemble.common_increments[:i, :j, None]
     M, n = ensemble.particles, ensemble.n
     w1, w2, w3, w4 = itertools.accumulate([W] * 4, _outer)
     mono = np.concatenate([w2, w4, 1j * w1, 1j * w3], axis=1)
-    step = max(1, _CELLS // max(i * j, 1))
+    step = max(1, _CELLS // max(j, 1))
+    cD = np.zeros((M, j, n))
+    cQ = np.zeros((M, j, n, n))
     total = np.zeros(len(W), dtype=complex)
-    for lo in range(0, M, step):
-        b = beta[lo : lo + step]
-        cells = b.shape[0] * i * j
-        A = alpha[lo : lo + step] * dtdx
-        B = b[..., 0] * dBc
-        D = A + B
-        Q = np.einsum("...km,...lm->...kl", b, b) * dtdx
-        cD, rD = (np.cumsum(D, axis=ax).reshape(cells, n) for ax in (1, 2))
-        cQ, rQ = (np.cumsum(Q, axis=ax).reshape(cells, n * n) for ax in (1, 2))
-        A, B, D = (X.reshape(cells, n) for X in (A, B, D))
-        Q = Q.reshape(cells, n * n)
-        T = np.concatenate(
-            [
-                -0.5 * Q + _outer(D, D) - _outer(A, A) - _outer(cD, rD),
-                0.25 * _outer(cQ, rQ),
-                -D,
-                0.5 * (_outer(cQ, rD) + _outer(cD, rQ)) - _outer(Q, B),
-            ],
-            axis=1,
-        )
-        Y = ensemble.values[lo : lo + step, :i, :j, :].reshape(cells, n)
-        cs = np.empty((2, cells))
-        for q, w in enumerate(W):
-            theta = np.dot(Y, w)  # matmul is several times slower for n = 1
-            np.cos(theta, out=cs[0])
-            np.sin(theta, out=cs[1])
-            cT, sT = cs @ T
-            total[q] += (cT - 1j * sT) @ mono[q]
+    rows = coefficient_rows(ensemble.coeffs, ensemble.values, grid, i if j else 0, j)
+    for t, (alpha, beta) in enumerate(rows):
+        A = alpha * dtdx
+        B = beta[..., 0] * ensemble.common_increments[t, :j, None]
+        Q = np.einsum("...km,...lm->...kl", beta, beta) * dtdx
+        for lo in range(0, M, step):
+            p = slice(lo, lo + step)
+            Y = ensemble.values[p, t, :j, :]
+            total += _chunk_sums(A[p], B[p], Q[p], cD[p], cQ[p], Y, W, mono)
     return total / M
+
+
+def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
+    """Unaveraged five-term sums over one chunk of a grid row, at each row of W.
+
+    A, B (p, j, n) and Q (p, j, n, n) are the chunk's per-cell tables of the
+    module docstring, Y (p, j, n) its states.  D = A + B and Q are first added
+    to the t-carries cD and cQ in place, so that these then hold the running
+    sums along t up to this row.  The chunk's table T (cells, K) holds the real
+    part's w^2 and w^4 coefficients, then the imaginary part's w and w^3 ones.
+    Per frequency, sum_cells (T @ mono) exp(-i w.Y) equals (c @ T - i s @ T) @
+    mono with c, s = cos, sin(w.Y), mono = [w^2, w^4, i w, i w^3].
+    """
+    cells, n = Y.shape[0] * Y.shape[1], Y.shape[2]
+    D = A + B
+    cD += D
+    cQ += Q
+    rD = np.cumsum(D, axis=1).reshape(cells, n)
+    rQ = np.cumsum(Q, axis=1).reshape(cells, n * n)
+    cD, A, B, D = (X.reshape(cells, n) for X in (cD, A, B, D))
+    cQ, Q = (X.reshape(cells, n * n) for X in (cQ, Q))
+    T = np.concatenate(
+        [
+            -0.5 * Q + _outer(D, D) - _outer(A, A) - _outer(cD, rD),
+            0.25 * _outer(cQ, rQ),
+            -D,
+            0.5 * (_outer(cQ, rD) + _outer(cD, rQ)) - _outer(Q, B),
+        ],
+        axis=1,
+    )
+    Y = Y.reshape(cells, n)
+    cs = np.empty((2, cells))
+    sums = np.empty(len(W), dtype=complex)
+    for q, w in enumerate(W):
+        theta = np.dot(Y, w)  # matmul is several times slower for n = 1
+        np.cos(theta, out=cs[0])
+        np.sin(theta, out=cs[1])
+        cT, sT = cs @ T
+        sums[q] = (cT - 1j * sT) @ mono[q]
+    return sums
 
 
 # --------------------------------------------------------------------------

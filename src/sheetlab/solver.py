@@ -220,7 +220,11 @@ def coefficient_rows(
 
 def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int):
     """alpha (M, rows, cols, n) and beta (M, rows, cols, n, m): every row of
-    :func:`coefficient_rows` at once, with no call on an empty rectangle."""
+    :func:`coefficient_rows` at once, with no call on an empty rectangle.
+
+    Its only library user is the single-path ``ito_check.ito_terms``; the
+    weak Fokker-Planck residual streams :func:`coefficient_rows` instead.
+    """
     M, n, m = values.shape[0], coeffs.n, coeffs.m
     alpha = np.empty((M, rows, cols, n))
     beta = np.empty((M, rows, cols, n, m))

@@ -1,12 +1,17 @@
 """Command-line experiment runner: argument parsing, exit codes, CSV output."""
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sheetlab.cli import ENV_OUT, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -87,6 +92,25 @@ class TestSeedAndWorkerInvariance:
         a = [l for l in row(tmp_path / "s0" / "est-check.csv") if l.startswith("gaussian")]
         b = [l for l in row(tmp_path / "s1" / "est-check.csv") if l.startswith("gaussian")]
         assert a != b
+
+
+class TestFokkerPlanckGolden:
+    """The fokker-planck experiment at its defaults against rows recorded before
+    its kernel streamed coefficient rows (tests/data/cli_fokker_planck_golden.json)."""
+
+    def test_default_run_reproduces_the_recorded_rows(self, capsys, tmp_path, monkeypatch):
+        golden = json.loads((DATA / "cli_fokker_planck_golden.json").read_text())
+        assert run(golden["argv"], tmp_path, monkeypatch) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        lines = (tmp_path / "fokker-planck.csv").read_text().strip().splitlines()
+        meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+        body = [l.split(",") for l in lines if not l.startswith("# ")]
+        assert meta["all_pass"] == str(golden["all_pass"])
+        mean_abs = float(meta["mean_abs_residual"])
+        assert mean_abs == pytest.approx(golden["mean_abs_residual"], rel=0, abs=1e-12)
+        assert body[0] == golden["header"]
+        got = np.array([[float(v) for v in row] for row in body[1:]])
+        np.testing.assert_allclose(got, np.array(golden["rows"], dtype=float), rtol=0, atol=1e-12)
 
 
 class TestConsoleScript:

@@ -1,5 +1,8 @@
 """Weak-form transport identity in Fourier variables, and its kernel algebra."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from sheetlab import (
     solve_conditional_mkv,
     weak_residual,
 )
+from sheetlab import fokker_planck
 from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _wa_wb_wq
 from sheetlab.solver import coefficient_table
 
@@ -123,8 +127,6 @@ class TestWeakResidual:
             assert res == pytest.approx(weak_residual(ensemble, wrow, z), abs=1e-12)
 
     def test_needs_carried_coefficients(self, ensemble):
-        from dataclasses import replace
-
         stripped = replace(ensemble, coeffs=None, y0=None)
         with pytest.raises(ValueError):
             weak_residual(stripped, 1.0, Point(1.0, 1.0))
@@ -135,8 +137,6 @@ class TestWeakResidual:
 
     @pytest.mark.parametrize("z", [Point(1.0, 1.0), Point(0.0, 1.0)])
     def test_residual_table_needs_carried_coefficients(self, ensemble, z):
-        from dataclasses import replace
-
         stripped = replace(ensemble, coeffs=None, y0=None)
         with pytest.raises(ValueError, match="does not carry coefficients"):
             residual_table(stripped, FrequencyGrid(np.array([1.0])), z)
@@ -226,14 +226,26 @@ class TestPolynomialTableKernel:
         ens = solve_conditional_mkv(coupled_field(n, m), y0, 300, square_grid(6), seed=3)
         return ens, np.random.default_rng(n).normal(size=(4, n))
 
+    @staticmethod
+    def reference(ens, W, i, j):
+        alpha, beta = coefficient_table(ens.coeffs, ens.values, ens.grid, i, j)
+        return [_five_term_sum(ens, alpha, beta, w, i, j, 256) for w in W]
+
     @pytest.mark.parametrize("corner", [(6, 6), (3, 5), (6, 1)])
     def test_matches_the_per_frequency_reference(self, coupled, corner):
         ens, W = coupled
-        i, j = corner
-        alpha, beta = coefficient_table(ens.coeffs, ens.values, ens.grid, i, j)
-        got = _five_term_sums(ens, alpha, beta, W, i, j)
-        want = [_five_term_sum(ens, alpha, beta, w, i, j, 256) for w in W]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = _five_term_sums(ens, W, *corner)
+        np.testing.assert_allclose(got, self.reference(ens, W, *corner), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 300 * 6 + 1], ids=["one-particle-chunks", "whole-rows"])
+    @pytest.mark.parametrize("corner", [(6, 6), (3, 5), (6, 1)])
+    def test_row_sub_chunks_match_the_reference(self, coupled, corner, cells, monkeypatch):
+        # _CELLS = 1 splits every row into single particles; above M*j each
+        # row is one chunk.  Both must agree with the reference.
+        ens, W = coupled
+        monkeypatch.setattr(fokker_planck, "_CELLS", cells)
+        got = _five_term_sums(ens, W, *corner)
+        np.testing.assert_allclose(got, self.reference(ens, W, *corner), rtol=0, atol=1e-12)
 
     def test_conjugate_symmetry_in_every_dimension(self, coupled):
         ens, W = coupled
@@ -247,6 +259,49 @@ class TestPolynomialTableKernel:
         y0 = np.array([0.2, 0.6])
         ens = solve_conditional_mkv(coupled_field(2, 3), y0, 300, square_grid(6), seed=3)
         assert weak_residual(ens, np.zeros(2), Point(1.0, 1.0)) == 0.0
+
+
+class TestRowStream:
+    """The kernel reads coefficient rows as it goes: it never holds the whole
+    rectangle's alpha and beta, and reads none on an empty rectangle."""
+
+    def test_peak_memory_stays_below_half_the_rectangle_tables(self):
+        k, M = 16, 500
+        co = mean_reversion_field(0.5, (0.7, 0.5))
+        ens = solve_conditional_mkv(co, 1.0, M, square_grid(k), seed=0)
+        table_bytes = M * k * k * (1 + 1 * 2) * 8  # alpha (M, k, k, 1) and beta (M, k, k, 1, 2)
+        freqs = FrequencyGrid(np.array([1.0, -2.0]))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            residual_table(ens, freqs, Point(1.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2
+
+    @pytest.mark.parametrize("measure", [True, False], ids=["measure", "measure-free"])
+    @pytest.mark.parametrize("z", [Point(0.0, 1.0), Point(1.0, 0.0)], ids=["t=0", "x=0"])
+    def test_axis_nodes_make_no_coefficient_call(self, ensemble, z, measure):
+        calls = []
+
+        def drift(z, y, mu):
+            calls.append("drift")
+            return np.zeros((len(y), 1))
+
+        def diffusion(z, y, mu):
+            calls.append("diffusion")
+            return np.zeros((len(y), 1, 2))
+
+        counting = CoefficientField(1, 2, drift, diffusion, depends_on_measure=measure)
+        W = np.array([1.0, -2.0])
+        table = residual_table(replace(ensemble, coeffs=counting), FrequencyGrid(W), z)
+        got = [res for _, res in table]
+        assert calls == []
+        i, j = ensemble.grid.node_index(z)
+        states = ensemble.values[:, i, j, 0]
+        lhs = np.exp(-1j * np.outer(states, W)).mean(axis=0) - np.exp(-1j * W * ensemble.y0[0])
+        np.testing.assert_allclose(got, lhs, rtol=0, atol=1e-15)
 
 
 class TestAgainstChangeOfVariables:
