@@ -26,7 +26,9 @@ the zeta-factor) times (inclusive cumulative sum along x of the
 zeta'-factor), evaluated at v, minus the identical-cell product where the
 diagonal is excluded.  That turns O(cells^2) work into O(cells) per term and
 is algebraically identical to the masked pair sum (pinned by a test against
-the generic second-type integral).
+the generic second-type integral).  Only six running sums occur, of the cell
+drift, noise and quadratic-variation factors along t and along x, and each
+is taken once and shared by the terms that read it.
 
 Test functions carry their own analytic derivatives: differentiating
 numerically inside the validator would contaminate the residual it measures.
@@ -103,16 +105,6 @@ class ItoTermReport:
     residual: float
 
 
-def _col(F: np.ndarray) -> np.ndarray:
-    """Inclusive cumulative sum along the t axis (the zeta factor of a pair)."""
-    return np.cumsum(F, axis=0)
-
-
-def _row(F: np.ndarray) -> np.ndarray:
-    """Inclusive cumulative sum along the x axis (the zeta' factor of a pair)."""
-    return np.cumsum(F, axis=1)
-
-
 def ito_terms(
     f: TestFunction,
     coeffs: CoefficientField,
@@ -124,6 +116,8 @@ def ito_terms(
     grid = field.grid
     if sheet.grid != grid:
         raise ValueError("sheet and field live on different grids")
+    if sheet.channels != coeffs.m:
+        raise ValueError(f"sheet has {sheet.channels} channels, coefficients declare m={coeffs.m}")
     i, j = grid.node_index(z)
     n, m = coeffs.n, coeffs.m
     dtdx = grid.dt * grid.dx
@@ -146,27 +140,27 @@ def ito_terms(
     t2 = np.einsum("ijn,ijn->", g1, bD)
     t3 = 0.5 * np.einsum("ijnl,ijnl->", g2, qD)
 
-    # pair terms: zeta factor col-cumulated, zeta' factor row-cumulated, join at v
-    t4 = np.einsum("ijkl,ijk,ijl->", g2, _col(bD), _row(bD)) - np.einsum(
-        "ijkl,ijk,ijl->", g2, bD, bD
-    )
+    # pair terms: zeta factor summed along t (col), zeta' factor along x (row), join at v
+    a_col, b_col, q_col = (np.cumsum(F, axis=0) for F in (aD, bD, qD))
+    a_row, b_row, q_row = (np.cumsum(F, axis=1) for F in (aD, bD, qD))
+    t4 = np.einsum("ijkl,ijk,ijl->", g2, b_col, b_row) - np.einsum("ijkl,ijk,ijl->", g2, bD, bD)
     t5 = (
-        np.einsum("ijkl,ijk,ijl->", g2, _col(aD), _row(bD))
+        np.einsum("ijkl,ijk,ijl->", g2, a_col, b_row)
         - np.einsum("ijkl,ijk,ijl->", g2, aD, bD)
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, _col(qD), _row(bD))
+        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_col, b_row)
         - 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, qD, bD)
     )
     t6 = (
-        np.einsum("ijkl,ijk,ijl->", g2, _col(bD), _row(aD))
+        np.einsum("ijkl,ijk,ijl->", g2, b_col, a_row)
         - np.einsum("ijkl,ijk,ijl->", g2, bD, aD)
-        + 0.5 * np.einsum("ijklr,ijr,ijkl->", g3, _col(bD), _row(qD))
+        + 0.5 * np.einsum("ijklr,ijr,ijkl->", g3, b_col, q_row)
         - 0.5 * np.einsum("ijklr,ijr,ijkl->", g3, bD, qD)
     )
     t7 = (
-        np.einsum("ijkl,ijk,ijl->", g2, _col(aD), _row(aD))
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, _col(qD), _row(aD))
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, _row(qD), _col(aD))
-        + 0.25 * np.einsum("ijklrs,ijkl,ijrs->", g4, _col(qD), _row(qD))
+        np.einsum("ijkl,ijk,ijl->", g2, a_col, a_row)
+        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_col, a_row)
+        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_row, a_col)
+        + 0.25 * np.einsum("ijklrs,ijkl,ijrs->", g4, q_col, q_row)
     )
 
     lhs = complex(np.asarray(f.value(field.values[i, j][None, :]))[0]) - complex(

@@ -13,9 +13,19 @@ is discretized by the explicit lower-corner recursion
 
 which telescopes exactly to the discrete integrals: on-grid, the solved field
 *is* y0 + rect_integral(drift) + ito_integral(each diffusion column), an
-algebraic identity the test suite pins at 1e-10.  Advancing a row only needs
-row-i data, so each row is one vectorized cumulative sum: the boundary column
-stays at y0, so row i+1 is row i plus the running sum of row i's sources.
+algebraic identity the test suite pins at 1e-10.  The recursion runs in one of
+two forms:
+
+* the row loop.  Advancing a row only needs row-i data, so each row is one
+  vectorized cumulative sum: the boundary column stays at y0, so row i+1 is
+  row i plus the running sum of row i's sources.  Fields whose coefficients
+  read the states or the measure, and every Picard step, take this form.
+* the closed form.  A field declaring depends_on_state=False and
+  depends_on_measure=False cannot see the states being solved, so all rows'
+  coefficients are read first (on states held at y0), the sources of the
+  whole grid are formed at once, and the field is y0 plus one cumulative sum
+  along x followed by one along t.  The additions happen in the row loop's
+  order, so both forms give the same bits.
 
 Coefficient callables are vectorized over a batch axis: drift(z, y, mu) takes
 y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers
@@ -25,7 +35,8 @@ called once per node: y is the (M, n) cloud of the M paths' states there, z a
 scalar Point, mu their EmpiricalMeasure or the measure the caller supplies.
 A measure-free field is called once per grid row with mu = None: y is the
 (M*nx, n) batch of the row's states, particle-major, and z holds arrays of
-the matching node coordinates.  Every return is shape-checked.
+the matching node coordinates, built once per pass and shared by its rows, so
+a field must not write to them.  Every return is shape-checked.
 
 The empirical measure the pass builds itself skips validation, since the
 grid and the solver guarantee it: its ``samples`` is a view of the solver's
@@ -89,6 +100,12 @@ class CoefficientField:
     drift(z, y, mu) -> (B, n); diffusion(z, y, mu) -> (B, n, m) for y of
     shape (B, n).  When depends_on_measure is False the measure argument is
     passed as None and must be ignored by the maps.
+
+    depends_on_state=False promises that the maps ignore y as well.  When the
+    field is also measure-free, the direct solvers take the promise at its
+    word: they hand the maps states held at y0 and read every row's
+    coefficients before the recursion runs (the closed form of the module
+    docstring).  A field that breaks the promise gets coefficients read at y0.
     """
 
     n: int
@@ -210,8 +227,9 @@ def coefficient_rows(
         return
     batch = M * cols
     xs = np.tile(np.arange(cols) * grid.dx, M)
+    ts = np.broadcast_to((np.arange(rows) * grid.dt)[:, None], (rows, batch))  # read-only
     for i in range(rows):
-        z = Point._unchecked(np.full(batch, i * grid.dt), xs)
+        z = Point._unchecked(ts[i], xs)
         states = values[:, i, :cols, :].reshape(batch, n)
         alpha = _check_shapes("drift", drift(z, states, None), (batch, n))
         beta = _check_shapes("diffusion", diffusion(z, states, None), (batch, n, m))
@@ -222,8 +240,9 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
     """alpha (M, rows, cols, n) and beta (M, rows, cols, n, m): every row of
     :func:`coefficient_rows` at once, with no call on an empty rectangle.
 
-    Its only library user is the single-path ``ito_check.ito_terms``; the
-    weak Fokker-Planck residual streams :func:`coefficient_rows` instead.
+    Its library users are the closed-form solve of a state-free field and the
+    single-path ``ito_check.ito_terms``; the weak Fokker-Planck residual
+    streams :func:`coefficient_rows` instead.
     """
     M, n, m = values.shape[0], coeffs.n, coeffs.m
     alpha = np.empty((M, rows, cols, n))
@@ -244,20 +263,42 @@ def _ensemble_noise_rows(common: np.ndarray, idio: np.ndarray):
         yield dB
 
 
-def _sweep(coeffs, y0, grid, M, noise_rows, frozen=None, measure_source=None) -> np.ndarray:
+def _ensemble_noise_grid(common: np.ndarray, idio: np.ndarray) -> np.ndarray:
+    """The cell noise (M, nt, nx, m) of every row of :func:`_ensemble_noise_rows`."""
+    M, own = idio.shape[:2]
+    dB = np.empty((M, *common.shape, own + 1))
+    dB[..., 0] = common
+    dB[..., 1:] = idio.transpose(0, 2, 3, 1)
+    return dB
+
+
+def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> np.ndarray:
     """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
 
-    Coefficients are read along the states being solved (row i once it is
-    filled) or, for a Picard step, along the ``frozen`` previous iterate;
-    ``noise_rows`` yields each row's cell increments (M, nx, m).
+    The noise is channel 0 ``common`` (nt, nx), shared by all paths, and the
+    per-path channels ``idio`` (M, m-1, nt, nx).  Coefficients are read along
+    the states being solved (row i once it is filled) or, for a Picard step,
+    along the ``frozen`` previous iterate.  A state- and measure-free field
+    solved directly takes the closed form (module docstring).
     """
     nt, nx = grid.nt, grid.nx
+    M = idio.shape[0]
     Y = np.empty((M, nt + 1, nx + 1, coeffs.n))
+    dtdx = grid.dt * grid.dx
+    if frozen is None and not (coeffs.depends_on_state or coeffs.depends_on_measure):
+        Y[...] = y0  # the maps see finite states, never uninitialised memory
+        alpha, beta = coefficient_table(coeffs, Y, grid, nt, nx)
+        dB = _ensemble_noise_grid(common, idio)
+        src = alpha * dtdx + np.einsum("pijnm,pijm->pijn", beta, dB)
+        # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
+        run = np.cumsum(src, axis=2)
+        run[:, 0] += y0
+        np.cumsum(run, axis=1, out=Y[:, 1:, 1:, :])
+        return Y
     Y[:, 0, :, :] = y0
     Y[:, :, 0, :] = y0
     rows = coefficient_rows(coeffs, Y if frozen is None else frozen, grid, nt, nx, measure_source)
-    dtdx = grid.dt * grid.dx
-    for i, ((alpha, beta), dB) in enumerate(zip(rows, noise_rows)):
+    for i, ((alpha, beta), dB) in enumerate(zip(rows, _ensemble_noise_rows(common, idio))):
         src = alpha * dtdx + np.einsum("pjnm,pjm->pjn", beta, dB)
         np.add(Y[:, i, 1:, :], np.cumsum(src, axis=1), out=Y[:, i + 1, 1:, :])
     return Y
@@ -292,8 +333,9 @@ def solve_goursat(
     if coeffs.depends_on_measure and measure_source is None:
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)], axis=-1)  # (nt, nx, m)
-    Y = _check_finite(_sweep(coeffs, y0, grid, 1, dB[:, None], measure_source=measure_source))
+    # one path: channel 0 plays the common channel, the rest its own
+    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)])[None]  # (1, m, nt, nx)
+    Y = _check_finite(_sweep(coeffs, y0, grid, dB[0, 0], dB[:, 1:], measure_source=measure_source))
     return StateField(values=Y[0], grid=grid)
 
 
@@ -418,7 +460,7 @@ def solve_conditional_mkv(
     common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     return ParticleEnsemble(
-        values=_check_finite(_sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio))),
+        values=_check_finite(_sweep(coeffs, y0, grid, common, idio)),
         grid=grid,
         common_increments=common,
         idio_increments=idio,
@@ -463,7 +505,7 @@ def picard_solve(
     gaps = []
     converged = diverged = False
     for _ in range(max_iter):
-        cur = _sweep(coeffs, y0, grid, M, _ensemble_noise_rows(common, idio), frozen=prev)
+        cur = _sweep(coeffs, y0, grid, common, idio, frozen=prev)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur

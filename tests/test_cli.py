@@ -113,6 +113,27 @@ class TestFokkerPlanckGolden:
         np.testing.assert_allclose(got, np.array(golden["rows"], dtype=float), rtol=0, atol=1e-12)
 
 
+class TestItoCheckGolden:
+    """The ito-check experiment at its defaults against rows recorded before its
+    fields were solved in closed form (tests/data/cli_ito_check_golden.json)."""
+
+    def test_default_run_reproduces_the_recorded_rows(self, capsys, tmp_path, monkeypatch):
+        golden = json.loads((DATA / "cli_ito_check_golden.json").read_text())
+        assert run(golden["argv"], tmp_path, monkeypatch) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        lines = (tmp_path / "ito-check.csv").read_text().strip().splitlines()
+        meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+        body = [l.split(",") for l in lines if not l.startswith("# ")]
+        assert meta["experiment"] == golden["experiment"]
+        assert {key: meta[key] for key in golden["meta"]} == golden["meta"]
+        assert meta["all_pass"] == str(golden["all_pass"])
+        assert body[0] == golden["header"]
+        assert [row[-1] for row in body[1:]] == [str(p) for p in golden["passed"]]
+        got = np.array([[float(v) for v in row[:-1]] for row in body[1:]])
+        want = np.array(golden["rows"], dtype=float)  # null -> nan: the first row has no ratio
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True)
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         env = dict(os.environ, **{ENV_OUT: str(tmp_path)})

@@ -220,3 +220,13 @@ class TestValidation:
         field = solve_goursat(co, 0.0, sample_sheet(g, 1, 0), g)
         with pytest.raises(ValueError):
             ito_terms(quartic(), co, field, sample_sheet(g2, 1, 0), Point(1.0, 1.0))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_sheet_with_other_channel_count_rejected(self, m):
+        # m=1 would read channel 0 of the two silently; m=3 would index past them
+        g = square_grid(4)
+        sheet = sample_sheet(g, 2, 0)
+        field = solve_goursat(constant_field(0.3, [1.0, -0.5]), 0.2, sheet, g)
+        co = constant_field(0.3, np.ones(m))
+        with pytest.raises(ValueError, match="sheet has 2 channels, coefficients declare m=" + str(m)):
+            ito_terms(quartic(), co, field, sheet, Point(1.0, 1.0))

@@ -1,0 +1,109 @@
+"""Property tests over random state-free affine fields, grids and seeds.
+
+A field whose coefficients ignore the states (and the measure) is solved in
+closed form; these properties pin that form against the row loop, against
+the telescoping identity and, for ensembles, against each particle's own
+single-path solve.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from sheetlab import (
+    CoefficientField,
+    Grid,
+    Point,
+    ito_integral,
+    rect_integral,
+    sample_sheet,
+    sheet_from_increments,
+    solve_conditional_mkv,
+    solve_goursat,
+)
+
+# derandomized, so the suite draws the same examples on every run
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+COEFFICIENT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+def affine_field(a, b) -> CoefficientField:
+    """alpha(z) = a[0] + t a[1] + x a[2], beta(z) = b[0] + t b[1] + x b[2];
+    the maps never read y or mu."""
+    n, m = b.shape[1:]
+
+    def drift(z, y, mu):
+        return a[0] + np.multiply.outer(z.t, a[1]) + np.multiply.outer(z.x, a[2])
+
+    def diffusion(z, y, mu):
+        return b[0] + np.multiply.outer(z.t, b[1]) + np.multiply.outer(z.x, b[2])
+
+    return CoefficientField(
+        n=n,
+        m=m,
+        drift=drift,
+        diffusion=diffusion,
+        depends_on_state=False,
+        depends_on_measure=False,
+    )
+
+
+@st.composite
+def problems(draw, channels=st.integers(1, 3)):
+    """(field, y0, grid, seed): n in {1, 2}, nt and nx drawn apart down to 1 x 1."""
+    n, m = draw(st.integers(1, 2)), draw(channels)
+    a = draw(hnp.arrays(float, (3, n), elements=COEFFICIENT))
+    b = draw(hnp.arrays(float, (3, n, m), elements=COEFFICIENT))
+    y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
+    t, x = draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0))
+    grid = Grid(horizon=Point(t, x), nt=draw(st.integers(1, 9)), nx=draw(st.integers(1, 9)))
+    return affine_field(a, b), y0, grid, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(problems())
+def test_closed_form_is_the_row_loop_bit_for_bit(problem):
+    field, y0, grid, seed = problem
+    sheet = sample_sheet(grid, field.m, seed)
+    closed = solve_goursat(field, y0, sheet, grid).values
+    # the same maps declared state-dependent take the row loop
+    rows = solve_goursat(dataclasses.replace(field, depends_on_state=True), y0, sheet, grid).values
+    assert np.array_equal(closed, rows)
+
+
+@PROPERTY
+@given(problems())
+def test_closed_form_telescopes_to_the_discrete_integrals(problem):
+    field, y0, grid, seed = problem
+    sheet = sample_sheet(grid, field.m, seed)
+    values = solve_goursat(field, y0, sheet, grid).values
+
+    def component(fn, *index):
+        return lambda z: fn(z, None, None)[(Ellipsis, *index)]
+
+    for i in range(grid.nt + 1):
+        for j in range(grid.nx + 1):
+            z = Point(i * grid.dt, j * grid.dx)
+            for k in range(field.n):
+                want = y0[k] + rect_integral(component(field.drift, k), z, grid)
+                for c in range(field.m):
+                    want += ito_integral(component(field.diffusion, k, c), sheet, c, z)
+                assert abs(values[i, j, k] - want) <= 1e-10
+
+
+@PROPERTY
+@given(problems(channels=st.integers(2, 3)), st.integers(1, 4))
+def test_state_free_ensemble_is_each_particles_own_solve(problem, M):
+    # the ensemble's whole-grid noise must give particle p its own channels,
+    # not the last row of a reused buffer
+    field, y0, grid, seed = problem
+    ens = solve_conditional_mkv(field, y0, M, grid, seed)
+    for p in range(M):
+        own = np.concatenate([ens.common_increments[None], ens.idio_increments[p]])
+        sheet = sheet_from_increments(grid, own)
+        single = solve_goursat(field, y0, sheet, grid).values
+        np.testing.assert_allclose(ens.values[p], single, rtol=0, atol=1e-12)

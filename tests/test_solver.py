@@ -116,6 +116,48 @@ class TestSinglePathSolve:
             with pytest.raises(ValueError, match=r"non-finite state at node \(i, j\) = \(3, 3\)"):
                 solve_goursat(exploding_field(depends_on_measure=False), 0.0, sheet, g)
 
+    def test_state_free_field_reads_each_row_once_at_the_start_value(self):
+        g = Grid(horizon=Point(1.0, 2.0), nt=5, nx=3)
+        seen = []
+
+        def drift(z, y, mu):
+            seen.append((np.array(z.t), np.array(z.x), y.copy(), mu))
+            return np.zeros_like(y)
+
+        co = CoefficientField(
+            n=2,
+            m=1,
+            drift=drift,
+            diffusion=lambda z, y, mu: np.ones(y.shape + (1,)),
+            depends_on_state=False,
+            depends_on_measure=False,
+        )
+        solve_goursat(co, (0.5, -1.0), sample_sheet(g, 1, 0), g)
+        assert len(seen) == g.nt
+        for i, (t, x, y, mu) in enumerate(seen):
+            assert mu is None
+            np.testing.assert_array_equal(t, np.full(g.nx, i * g.dt))
+            np.testing.assert_array_equal(x, np.arange(g.nx) * g.dx)
+            np.testing.assert_array_equal(y, np.broadcast_to((0.5, -1.0), (g.nx, 2)))
+
+    def test_state_free_non_finite_source_names_its_first_node(self):
+        g = square_grid(6)
+
+        def drift(z, y, mu):
+            hit = np.isclose(z.t, 2 * g.dt) & np.isclose(z.x, 3 * g.dx)
+            return np.where(hit, np.inf, 0.0)[:, None]
+
+        co = CoefficientField(
+            n=1,
+            m=1,
+            drift=drift,
+            diffusion=lambda z, y, mu: np.ones(y.shape + (1,)),
+            depends_on_state=False,
+            depends_on_measure=False,
+        )
+        with pytest.raises(ValueError, match=r"non-finite state at node \(i, j\) = \(3, 4\)"):
+            solve_goursat(co, 0.0, sample_sheet(g, 1, 0), g)
+
 
 class TestEnsembleNoise:
     def test_ensemble_increments_nest_in_particle_count(self):
