@@ -317,6 +317,7 @@ def _run_picard(p, out_path):
         "area": radius.area,
         "picard_threshold": radius.picard_threshold,
         "gronwall_threshold": radius.gronwall_threshold,
+        "divergence": result.divergence,
     }
     return meta, ["row", "value", "ratio", "passed"], rows, all(checks)
 

@@ -46,15 +46,18 @@ The mixed kernel a4 cannot be summed merged: each orientation (deterministic
 factor at zeta vs at zeta') must pair its own cumulative direction, or tie
 cells are over-counted by an O(1) amount.  The tables keep both, in cD x rD
 for the drift part and as the two distinct products cQ x rD and cD x rQ for
-the diffusion part.  A frequency then costs one cos and one sin per cell and
-a (2, cells) x (cells, n + n^2 + n^3 + n^4) product.
+the diffusion part.  The tables are cell-last, (K, cells) with K = n + n^2 +
+n^3 + n^4, each block written in place.  For a chunk of cells, all Q
+frequencies then cost one cos and one sin per cell and frequency, stacked
+into one (2Q, cells) array, and a single (2Q, cells) x (cells, K) product;
+each frequency is still evaluated on its own, -w included.
 
 The tables are built while the coefficients stream in: R_z, the cells
 [0, i) x [0, j), is read one grid row at a time from solver.coefficient_rows,
 and the rectangle's alpha and beta are never held whole.  A row's table
 needs its own A, B, D and Q, the running sums rD, rQ along x, which stay
-inside the row, and cD, cQ along t.  These two are carries, one (M, j, n)
-array for D and one (M, j, n, n) for Q, to which each row adds its D and Q
+inside the row, and cD, cQ along t.  These two are carries, one (n, M, j)
+array for D and one (n, n, M, j) for Q, to which each row adds its D and Q
 before its table is built.  A row of more than _CELLS cells is split into
 sub-chunks of _CELLS // j particles, which bounds the table.  Transient
 memory is thus one row plus the two carries, O(M j), for the same single
@@ -158,7 +161,9 @@ def kernel_a(idx: int, w, ctx: KernelContext):
     return value
 
 
-_CELLS = 1 << 14  # cells per kernel chunk: keeps the (cells, n + n^2 + n^3 + n^4) table in cache
+# cells per kernel chunk: bounds the (n + n^2 + n^3 + n^4, cells) table and the
+# (2Q, cells) cos/sin block; at 1 << 14 the block alone is 1 MB for Q = 4
+_CELLS = 1 << 13
 
 
 def weak_residual(ensemble: ParticleEnsemble, w, z: Point) -> complex:
@@ -192,9 +197,13 @@ def _residuals(ensemble: ParticleEnsemble, W: np.ndarray, z: Point) -> np.ndarra
     return lhs - _five_term_sums(ensemble, W, i, j)
 
 
-def _outer(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-row outer product of (rows, a) and (rows, b), flattened to (rows, a*b)."""
-    return (X[:, :, None] * Y[:, None, :]).reshape(X.shape[0], X.shape[1] * Y.shape[1])
+def _outer(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cell-last outer product of X (a, cells) and Y (b, cells): (a*b, cells),
+    written into ``out`` (a C-contiguous (a*b, cells) block) when given."""
+    if out is None:
+        out = np.empty((X.shape[0] * Y.shape[0], X.shape[1]))
+    np.multiply(X[:, None], Y[None], out=out.reshape(X.shape[0], Y.shape[0], -1))
+    return out
 
 
 def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -203,70 +212,81 @@ def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -
     R_z holds the cells [0, i) x [0, j).  Their coefficients are read one grid
     row at a time from :func:`coefficient_rows`, so nothing larger than a row
     is held: the running sums along t (cD, cQ) are carries that each row adds
-    to, the ones along x (rD, rQ) are cumulative sums within the row.  A row
-    of more than _CELLS cells is taken in particle sub-chunks of _CELLS // j
-    particles, each summed by :func:`_chunk_sums`, whose temporaries are freed
-    before the next chunk builds its own.
+    to, the ones along x (rD, rQ) are cumulative sums within the row.  Every
+    per-row array is cell-last, (n..., M, j), so a particle sub-chunk is a
+    contiguous run of cells of each component.  A row of more than _CELLS
+    cells is taken in sub-chunks of _CELLS // j particles, each summed by
+    :func:`_chunk_sums`, whose temporaries are freed before the next chunk
+    builds its own.
     """
     grid = ensemble.grid
     dtdx = grid.dt * grid.dx
     M, n = ensemble.particles, ensemble.n
-    w1, w2, w3, w4 = itertools.accumulate([W] * 4, _outer)
-    mono = np.concatenate([w2, w4, 1j * w1, 1j * w3], axis=1)
+    w1, w2, w3, w4 = itertools.accumulate([W.T] * 4, _outer)
+    mono = np.concatenate([w2, w4, 1j * w1, 1j * w3]).T  # (Q, K)
     step = max(1, _CELLS // max(j, 1))
-    cD = np.zeros((M, j, n))
-    cQ = np.zeros((M, j, n, n))
+    cD = np.zeros((n, M, j))
+    cQ = np.zeros((n, n, M, j))
     total = np.zeros(len(W), dtype=complex)
     rows = coefficient_rows(ensemble.coeffs, ensemble.values, grid, i if j else 0, j)
     for t, (alpha, beta) in enumerate(rows):
-        A = alpha * dtdx
-        B = beta[..., 0] * ensemble.common_increments[t, :j, None]
-        Q = np.einsum("...km,...lm->...kl", beta, beta) * dtdx
+        A = np.multiply(alpha.transpose(2, 0, 1), dtdx, order="C")
+        b = beta.transpose(2, 3, 0, 1)  # (n, m, M, j)
+        B = np.multiply(b[:, 0], ensemble.common_increments[t, :j], order="C")
+        Q = np.multiply(b[:, None, 0], b[None, :, 0], order="C")
+        for c in range(1, b.shape[1]):
+            Q += b[:, None, c] * b[None, :, c]
+        Q *= dtdx
+        Y = ensemble.values[:, t, :j].transpose(2, 0, 1)
         for lo in range(0, M, step):
             p = slice(lo, lo + step)
-            Y = ensemble.values[p, t, :j, :]
-            total += _chunk_sums(A[p], B[p], Q[p], cD[p], cQ[p], Y, W, mono)
+            chunk = A[:, p], B[:, p], Q[:, :, p], cD[:, p], cQ[:, :, p], Y[:, p].reshape(n, -1)
+            total += _chunk_sums(*chunk, W, mono)
     return total / M
 
 
 def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
     """Unaveraged five-term sums over one chunk of a grid row, at each row of W.
 
-    A, B (p, j, n) and Q (p, j, n, n) are the chunk's per-cell tables of the
-    module docstring, Y (p, j, n) its states.  D = A + B and Q are first added
+    A, B (n, p, j) and Q (n, n, p, j) are the chunk's per-cell tables of the
+    module docstring, Y (n, p*j) its states.  D = A + B and Q are first added
     to the t-carries cD and cQ in place, so that these then hold the running
-    sums along t up to this row.  The chunk's table T (cells, K) holds the real
-    part's w^2 and w^4 coefficients, then the imaginary part's w and w^3 ones.
-    Per frequency, sum_cells (T @ mono) exp(-i w.Y) equals (c @ T - i s @ T) @
-    mono with c, s = cos, sin(w.Y), mono = [w^2, w^4, i w, i w^3].
+    sums along t up to this row.  The chunk's table T (K, cells) holds the
+    real part's w^2 and w^4 coefficients, then the imaginary part's w and w^3
+    ones, each block written in place.  With C, S the cos and sin of w.Y for
+    all Q frequencies, stacked into one (2Q, cells) array, [C; S] @ T^T is
+    one product, and frequency q's sum is (C_q @ T^T - i S_q @ T^T) @ mono[q]
+    with mono = [w^2, w^4, i w, i w^3].
     """
-    cells, n = Y.shape[0] * Y.shape[1], Y.shape[2]
+    n, cells = Y.shape
     D = A + B
     cD += D
     cQ += Q
-    rD = np.cumsum(D, axis=1).reshape(cells, n)
-    rQ = np.cumsum(Q, axis=1).reshape(cells, n * n)
-    cD, A, B, D = (X.reshape(cells, n) for X in (cD, A, B, D))
-    cQ, Q = (X.reshape(cells, n * n) for X in (cQ, Q))
-    T = np.concatenate(
-        [
-            -0.5 * Q + _outer(D, D) - _outer(A, A) - _outer(cD, rD),
-            0.25 * _outer(cQ, rQ),
-            -D,
-            0.5 * (_outer(cQ, rD) + _outer(cD, rQ)) - _outer(Q, B),
-        ],
-        axis=1,
-    )
-    Y = Y.reshape(cells, n)
-    cs = np.empty((2, cells))
-    sums = np.empty(len(W), dtype=complex)
-    for q, w in enumerate(W):
-        theta = np.dot(Y, w)  # matmul is several times slower for n = 1
-        np.cos(theta, out=cs[0])
-        np.sin(theta, out=cs[1])
-        cT, sT = cs @ T
-        sums[q] = (cT - 1j * sT) @ mono[q]
-    return sums
+    rD = np.cumsum(D, axis=-1).reshape(n, cells)
+    rQ = np.cumsum(Q, axis=-1).reshape(n * n, cells)
+    cD, A, B, D = (X.reshape(n, cells) for X in (cD, A, B, D))
+    cQ, Q = (X.reshape(n * n, cells) for X in (cQ, Q))
+    T = np.empty((n * n + n**4 + n + n**3, cells))
+    T2, T4, T1, T3 = np.split(T, np.cumsum([n * n, n**4, n]))
+    tmp = np.empty((n**3, cells))
+    np.multiply(Q, -0.5, out=T2)
+    T2 += _outer(D, D, tmp[: n * n])
+    T2 -= _outer(A, A, tmp[: n * n])
+    T2 -= _outer(cD, rD, tmp[: n * n])
+    _outer(cQ, rQ, T4)
+    T4 *= 0.25
+    np.negative(D, out=T1)
+    _outer(cQ, rD, T3)
+    T3 += _outer(cD, rQ, tmp)
+    T3 *= 0.5
+    T3 -= _outer(Q, B, tmp)
+    q = len(W)
+    cs = np.empty((2 * q, cells))
+    theta = np.dot(W, Y, out=cs[q:])  # np.matmul is several times slower for n = 1
+    np.cos(theta, out=cs[:q])
+    np.sin(theta, out=theta)
+    P = cs @ T.T
+    return np.sum((P[:q] - 1j * P[q:]) * mono, axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,12 @@ counter words.  Streams built this way are statistically independent, cheap
 to construct, and do not care in which order they are consumed — the property
 that makes particle loops, worker pools, and nested common/idiosyncratic
 noise hierarchies reproducible bit-for-bit for any execution schedule.
+
+Building a Generator costs more than drawing a small sheet from it, so code
+that draws one array from each of many streams (the per-particle channels of
+ensemble noise) goes through ``_substreams``: one Philox bit generator whose
+state is reset to each stream's fresh state in turn.  It draws exactly what
+``substream`` draws, which stays the definition of a stream.
 """
 
 from __future__ import annotations
@@ -23,14 +29,42 @@ DOMAIN_CONTROL = 4
 DOMAIN_REPLICATE = 5  # replicate-keyed ensemble noise (Monte Carlo over ensembles)
 
 
+def _key(seed: int) -> np.ndarray:
+    return np.array([seed & _MASK64, _SALT], dtype=np.uint64)
+
+
+def _counter(domain: int, stream: int, channel: int) -> np.ndarray:
+    return np.array([0, channel & _MASK64, stream & _MASK64, domain & _MASK64], dtype=np.uint64)
+
+
 def substream(seed: int, domain: int, stream: int = 0, channel: int = 0) -> np.random.Generator:
     """Independent generator for the coordinates (seed, domain, stream, channel).
 
     The counter's first word is left at zero as the draw index; each stream
     therefore has 2**64 draws before any overlap, far beyond desk scale.
     """
-    key = np.array([seed & _MASK64, _SALT], dtype=np.uint64)
-    counter = np.array(
-        [0, channel & _MASK64, stream & _MASK64, domain & _MASK64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=_key(seed), counter=_counter(domain, stream, channel)))
+
+
+def _substreams(seed: int, domain: int, coordinates):
+    """For each (stream, channel) of ``coordinates``, yield a generator in the
+    state ``substream(seed, domain, stream, channel)`` starts from.
+
+    Every yield is the same Generator on one reused bit generator, so each
+    must be drawn from before the next is requested.  The whole fresh state is
+    written each time, the spent buffer and the cached 32-bit half included:
+    a stale one would shift every later draw.
+    """
+    key = _key(seed)
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
+    for stream, channel in coordinates:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _counter(domain, stream, channel), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen

@@ -27,6 +27,12 @@ two forms:
   along x followed by one along t.  The additions happen in the row loop's
   order, so both forms give the same bits.
 
+The M paths' states are stored node-major, (nt+1, nx+1, M, n), with the
+particle axis innermost: the conditional law at a node is the empirical
+measure of that node's M states, and so a node's cloud, a row's update and a
+node's coefficients are each one contiguous block.  Solvers hand out the
+(M, nt+1, nx+1, n) view of that storage, never a particle-major copy.
+
 Coefficient callables are vectorized over a batch axis: drift(z, y, mu) takes
 y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers
 and validators all read them through one row-wise pass,
@@ -64,6 +70,7 @@ Gronwall regime K|z| <= r0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +78,7 @@ import numpy as np
 from .measures import EmpiricalMeasure
 from .noise import SheetPath, cell_increments
 from .plane import Grid, Point
-from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, substream
+from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, _substreams
 from .series import find_r0
 
 __all__ = [
@@ -141,9 +148,12 @@ class StateField:
 class ParticleEnsemble:
     """M coupled particles: states (M, nt+1, nx+1, n), shared common channel.
 
-    ``common_increments`` has shape (nt, nx); ``idio_increments`` has shape
-    (M, m-1, nt, nx).  Idiosyncratic streams are indexed by particle, so a
-    smaller ensemble drawn from the same seed is a prefix of a larger one.
+    From the solvers, ``values`` is a view of node-major storage (nt+1, nx+1,
+    M, n): a node's cloud ``values[:, i, j]`` is contiguous, and a particle's
+    field, ``particle(p)``, is a strided view.  ``common_increments`` has shape
+    (nt, nx); ``idio_increments`` has shape (M, m-1, nt, nx).  Idiosyncratic
+    streams are indexed by particle, so a smaller ensemble drawn from the same
+    seed is a prefix of a larger one.
     """
 
     values: np.ndarray
@@ -202,8 +212,9 @@ def coefficient_rows(
     nodes j < cols of each row.  Row i is read only when its pair is requested,
     so a solver may fill values[:, i] between two steps.  A measure-dependent
     field is called per node with the EmpiricalMeasure of the M states there,
-    or with ``measure_source(i, j)`` when given; a measure-free field is called
-    per row on the (M*cols, n) batch.
+    or with ``measure_source(i, j)`` when given, and its returns are written to
+    node-major (cols, M, ...) buffers, of which the yielded pair are views; a
+    measure-free field is called per row on the (M*cols, n) batch.
     """
     values = np.asarray(values, dtype=float)
     M, n, m = values.shape[0], coeffs.n, coeffs.m
@@ -213,17 +224,18 @@ def coefficient_rows(
         xs = [j * grid.dx for j in range(cols)]
         alpha_shape, beta_shape = (M, n), (M, n, m)
         for i in range(rows):
-            alpha = np.empty((M, cols, n))
-            beta = np.empty((M, cols, n, m))
+            # node-major buffers: node j's coefficients are one contiguous write
+            alpha = np.empty((cols, M, n))
+            beta = np.empty((cols, M, n, m))
             nodes = zip(_row_points(i * grid.dt, xs), values[:, i].swapaxes(0, 1))
             for j, (z, states) in enumerate(nodes):
                 if measure_source is None:
                     mu = EmpiricalMeasure._unchecked(states, weights)
                 else:
                     mu = measure_source(i, j)
-                alpha[:, j] = _check_shapes("drift", drift(z, states, mu), alpha_shape)
-                beta[:, j] = _check_shapes("diffusion", diffusion(z, states, mu), beta_shape)
-            yield alpha, beta
+                alpha[j] = _check_shapes("drift", drift(z, states, mu), alpha_shape)
+                beta[j] = _check_shapes("diffusion", diffusion(z, states, mu), beta_shape)
+            yield alpha.swapaxes(0, 1), beta.swapaxes(0, 1)
         return
     batch = M * cols
     xs = np.tile(np.arange(cols) * grid.dx, M)
@@ -254,54 +266,70 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
 
 
 def _ensemble_noise_rows(common: np.ndarray, idio: np.ndarray):
-    """Row i's cell noise (M, nx, m) from the shared channel ``common`` (nt, nx)
-    and the per-particle channels ``idio`` (M, m-1, nt, nx), in one reused buffer."""
-    dB = np.empty((idio.shape[0], common.shape[1], idio.shape[1] + 1))
-    for shared, own in zip(common, idio.transpose(2, 0, 3, 1)):
-        dB[:, :, 0] = shared
+    """Row i's cell noise (nx, M, m), node-major, from the shared channel
+    ``common`` (nt, nx) and the per-particle channels ``idio`` (M, m-1, nt, nx),
+    in one reused buffer."""
+    dB = np.empty((common.shape[1], idio.shape[0], idio.shape[1] + 1))
+    for shared, own in zip(common, idio.transpose(2, 3, 0, 1)):
+        dB[:, :, 0] = shared[:, None]
         dB[:, :, 1:] = own
         yield dB
 
 
 def _ensemble_noise_grid(common: np.ndarray, idio: np.ndarray) -> np.ndarray:
-    """The cell noise (M, nt, nx, m) of every row of :func:`_ensemble_noise_rows`."""
+    """The cell noise (nt, nx, M, m) of every row of :func:`_ensemble_noise_rows`."""
     M, own = idio.shape[:2]
-    dB = np.empty((M, *common.shape, own + 1))
-    dB[..., 0] = common
-    dB[..., 1:] = idio.transpose(0, 2, 3, 1)
+    dB = np.empty((*common.shape, M, own + 1))
+    dB[..., 0] = common[..., None]
+    dB[..., 1:] = idio.transpose(2, 3, 0, 1)
     return dB
+
+
+def _noise_source(beta: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """beta . dB, (..., n, m) against (..., m), as an explicit sum over the m
+    channels.  Both forms of the recursion contract through here, so they add
+    the same products in the same order."""
+    out = beta[..., 0] * dB[..., None, 0]
+    for c in range(1, dB.shape[-1]):
+        out += beta[..., c] * dB[..., None, c]
+    return out
 
 
 def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> np.ndarray:
     """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
 
-    The noise is channel 0 ``common`` (nt, nx), shared by all paths, and the
-    per-path channels ``idio`` (M, m-1, nt, nx).  Coefficients are read along
-    the states being solved (row i once it is filled) or, for a Picard step,
-    along the ``frozen`` previous iterate.  A state- and measure-free field
-    solved directly takes the closed form (module docstring).
+    The states are stored node-major, (nt+1, nx+1, M, n), and returned as the
+    (M, nt+1, nx+1, n) view, so a node's cloud and a row's update are
+    contiguous.  The noise is channel 0 ``common`` (nt, nx), shared by all
+    paths, and the per-path channels ``idio`` (M, m-1, nt, nx).  Coefficients
+    are read along the states being solved (row i once it is filled) or, for a
+    Picard step, along the ``frozen`` previous iterate.  A state- and
+    measure-free field solved directly takes the closed form (module
+    docstring).
     """
     nt, nx = grid.nt, grid.nx
     M = idio.shape[0]
-    Y = np.empty((M, nt + 1, nx + 1, coeffs.n))
+    Y = np.empty((nt + 1, nx + 1, M, coeffs.n))
+    states = Y.transpose(2, 0, 1, 3)
     dtdx = grid.dt * grid.dx
     if frozen is None and not (coeffs.depends_on_state or coeffs.depends_on_measure):
         Y[...] = y0  # the maps see finite states, never uninitialised memory
-        alpha, beta = coefficient_table(coeffs, Y, grid, nt, nx)
+        alpha, beta = coefficient_table(coeffs, states, grid, nt, nx)
         dB = _ensemble_noise_grid(common, idio)
-        src = alpha * dtdx + np.einsum("pijnm,pijm->pijn", beta, dB)
+        alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
+        src = alpha * dtdx + _noise_source(beta, dB)
         # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
-        run = np.cumsum(src, axis=2)
-        run[:, 0] += y0
-        np.cumsum(run, axis=1, out=Y[:, 1:, 1:, :])
-        return Y
-    Y[:, 0, :, :] = y0
-    Y[:, :, 0, :] = y0
-    rows = coefficient_rows(coeffs, Y if frozen is None else frozen, grid, nt, nx, measure_source)
+        run = np.cumsum(src, axis=1)
+        run[0] += y0
+        np.cumsum(run, axis=0, out=Y[1:, 1:])
+        return states
+    Y[0] = y0
+    Y[:, 0] = y0
+    rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx, measure_source)
     for i, ((alpha, beta), dB) in enumerate(zip(rows, _ensemble_noise_rows(common, idio))):
-        src = alpha * dtdx + np.einsum("pjnm,pjm->pjn", beta, dB)
-        np.add(Y[:, i, 1:, :], np.cumsum(src, axis=1), out=Y[:, i + 1, 1:, :])
-    return Y
+        src = alpha.swapaxes(0, 1) * dtdx + _noise_source(beta.swapaxes(0, 1), dB)
+        np.add(Y[i, 1:], np.cumsum(src, axis=0), out=Y[i + 1, 1:])
+    return states
 
 
 def _check_finite(Y: np.ndarray) -> np.ndarray:
@@ -339,17 +367,25 @@ def solve_goursat(
     return StateField(values=Y[0], grid=grid)
 
 
+def _increments(grid: Grid, m: int, M: int, seed: int, domain: int, coordinates) -> tuple:
+    """Ensemble noise (common (nt, nx), idio (M, m-1, nt, nx)) drawn from the
+    substreams of ``domain`` at the (stream, channel) ``coordinates``: the
+    first is the common channel's, the rest fill idio in (p, c) order."""
+    scale = np.sqrt(grid.dt * grid.dx)
+    shape = (grid.nt, grid.nx)
+    gens = _substreams(seed, domain, coordinates)
+    common = next(gens).normal(0.0, scale, shape)
+    idio = np.empty((M, m - 1, *shape))
+    for own, gen in zip(idio.reshape(-1, *shape), gens):
+        own[...] = gen.normal(0.0, scale, shape)
+    return common, idio
+
+
 def _replicate_increments(domain: int, grid: Grid, m: int, M: int, seed: int, rep: int):
     """Ensemble noise keyed by replicate: stream = rep, channel 0 common and
     channel 1 + p*(m-1) + c for particle p's idiosyncratic channel c."""
-    scale = np.sqrt(grid.dt * grid.dx)
-    common = substream(seed, domain, stream=rep, channel=0).normal(0.0, scale, (grid.nt, grid.nx))
-    idio = np.empty((M, m - 1, grid.nt, grid.nx))
-    for p in range(M):
-        for c in range(m - 1):
-            gen = substream(seed, domain, stream=rep, channel=1 + p * (m - 1) + c)
-            idio[p, c] = gen.normal(0.0, scale, (grid.nt, grid.nx))
-    return common, idio
+    channels = range(M * (m - 1) + 1)
+    return _increments(grid, m, M, seed, domain, ((rep, c) for c in channels))
 
 
 def sample_ensemble_increments(grid: Grid, m: int, M: int, seed: int):
@@ -359,16 +395,8 @@ def sample_ensemble_increments(grid: Grid, m: int, M: int, seed: int):
     is the common channel, particle p draws idiosyncratic channels from
     stream p+1 — hence ensembles are nested across M for a fixed seed.
     """
-    scale = np.sqrt(grid.dt * grid.dx)
-    common = substream(seed, DOMAIN_ENSEMBLE, stream=0, channel=0).normal(
-        0.0, scale, (grid.nt, grid.nx)
-    )
-    idio = np.empty((M, m - 1, grid.nt, grid.nx))
-    for p in range(M):
-        for c in range(m - 1):
-            gen = substream(seed, DOMAIN_ENSEMBLE, stream=p + 1, channel=c + 1)
-            idio[p, c] = gen.normal(0.0, scale, (grid.nt, grid.nx))
-    return common, idio
+    own = ((p + 1, c + 1) for p in range(M) for c in range(m - 1))
+    return _increments(grid, m, M, seed, DOMAIN_ENSEMBLE, itertools.chain([(0, 0)], own))
 
 
 def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int):
@@ -477,6 +505,7 @@ class PicardResult:
     iterations: int
     converged: bool
     diverged: bool
+    divergence: str | None = None  # "rising gaps" or "non-finite gap" when diverged
 
 
 def picard_solve(
@@ -495,28 +524,31 @@ def picard_solve(
     measures), on one fixed set of noise arrays.  Gaps are sup-over-nodes
     mean-square iterate differences; the divergence flag trips after three
     consecutive gap increases, or at once on a non-finite gap (an iterate that
-    overflowed), which also stops the iteration.
+    overflowed), which also stops the iteration; ``divergence`` names the rule
+    that tripped, "rising gaps" or "non-finite gap", and is None otherwise.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     common, idio = _ensemble_noise(coeffs, M, grid, seed)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    prev = np.broadcast_to(y0, (M, grid.nt + 1, grid.nx + 1, coeffs.n)).copy()
+    # node-major like every iterate _sweep returns
+    prev = np.broadcast_to(y0, (grid.nt + 1, grid.nx + 1, M, coeffs.n)).copy().transpose(2, 0, 1, 3)
     gaps = []
-    converged = diverged = False
+    converged = False
+    divergence = None
     for _ in range(max_iter):
         cur = _sweep(coeffs, y0, grid, common, idio, frozen=prev)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur
         if not np.isfinite(gap):
-            diverged = True
+            divergence = "non-finite gap"
             break
         if gap < tol:
             converged = True
             break
         if len(gaps) >= 4 and all(gaps[-k] > gaps[-k - 1] for k in (1, 2, 3)):
-            diverged = True
+            divergence = "rising gaps"
             break
     ensemble = ParticleEnsemble(
         values=prev,
@@ -532,7 +564,8 @@ def picard_solve(
         gaps=np.asarray(gaps),
         iterations=len(gaps),
         converged=converged,
-        diverged=diverged,
+        diverged=divergence is not None,
+        divergence=divergence,
     )
 
 

@@ -19,6 +19,26 @@ def run(argv, tmp_path, monkeypatch):
     return main(argv)
 
 
+def _csv(path):
+    """(metadata dict, rows split on commas) of an experiment's CSV."""
+    lines = path.read_text().strip().splitlines()
+    meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+    return meta, [l.split(",") for l in lines if not l.startswith("# ")]
+
+
+def _check_golden(golden, meta, body, rows, rtol=0.0):
+    """An experiment's CSV against its recorded golden: metadata, header, the
+    passed column (last) and the numeric columns of ``rows`` at 1e-12."""
+    assert meta["experiment"] == golden["experiment"]
+    assert {key: meta[key] for key in golden["meta"]} == golden["meta"]
+    assert meta["all_pass"] == str(golden["all_pass"])
+    assert body[0] == golden["header"]
+    assert [row[-1] for row in rows] == [str(p) for p in golden["passed"]]
+    got = np.array([[float(v) for v in row[:-1]] for row in rows])
+    want = np.array(golden["rows"], dtype=float)  # null -> nan
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-12, equal_nan=True)
+
+
 class TestArgumentHandling:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 1
@@ -102,9 +122,7 @@ class TestFokkerPlanckGolden:
         golden = json.loads((DATA / "cli_fokker_planck_golden.json").read_text())
         assert run(golden["argv"], tmp_path, monkeypatch) == 0
         assert "[FAIL]" not in capsys.readouterr().out
-        lines = (tmp_path / "fokker-planck.csv").read_text().strip().splitlines()
-        meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
-        body = [l.split(",") for l in lines if not l.startswith("# ")]
+        meta, body = _csv(tmp_path / "fokker-planck.csv")
         assert meta["all_pass"] == str(golden["all_pass"])
         mean_abs = float(meta["mean_abs_residual"])
         assert mean_abs == pytest.approx(golden["mean_abs_residual"], rel=0, abs=1e-12)
@@ -121,17 +139,36 @@ class TestItoCheckGolden:
         golden = json.loads((DATA / "cli_ito_check_golden.json").read_text())
         assert run(golden["argv"], tmp_path, monkeypatch) == 0
         assert "[FAIL]" not in capsys.readouterr().out
-        lines = (tmp_path / "ito-check.csv").read_text().strip().splitlines()
-        meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
-        body = [l.split(",") for l in lines if not l.startswith("# ")]
-        assert meta["experiment"] == golden["experiment"]
-        assert {key: meta[key] for key in golden["meta"]} == golden["meta"]
-        assert meta["all_pass"] == str(golden["all_pass"])
-        assert body[0] == golden["header"]
-        assert [row[-1] for row in body[1:]] == [str(p) for p in golden["passed"]]
-        got = np.array([[float(v) for v in row[:-1]] for row in body[1:]])
-        want = np.array(golden["rows"], dtype=float)  # null -> nan: the first row has no ratio
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True)
+        meta, body = _csv(tmp_path / "ito-check.csv")
+        _check_golden(golden, meta, body, body[1:])  # the first row has no ratio: null
+
+
+class TestPicardGolden:
+    """The picard experiment (an M=64 Picard solve) at its defaults against rows
+    recorded before the ensemble states were stored node-major
+    (tests/data/cli_picard_golden.json).  The diverging majorant row reaches
+    5e19, so the values are also held to a relative 1e-12."""
+
+    def test_default_run_reproduces_the_recorded_rows(self, capsys, tmp_path, monkeypatch):
+        golden = json.loads((DATA / "cli_picard_golden.json").read_text())
+        assert run(golden["argv"], tmp_path, monkeypatch) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        meta, body = _csv(tmp_path / "picard.csv")
+        assert [row[0] for row in body[1:]] == golden["labels"]
+        _check_golden(golden, meta, body, [row[1:] for row in body[1:]], rtol=1e-12)
+
+
+class TestControlEquivGolden:
+    """The control-equiv experiment (both control routes on replicate streams)
+    at its defaults against rows recorded before replicate noise reused one bit
+    generator (tests/data/cli_control_equiv_golden.json)."""
+
+    def test_default_run_reproduces_the_recorded_rows(self, capsys, tmp_path, monkeypatch):
+        golden = json.loads((DATA / "cli_control_equiv_golden.json").read_text())
+        assert run(golden["argv"], tmp_path, monkeypatch) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        meta, body = _csv(tmp_path / "control-equiv.csv")
+        _check_golden(golden, meta, body, body[1:])
 
 
 class TestConsoleScript:

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sheetlab import (
     CoefficientField,
@@ -259,6 +262,50 @@ class TestPolynomialTableKernel:
         y0 = np.array([0.2, 0.6])
         ens = solve_conditional_mkv(coupled_field(2, 3), y0, 300, square_grid(6), seed=3)
         assert weak_residual(ens, np.zeros(2), Point(1.0, 1.0)) == 0.0
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small coupled ensemble, a node (i, j) of its grid, a frequency set of
+    1, 3 or 5 rows holding w = 0 and +-w pairs in a drawn order, and a chunk
+    size that may split every row into particle sub-chunks."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    grid = Grid(horizon=Point(1.0, 0.75), nt=draw(st.integers(1, 6)), nx=draw(st.integers(1, 6)))
+    y0 = draw(hnp.arrays(float, (n,), elements=st.floats(-1.0, 1.0)))
+    M, seed = draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+    ens = solve_conditional_mkv(coupled_field(n, m), y0, M, grid, seed)
+    away_from_zero = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
+    pairs = draw(hnp.arrays(float, (draw(st.integers(0, 2)), n), elements=away_from_zero))
+    W = np.vstack([np.zeros((1, n)), pairs, -pairs])
+    W = W[draw(st.permutations(range(len(W))))]
+    node = draw(st.integers(0, grid.nt)), draw(st.integers(0, grid.nx))
+    return ens, W, node, draw(st.sampled_from([1, 7, 1 << 14]))
+
+
+class TestKernelProperties:
+    """Over random small ensembles: the exact zero at w = 0, conjugate symmetry
+    of +-w, and the tables against the per-frequency reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kernel_cases())
+    def test_zero_conjugates_and_reference(self, case):
+        ens, W, (i, j), cells = case
+        saved = fokker_planck._CELLS
+        fokker_planck._CELLS = cells
+        try:
+            z = Point(i * ens.grid.dt, j * ens.grid.dx)
+            residuals = np.array([res for _, res in residual_table(ens, FrequencyGrid(W), z)])
+            sums = _five_term_sums(ens, W, i, j)
+        finally:
+            fokker_planck._CELLS = saved
+        for w, res in zip(W, residuals):
+            if not w.any():
+                assert res == 0.0
+            mirrors = residuals[(W == -w).all(axis=1)]  # nonempty: the set holds every -w
+            assert np.all(np.abs(mirrors - np.conj(res)) <= 1e-12)
+        alpha, beta = coefficient_table(ens.coeffs, ens.values, ens.grid, i, j)
+        want = [_five_term_sum(ens, alpha, beta, w, i, j, 16) for w in W]
+        np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
 
 
 class TestRowStream:

@@ -3,7 +3,8 @@
 A field whose coefficients ignore the states (and the measure) is solved in
 closed form; these properties pin that form against the row loop, against
 the telescoping identity and, for ensembles, against each particle's own
-single-path solve.
+single-path solve.  The ensemble noise is pinned to nest across particle
+counts.
 """
 
 import dataclasses
@@ -19,6 +20,8 @@ from sheetlab import (
     Point,
     ito_integral,
     rect_integral,
+    sample_ensemble_increments,
+    sample_replicate_increments,
     sample_sheet,
     sheet_from_increments,
     solve_conditional_mkv,
@@ -107,3 +110,26 @@ def test_state_free_ensemble_is_each_particles_own_solve(problem, M):
         sheet = sheet_from_increments(grid, own)
         single = solve_goursat(field, y0, sheet, grid).values
         np.testing.assert_allclose(ens.values[p], single, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 40),
+    st.integers(2, 3),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_ensemble_noise_nests_across_particle_counts(seed, rep, m, M, extra, nt, nx):
+    # the idiosyncratic noise of M particles is a prefix of that of M + extra,
+    # and the common channel does not depend on M
+    grid = Grid(horizon=Point(1.0, 1.0), nt=nt, nx=nx)
+    for sample in (
+        lambda size: sample_replicate_increments(grid, m, size, seed, rep),
+        lambda size: sample_ensemble_increments(grid, m, size, seed),
+    ):
+        (common, idio), (common_big, idio_big) = sample(M), sample(M + extra)
+        assert np.array_equal(common, common_big)
+        assert np.array_equal(idio, idio_big[:M])

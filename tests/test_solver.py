@@ -20,7 +20,8 @@ from sheetlab import (
     solve_goursat,
     state_slice_csv,
 )
-from sheetlab.solver import coefficient_table
+from sheetlab.rng import DOMAIN_CONTROL, DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, substream
+from sheetlab.solver import _replicate_increments, coefficient_table
 
 R0 = 1.4457964907366958
 
@@ -173,6 +174,40 @@ class TestEnsembleNoise:
         c_large, i_large = sample_replicate_increments(g, 2, 100, seed=3, rep=2)
         np.testing.assert_array_equal(c_small, c_large)
         np.testing.assert_array_equal(i_small, i_large[:10])
+
+    # 3 x 5 cells: 15 normals per stream leave Philox's four-word buffer part
+    # spent, so a stream that inherited its predecessor's buffer would shift
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**64 - 1])
+    @pytest.mark.parametrize("domain", [DOMAIN_REPLICATE, DOMAIN_CONTROL])
+    def test_replicate_noise_draws_what_each_substream_draws(self, seed, domain):
+        g = Grid(horizon=Point(1.0, 0.5), nt=3, nx=5)
+        scale = np.sqrt(g.dt * g.dx)
+        for rep in (0, 3):
+            for m in (2, 3):
+                for M in (1, 5):
+                    common, idio = _replicate_increments(domain, g, m, M, seed, rep)
+                    draw = lambda channel: substream(seed, domain, rep, channel).normal(  # noqa: E731
+                        0.0, scale, (3, 5)
+                    )
+                    assert np.array_equal(common, draw(0))
+                    for p in range(M):
+                        for c in range(m - 1):
+                            assert np.array_equal(idio[p, c], draw(1 + p * (m - 1) + c))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**64 - 1])
+    def test_ensemble_noise_draws_what_each_substream_draws(self, seed):
+        g = Grid(horizon=Point(1.0, 0.5), nt=3, nx=5)
+        scale = np.sqrt(g.dt * g.dx)
+        for m in (2, 3):
+            for M in (1, 5):
+                common, idio = sample_ensemble_increments(g, m, M, seed)
+                draw = lambda stream, channel: substream(  # noqa: E731
+                    seed, DOMAIN_ENSEMBLE, stream, channel
+                ).normal(0.0, scale, (3, 5))
+                assert np.array_equal(common, draw(0, 0))
+                for p in range(M):
+                    for c in range(m - 1):
+                        assert np.array_equal(idio[p, c], draw(p + 1, c + 1))
 
     def test_replicates_differ(self):
         g = square_grid(4)
@@ -338,6 +373,7 @@ class TestPicardIteration:
         result = picard_solve(co, 1.0, 32, g, seed=3, max_iter=30, tol=1e-13)
         direct = solve_conditional_mkv(co, 1.0, 32, g, seed=3)
         assert result.converged and not result.diverged
+        assert result.divergence is None
         assert np.max(np.abs(result.ensemble.values - direct.values)) < 1e-7
 
     def test_gap_sequence_contracts(self):
@@ -362,6 +398,7 @@ class TestPicardIteration:
         with np.errstate(over="ignore", invalid="ignore"):
             result = picard_solve(co, 2.5, 4, g, seed=0, max_iter=14, tol=1e-12)
         assert result.diverged and not result.converged
+        assert result.divergence == "rising gaps"
         assert result.gaps[-1] > result.gaps[0]
 
     def test_overflowing_iterate_is_reported_as_divergence(self):
@@ -370,6 +407,7 @@ class TestPicardIteration:
         with np.errstate(over="ignore", invalid="ignore"):
             result = picard_solve(exploding_field(), 1.0, 3, g, seed=0, max_iter=12, tol=1e-12)
         assert result.diverged and not result.converged
+        assert result.divergence == "non-finite gap"
         assert result.iterations == 2
         assert np.isfinite(result.gaps[0]) and result.gaps[1] == np.inf
 
