@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SheetPath, cell_increments, sample_sheet, sheet_from_increments
+from .noise import SheetPath, _draw_cells, cell_increments, sample_sheet, sheet_from_increments
 from .plane import Grid, Point
 from .rng import DOMAIN_CHAOS, substream
 from .series import SeriesConfig, f_series
@@ -235,7 +235,6 @@ def remainder_variance(
         raise ValueError(f"need at least two replicates, got {replicates}")
     grid = cfg.grid
     theta = _theta_table(grid)
-    scale = np.sqrt(grid.dt * grid.dx)
 
     def weight_table(a: RankOneMatrix) -> np.ndarray:
         return f_series(a.kappa() * theta, cfg.series) - f_series(-theta, cfg.series)
@@ -250,10 +249,9 @@ def remainder_variance(
             if A.size != cfg.N:
                 raise ValueError(f"a_sampler returned {A.size} weights, expected {cfg.N}")
             W = weight_table(A)
+        cells = _draw_cells(grid, seed, DOMAIN_CHAOS, ((rep, c) for c in range(cfg.N)))
         I = 0.0
-        for c in range(cfg.N):
-            gen = substream(seed, DOMAIN_CHAOS, stream=rep, channel=c)
-            dB = gen.normal(0.0, scale, (grid.nt, grid.nx))
+        for c, dB in enumerate(cells):
             I += (A.a_values[c] / A.total) * float(np.sum(W * dB))
         samples[rep] = I * I
     return RemainderVariance(

@@ -39,7 +39,13 @@ from .control import (
 )
 from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table
 from .ito_check import ito_refinement_study, scalar_function
-from .noise import cell_increments, coarsen_increments, sample_sheet, sheet_from_increments
+from .noise import (
+    _draw_cells,
+    cell_increments,
+    coarsen_increments,
+    sample_sheet,
+    sheet_from_increments,
+)
 from .plane import Grid, Point
 from .rng import DOMAIN_SHEET, substream
 from .series import find_r0, picard_series_partial_sums
@@ -113,13 +119,12 @@ def _run_sheet_stats(p, out_path):
     if k % 2:
         raise ValueError(f"k must be even to split the horizon, got {k}")
     grid = _square_grid(k)
-    scale = np.sqrt(grid.dt * grid.dx)
     tc = np.arange(k) * grid.dt
     xc = np.arange(k) * grid.dx
     phi = np.outer(tc, xc)  # phi(s, a) = s * a at cell lower corners
 
     def one(rep):
-        dB = substream(seed, DOMAIN_SHEET, stream=rep, channel=0).normal(0.0, scale, (k, k))
+        dB = _draw_cells(grid, seed, DOMAIN_SHEET, [(rep, 0)])[0]
         return (
             dB.sum(),
             dB[: k // 2, :].sum() * dB[:, : k // 2].sum(),

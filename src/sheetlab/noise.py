@@ -12,6 +12,10 @@ ordered pairs of *distinct* cells: the diagonal carries the quadratic
 variation, which the planar Ito formula books under its separate
 (1/2) beta beta^T term, so including identical-cell pairs here would double
 count it.
+
+One sampler, :func:`_draw_cells`, draws all cell noise of the library: sheets,
+the CLI's sheet statistics, ensemble, replicate and control noise, and the
+propagation-of-chaos channels, each from its own (domain, stream, channel) words.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plane import Grid, Point
-from .rng import DOMAIN_SHEET, substream
+from .plane import Grid, Point, _field_on_corners
+from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
     "SheetPath",
@@ -51,6 +55,18 @@ class SheetPath:
         return self.values.shape[0]
 
 
+def _draw_cells(grid: Grid, seed: int, domain: int, coordinates) -> np.ndarray:
+    """N(0, dt*dx) cell increments, shape (k, nt, nx): slab s is what
+    ``substream(seed, domain, *coordinates[s]).normal(0, sqrt(dt*dx), (nt, nx))``
+    draws, for the k (stream, channel) pairs of ``coordinates``."""
+    coordinates = list(coordinates)
+    scale, shape = np.sqrt(grid.dt * grid.dx), (grid.nt, grid.nx)
+    cells = np.empty((len(coordinates), *shape))
+    for out, gen in zip(cells, _substreams(seed, domain, coordinates)):
+        out[...] = gen.normal(0.0, scale, shape)
+    return cells
+
+
 def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     """Sample an m-channel sheet; deterministic in (grid, m, seed, stream).
 
@@ -60,13 +76,8 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     """
     if m < 1:
         raise ValueError(f"need at least one channel, got m={m}")
-    scale = np.sqrt(grid.dt * grid.dx)
-    values = np.zeros((m, grid.nt + 1, grid.nx + 1))
-    for c in range(m):
-        gen = substream(seed, DOMAIN_SHEET, stream=stream, channel=c)
-        cells = gen.normal(0.0, scale, (grid.nt, grid.nx))
-        values[c, 1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
-    return SheetPath(values=values, grid=grid, seed=seed)
+    cells = _draw_cells(grid, seed, DOMAIN_SHEET, ((stream, c) for c in range(m)))
+    return sheet_from_increments(grid, cells, seed)
 
 
 def sheet_from_increments(grid: Grid, increments: np.ndarray, seed: int = 0) -> SheetPath:
@@ -115,21 +126,14 @@ def rect_increment(path: SheetPath, channel: int, lower: Point, upper: Point) ->
     return float(v[i2, j2] - v[i1, j2] - v[i2, j1] + v[i1, j1])
 
 
-def _corner_values(phi, grid: Grid, i: int, j: int) -> np.ndarray:
-    if callable(phi):
-        vals = np.asarray(phi(grid.corner_points(i, j)), dtype=float)
-        return np.broadcast_to(vals, (i, j))
-    arr = np.asarray(phi, dtype=float)
-    return arr[:i, :j]
-
-
 def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
-    """First-type integral of phi against one channel over R_z (left evaluation)."""
+    """First-type integral of phi against one channel over R_z (left evaluation);
+    phi is a callable of Point or node values covering R_z's cell corners."""
     i, j = path.grid.node_index(z)
     if i == 0 or j == 0:
         return 0.0
     dB = cell_increments(path, channel)[:i, :j]
-    return float(np.sum(_corner_values(phi, path.grid, i, j) * dB))
+    return float(np.sum(_field_on_corners(phi, path.grid, i, j) * dB))
 
 
 def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point, chunk: int = 128) -> float:

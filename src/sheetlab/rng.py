@@ -1,17 +1,18 @@
 """Counter-based random streams for order-independent parallel Monte Carlo.
 
-Every random draw in the library flows through ``substream``: a Philox
-generator keyed by the user seed and positioned by (domain, stream, channel)
-counter words.  Streams built this way are statistically independent, cheap
-to construct, and do not care in which order they are consumed — the property
-that makes particle loops, worker pools, and nested common/idiosyncratic
-noise hierarchies reproducible bit-for-bit for any execution schedule.
+A stream is ``substream``: a Philox generator keyed by the user seed and
+positioned by (domain, stream, channel) counter words.  Streams built this way
+are statistically independent, cheap to construct, and do not care in which
+order they are consumed — the property that makes particle loops, worker
+pools, and nested common/idiosyncratic noise hierarchies reproducible
+bit-for-bit for any execution schedule.
 
-Building a Generator costs more than drawing a small sheet from it, so code
-that draws one array from each of many streams (the per-particle channels of
-ensemble noise) goes through ``_substreams``: one Philox bit generator whose
-state is reset to each stream's fresh state in turn.  It draws exactly what
-``substream`` draws, which stays the definition of a stream.
+Building a Generator costs more than drawing a small sheet from it, so the
+one cell-noise sampler, ``noise._draw_cells``, reads its streams through
+``_substreams``: one Philox bit generator, built at the first stream and reset
+to each later stream's fresh state.  It draws exactly what ``substream``
+draws, which stays the definition of a stream; other draws (random weights,
+the est-check couplings) take a ``substream`` each.
 """
 
 from __future__ import annotations
@@ -51,13 +52,19 @@ def _substreams(seed: int, domain: int, coordinates):
     state ``substream(seed, domain, stream, channel)`` starts from.
 
     Every yield is the same Generator on one reused bit generator, so each
-    must be drawn from before the next is requested.  The whole fresh state is
-    written each time, the spent buffer and the cached 32-bit half included:
-    a stale one would shift every later draw.
+    must be drawn from before the next is requested.  The first stream is the
+    bit generator as built; for each later one the whole fresh state is
+    written, the spent buffer and the cached 32-bit half included: a stale one
+    would shift every later draw.
     """
     key = _key(seed)
-    bits = np.random.Philox(key=key)
+    coordinates = iter(coordinates)
+    first = next(coordinates, None)
+    if first is None:
+        return
+    bits = np.random.Philox(key=key, counter=_counter(domain, *first))
     gen = np.random.Generator(bits)
+    yield gen
     for stream, channel in coordinates:
         bits.state = {
             "bit_generator": "Philox",

@@ -27,6 +27,10 @@ two forms:
   along x followed by one along t.  The additions happen in the row loop's
   order, so both forms give the same bits.
 
+Ensemble and replicate noise come from the one cell-noise sampler,
+``noise._draw_cells``, as views of one array; both forms read it in place,
+contracting beta with one channel at a time, a row or the whole grid at once.
+
 The M paths' states are stored node-major, (nt+1, nx+1, M, n), with the
 particle axis innermost: the conditional law at a node is the empirical
 measure of that node's M states, and so a node's cloud, a row's update and a
@@ -70,15 +74,14 @@ Gronwall regime K|z| <= r0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import EmpiricalMeasure
-from .noise import SheetPath, cell_increments
+from .noise import SheetPath, _draw_cells, cell_increments
 from .plane import Grid, Point
-from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, _substreams
+from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE
 from .series import find_r0
 
 __all__ = [
@@ -265,33 +268,16 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
     return alpha, beta
 
 
-def _ensemble_noise_rows(common: np.ndarray, idio: np.ndarray):
-    """Row i's cell noise (nx, M, m), node-major, from the shared channel
-    ``common`` (nt, nx) and the per-particle channels ``idio`` (M, m-1, nt, nx),
-    in one reused buffer."""
-    dB = np.empty((common.shape[1], idio.shape[0], idio.shape[1] + 1))
-    for shared, own in zip(common, idio.transpose(2, 3, 0, 1)):
-        dB[:, :, 0] = shared[:, None]
-        dB[:, :, 1:] = own
-        yield dB
-
-
-def _ensemble_noise_grid(common: np.ndarray, idio: np.ndarray) -> np.ndarray:
-    """The cell noise (nt, nx, M, m) of every row of :func:`_ensemble_noise_rows`."""
-    M, own = idio.shape[:2]
-    dB = np.empty((*common.shape, M, own + 1))
-    dB[..., 0] = common[..., None]
-    dB[..., 1:] = idio.transpose(2, 3, 0, 1)
-    return dB
-
-
-def _noise_source(beta: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """beta . dB, (..., n, m) against (..., m), as an explicit sum over the m
-    channels.  Both forms of the recursion contract through here, so they add
+def _noise_source(beta: np.ndarray, common: np.ndarray, idio: np.ndarray) -> np.ndarray:
+    """beta . dB for node-major beta (..., M, n, m), as an explicit sum over the
+    channels: the shared ``common`` (...) and the per-path ``idio`` (M, m-1, ...),
+    read in place.  Both forms of the recursion contract through here, a row
+    (``common[i]``, ``idio[:, :, i]``) or the whole grid at a time, so they add
     the same products in the same order."""
-    out = beta[..., 0] * dB[..., None, 0]
-    for c in range(1, dB.shape[-1]):
-        out += beta[..., c] * dB[..., None, c]
+    out = beta[..., 0] * common[..., None, None]
+    own = idio.transpose(1, *range(2, idio.ndim), 0)  # (m-1, ..., M)
+    for c, dB in enumerate(own, start=1):
+        out += beta[..., c] * dB[..., None]
     return out
 
 
@@ -301,11 +287,11 @@ def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> 
     The states are stored node-major, (nt+1, nx+1, M, n), and returned as the
     (M, nt+1, nx+1, n) view, so a node's cloud and a row's update are
     contiguous.  The noise is channel 0 ``common`` (nt, nx), shared by all
-    paths, and the per-path channels ``idio`` (M, m-1, nt, nx).  Coefficients
-    are read along the states being solved (row i once it is filled) or, for a
-    Picard step, along the ``frozen`` previous iterate.  A state- and
-    measure-free field solved directly takes the closed form (module
-    docstring).
+    paths, and the per-path channels ``idio`` (M, m-1, nt, nx), both read in
+    place.  Coefficients are read along the states being solved (row i once it
+    is filled) or, for a Picard step, along the ``frozen`` previous iterate.
+    A state- and measure-free field solved directly takes the closed form
+    (module docstring).
     """
     nt, nx = grid.nt, grid.nx
     M = idio.shape[0]
@@ -315,9 +301,8 @@ def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> 
     if frozen is None and not (coeffs.depends_on_state or coeffs.depends_on_measure):
         Y[...] = y0  # the maps see finite states, never uninitialised memory
         alpha, beta = coefficient_table(coeffs, states, grid, nt, nx)
-        dB = _ensemble_noise_grid(common, idio)
         alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
-        src = alpha * dtdx + _noise_source(beta, dB)
+        src = alpha * dtdx + _noise_source(beta, common, idio)
         # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
         run = np.cumsum(src, axis=1)
         run[0] += y0
@@ -326,8 +311,9 @@ def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> 
     Y[0] = y0
     Y[:, 0] = y0
     rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx, measure_source)
-    for i, ((alpha, beta), dB) in enumerate(zip(rows, _ensemble_noise_rows(common, idio))):
-        src = alpha.swapaxes(0, 1) * dtdx + _noise_source(beta.swapaxes(0, 1), dB)
+    for i, (alpha, beta) in enumerate(rows):
+        noise = _noise_source(beta.swapaxes(0, 1), common[i], idio[:, :, i])
+        src = alpha.swapaxes(0, 1) * dtdx + noise
         np.add(Y[i, 1:], np.cumsum(src, axis=0), out=Y[i + 1, 1:])
     return states
 
@@ -362,23 +348,18 @@ def solve_goursat(
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     # one path: channel 0 plays the common channel, the rest its own
-    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)])[None]  # (1, m, nt, nx)
-    Y = _check_finite(_sweep(coeffs, y0, grid, dB[0, 0], dB[:, 1:], measure_source=measure_source))
+    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)])  # (m, nt, nx)
+    Y = _check_finite(_sweep(coeffs, y0, grid, dB[0], dB[None, 1:], measure_source=measure_source))
     return StateField(values=Y[0], grid=grid)
 
 
 def _increments(grid: Grid, m: int, M: int, seed: int, domain: int, coordinates) -> tuple:
     """Ensemble noise (common (nt, nx), idio (M, m-1, nt, nx)) drawn from the
     substreams of ``domain`` at the (stream, channel) ``coordinates``: the
-    first is the common channel's, the rest fill idio in (p, c) order."""
-    scale = np.sqrt(grid.dt * grid.dx)
-    shape = (grid.nt, grid.nx)
-    gens = _substreams(seed, domain, coordinates)
-    common = next(gens).normal(0.0, scale, shape)
-    idio = np.empty((M, m - 1, *shape))
-    for own, gen in zip(idio.reshape(-1, *shape), gens):
-        own[...] = gen.normal(0.0, scale, shape)
-    return common, idio
+    first is the common channel's, the rest fill idio in (p, c) order; both
+    are views of the one array the sampler draws."""
+    cells = _draw_cells(grid, seed, domain, coordinates)
+    return cells[0], cells[1:].reshape(M, m - 1, grid.nt, grid.nx)
 
 
 def _replicate_increments(domain: int, grid: Grid, m: int, M: int, seed: int, rep: int):
@@ -395,8 +376,8 @@ def sample_ensemble_increments(grid: Grid, m: int, M: int, seed: int):
     is the common channel, particle p draws idiosyncratic channels from
     stream p+1 — hence ensembles are nested across M for a fixed seed.
     """
-    own = ((p + 1, c + 1) for p in range(M) for c in range(m - 1))
-    return _increments(grid, m, M, seed, DOMAIN_ENSEMBLE, itertools.chain([(0, 0)], own))
+    own = [(p + 1, c + 1) for p in range(M) for c in range(m - 1)]
+    return _increments(grid, m, M, seed, DOMAIN_ENSEMBLE, [(0, 0), *own])
 
 
 def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int):

@@ -171,6 +171,26 @@ class TestControlEquivGolden:
         _check_golden(golden, meta, body, body[1:])
 
 
+class TestNoiseDrawGoldens:
+    """Experiments whose cell noise is drawn by ``noise._draw_cells``, against
+    rows recorded before that sampler served them (tests/data/cli_*_golden.json).
+    sheet-stats runs at 500 replicates: its variance check keeps a fixed 0.05
+    tolerance, which that many replicates miss, so the golden records a FAIL
+    and exit status 2."""
+
+    @pytest.mark.parametrize("name", ["chaos-rate", "chaos-closed-form", "sheet-stats"])
+    def test_run_reproduces_the_recorded_rows(self, name, capsys, tmp_path, monkeypatch):
+        golden = json.loads((DATA / f"cli_{name.replace('-', '_')}_golden.json").read_text())
+        assert run(golden["argv"], tmp_path, monkeypatch) == (0 if golden["all_pass"] else 2)
+        capsys.readouterr()
+        meta, body = _csv(tmp_path / f"{name}.csv")
+        rows = body[1:]
+        if "labels" in golden:
+            assert [row[0] for row in rows] == golden["labels"]
+            rows = [row[1:] for row in rows]
+        _check_golden(golden, meta, body, rows)
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         env = dict(os.environ, **{ENV_OUT: str(tmp_path)})

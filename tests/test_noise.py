@@ -110,6 +110,16 @@ class TestItoIntegrals:
         got_half = ito_integral(phi, sh, 0, Point(0.5, 1.0))
         assert got_half == pytest.approx(sh.values[0, 4, 8], abs=1e-12)
 
+    def test_node_array_must_cover_the_rectangle(self):
+        g = square_grid(4)
+        sh = sample_sheet(g, 1, seed=0)
+        z = Point(1.0, 1.0)
+        full = ito_integral(np.ones((5, 5)), sh, 0, z)
+        assert full == pytest.approx(sh.values[0, 4, 4], abs=1e-12)
+        for shape in [(1, 1), (4, 1)]:
+            with pytest.raises(ValueError, match="cannot cover 4 x 4 cell corners"):
+                ito_integral(np.ones(shape), sh, 0, z)
+
     def test_empty_rectangle_vanishes(self):
         g = square_grid(4)
         sh = sample_sheet(g, 1, seed=0)

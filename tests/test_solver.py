@@ -20,7 +20,15 @@ from sheetlab import (
     solve_goursat,
     state_slice_csv,
 )
-from sheetlab.rng import DOMAIN_CONTROL, DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, substream
+from sheetlab.noise import _draw_cells
+from sheetlab.rng import (
+    DOMAIN_CHAOS,
+    DOMAIN_CONTROL,
+    DOMAIN_ENSEMBLE,
+    DOMAIN_REPLICATE,
+    DOMAIN_SHEET,
+    substream,
+)
 from sheetlab.solver import _replicate_increments, coefficient_table
 
 R0 = 1.4457964907366958
@@ -176,23 +184,34 @@ class TestEnsembleNoise:
         np.testing.assert_array_equal(i_small, i_large[:10])
 
     # 3 x 5 cells: 15 normals per stream leave Philox's four-word buffer part
-    # spent, so a stream that inherited its predecessor's buffer would shift
+    # spent, so a stream that inherited its predecessor's buffer would shift.
+    # Every domain keyed by (stream, channel): replicate noise, sheets (m = 1 is
+    # a single draw, on the sampler's directly built stream) and chaos channels.
     @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**64 - 1])
-    @pytest.mark.parametrize("domain", [DOMAIN_REPLICATE, DOMAIN_CONTROL])
+    @pytest.mark.parametrize(
+        "domain", [DOMAIN_REPLICATE, DOMAIN_CONTROL, DOMAIN_SHEET, DOMAIN_CHAOS]
+    )
     def test_replicate_noise_draws_what_each_substream_draws(self, seed, domain):
         g = Grid(horizon=Point(1.0, 0.5), nt=3, nx=5)
         scale = np.sqrt(g.dt * g.dx)
-        for rep in (0, 3):
-            for m in (2, 3):
-                for M in (1, 5):
-                    common, idio = _replicate_increments(domain, g, m, M, seed, rep)
-                    draw = lambda channel: substream(seed, domain, rep, channel).normal(  # noqa: E731
-                        0.0, scale, (3, 5)
-                    )
-                    assert np.array_equal(common, draw(0))
-                    for p in range(M):
-                        for c in range(m - 1):
-                            assert np.array_equal(idio[p, c], draw(1 + p * (m - 1) + c))
+        for rep in (0, 3, 2**64 - 1):
+            refs = np.stack(
+                [substream(seed, domain, rep, c).normal(0.0, scale, (3, 5)) for c in range(11)]
+            )
+            if domain == DOMAIN_SHEET:
+                for m in (1, 3):
+                    values = sample_sheet(g, m, seed, stream=rep).values
+                    assert np.array_equal(values, sheet_from_increments(g, refs[:m]).values)
+            elif domain == DOMAIN_CHAOS:
+                for N in (1, 3):  # the channels remainder_variance draws per replicate
+                    cells = _draw_cells(g, seed, domain, [(rep, c) for c in range(N)])
+                    assert np.array_equal(cells, refs[:N])
+            else:
+                for m in (2, 3):
+                    for M in (1, 5):
+                        common, idio = _replicate_increments(domain, g, m, M, seed, rep)
+                        assert np.array_equal(common, refs[0])
+                        assert np.array_equal(idio.reshape(-1, 3, 5), refs[1 : 1 + M * (m - 1)])
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**64 - 1])
     def test_ensemble_noise_draws_what_each_substream_draws(self, seed):
