@@ -45,7 +45,7 @@ fine_inc = np.stack([cell_increments(fine, c) for c in range(4)])
 print("closed form vs simulation, N = 4 particles, one coupled draw")
 for k in (16, 32, 64):
     sheet = sheet_from_increments(square(k), coarsen_increments(fine_inc, 64 // k), 0)
-    cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=square(k), seed=0)
+    cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=square(k))
     sim = simulate_particle_system(cfg, sheet)
     exact = closed_form_solution(cfg, sheet)
     rms = np.sqrt(np.mean((sim.values - exact.values) ** 2))
@@ -56,7 +56,7 @@ print("\nremainder variance E[I_N^2], 100 replicates each, on [0, 0.5]^2")
 grid = square(32, t=0.5, x=0.5)
 prev = None
 for N in (8, 16, 32, 64):
-    cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=grid, seed=0)
+    cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=grid)
     rv = remainder_variance(cfg, replicates=100, seed=0)
     ratio = "" if prev is None else f"   halving ratio {prev / rv.estimate:.2f}"
     print(f"  N = {N:3d}: {rv.estimate:.3e} +- {rv.stderr:.1e}{ratio}")

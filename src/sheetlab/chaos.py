@@ -114,7 +114,7 @@ def matrix_power_decomposition(A: RankOneMatrix, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Particle count, interaction weights, shared start value, grid, seed.
+    """Particle count, interaction weights, shared start value, grid.
 
     The mean weight must stay above the floor q > 0: the closed form divides
     by sum(a), and the limit equation's contraction constant degenerates as
@@ -125,7 +125,6 @@ class ChaosConfig:
     a_values: np.ndarray
     y0: float
     grid: Grid
-    seed: int
     q: float = 1e-8
     series: SeriesConfig = field(default_factory=SeriesConfig)
 

@@ -1,11 +1,16 @@
 """Experiment runner: ``sheetlab <experiment> [key=value ...]``.
 
-Each experiment exercises one capability end to end, prints one PASS/FAIL
-line per check, and writes a CSV next to the data it reports.  Output goes to
-the directory named by the SHEETLAB_OUT environment variable (default: the
-working directory).  CSV files open with ``# key = value`` metadata lines —
-parameters, wall time, verdicts — followed by a header row and data rows;
-wall time never appears in data rows.
+Each experiment exercises one capability end to end.  Its runner is a
+function of the parsed parameters alone and returns ``(header, rows, checks,
+derived)``: the CSV header and data rows, one ``(label, passed)`` pair per
+check, and the values the run computed beyond its rows (``derived``).
+``main`` does the rest in one place: it prints one PASS/FAIL line per check,
+decides the verdict and writes the CSV into the directory named by the
+SHEETLAB_OUT environment variable (default: the working directory).  The CSV
+opens with ``# key = value`` metadata lines — the experiment, every parameter,
+the derived values (a derived value named like a parameter, such as picard's
+resolved ``rate``, replaces it), the wall time and ``all_pass`` — followed by
+a header row and data rows; wall time never appears in data rows.
 
 Exit status: 0 when every check passes, 2 when the run completed but some
 check failed (or an iteration diverged), 1 on usage errors.
@@ -39,6 +44,7 @@ from .control import (
 )
 from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table
 from .ito_check import ito_refinement_study, scalar_function
+from .measures import EmpiricalMeasure, MQuadrature, est_inequality_check, m_dist_sq
 from .noise import (
     _draw_cells,
     cell_increments,
@@ -47,7 +53,7 @@ from .noise import (
     sheet_from_increments,
 )
 from .plane import Grid, Point
-from .rng import DOMAIN_SHEET, substream
+from .rng import DOMAIN_COUPLINGS, DOMAIN_SHEET, substream
 from .series import find_r0, picard_series_partial_sums
 from .solver import (
     CoefficientField,
@@ -101,11 +107,6 @@ def _write_csv(path: str, meta: dict, header, rows) -> None:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _report(label: str, passed: bool) -> bool:
-    print(f"[{'PASS' if passed else 'FAIL'}] {label}")
-    return passed
-
-
 def _square_grid(k: int, t: float = 1.0, x: float = 1.0) -> Grid:
     return Grid(horizon=Point(t, x), nt=k, nx=k)
 
@@ -114,7 +115,7 @@ def _square_grid(k: int, t: float = 1.0, x: float = 1.0) -> Grid:
 # experiments
 
 
-def _run_sheet_stats(p, out_path):
+def _run_sheet_stats(p):
     reps, k, seed = p["reps"], p["k"], p["seed"]
     if k % 2:
         raise ValueError(f"k must be even to split the horizon, got {k}")
@@ -140,9 +141,8 @@ def _run_sheet_stats(p, out_path):
         ("cov_disjoint_quadrants", cov, 0.25, 3 * cov_se, abs(cov - 0.25) <= 3 * cov_se),
         ("isometry_bilinear", iso, 1.0 / 9.0, 3 * iso_se, abs(iso - 1.0 / 9.0) <= 3 * iso_se),
     ]
-    checks = [_report(f"sheet-stats {r[0]}: {r[1]:.5f} vs {r[2]:.5f}", r[4]) for r in rows]
-    meta = {"experiment": "sheet-stats", "reps": reps, "k": k, "seed": seed}
-    return meta, ["statistic", "estimate", "target", "tolerance", "passed"], rows, all(checks)
+    checks = [(f"sheet-stats {r[0]}: {r[1]:.5f} vs {r[2]:.5f}", r[4]) for r in rows]
+    return ["statistic", "estimate", "target", "tolerance", "passed"], rows, checks, {}
 
 
 _CASES = {
@@ -155,7 +155,7 @@ _CASES = {
 }
 
 
-def _run_ito_check(p, out_path):
+def _run_ito_check(p):
     case = p["case"]
     if case not in _CASES:
         raise ValueError(f"case must be one of {sorted(_CASES)}, got {case!r}")
@@ -182,30 +182,29 @@ def _run_ito_check(p, out_path):
             ok = True if idx == 0 else ratio >= 1.5
             label = f"ito-check {case} k={k}: mean residual {mean:.3e}, ratio {ratio:.2f}"
         rows.append((k, mean, se, ratio, ok))
-        checks.append(_report(label, ok))
-    meta = {"experiment": "ito-check", "case": case, "reps": p["reps"], "seed": p["seed"]}
-    return meta, ["cells_per_axis", "mean_residual", "stderr", "ratio", "passed"], rows, all(checks)
+        checks.append((label, ok))
+    return ["cells_per_axis", "mean_residual", "stderr", "ratio", "passed"], rows, checks, {}
 
 
-def _run_est_check(p, out_path):
-    from .measures import EmpiricalMeasure, MQuadrature, est_inequality_check, m_dist_sq
-
-    quad = MQuadrature(dim=1, order=p["order"])
-    rng = substream(p["seed"], DOMAIN_SHEET, stream=0, channel=1)
+def _gaussian_couplings(pairs: int, seed: int):
+    """``pairs`` couplings (m1 + s1 * base, m2 + s2 * base) of 256 shared
+    standard normals each, drawn from the est-check domain's stream."""
+    rng = substream(seed, DOMAIN_COUPLINGS)
     couplings = []
-    for _ in range(p["pairs"]):
+    for _ in range(pairs):
         base = rng.normal(size=(256, 1))
         m1, m2 = rng.normal(size=2)
         s1, s2 = rng.uniform(0.5, 1.5, size=2)
         couplings.append((m1 + s1 * base, m2 + s2 * base))
-    report = est_inequality_check(couplings, quad, slack=p["slack"])
+    return couplings
+
+
+def _run_est_check(p):
+    quad = MQuadrature(dim=1, order=p["order"])
+    report = est_inequality_check(_gaussian_couplings(p["pairs"], p["seed"]), quad, slack=p["slack"])
     rows = [("gaussian_couplings", report.lhs, report.rhs, float("nan"), report.passed)]
-    checks = [
-        _report(
-            f"est-check couplings: lhs {report.lhs:.5f} <= rhs {report.rhs:.5f} (slack {p['slack']})",
-            report.passed,
-        )
-    ]
+    label = f"est-check couplings: lhs {report.lhs:.5f} <= rhs {report.rhs:.5f} (slack {p['slack']})"
+    checks = [(label, report.passed)]
     for c in _as_list(p["c"]):
         d0 = EmpiricalMeasure(samples=np.zeros((1, 1)))
         dc = EmpiricalMeasure(samples=np.full((1, 1), float(c)))
@@ -213,23 +212,17 @@ def _run_est_check(p, out_path):
         target = 2.0 * np.sqrt(np.pi) * (1.0 - np.exp(-(float(c) ** 2) / 4.0))
         ok = abs(got - target) < 1e-6 and got <= np.pi * float(c) ** 2 * (1 + p["slack"])
         rows.append((f"delta_pair_c={c}", got, target, abs(got - target), ok))
-        checks.append(_report(f"est-check delta pair c={c}: {got:.8f} vs {target:.8f}", ok))
-    meta = {
-        "experiment": "est-check",
-        "pairs": p["pairs"],
-        "order": p["order"],
-        "seed": p["seed"],
-    }
-    return meta, ["case", "lhs", "target", "gap", "passed"], rows, all(checks)
+        checks.append((f"est-check delta pair c={c}: {got:.8f} vs {target:.8f}", ok))
+    return ["case", "lhs", "target", "gap", "passed"], rows, checks, {}
 
 
-def _run_chaos_rate(p, out_path):
+def _run_chaos_rate(p):
     grid = Grid(horizon=Point(p["t"], p["x"]), nt=p["k"], nx=p["k"])
     sizes = [int(N) for N in _as_list(p["N"])]
     estimates = {}
     rows = []
     for N in sizes:
-        cfg = ChaosConfig(N=N, a_values=1.0, y0=p["y0"], grid=grid, seed=p["seed"])
+        cfg = ChaosConfig(N=N, a_values=1.0, y0=p["y0"], grid=grid)
         rv = remainder_variance(cfg, p["reps"], p["seed"])
         estimates[N] = rv.estimate
         rows.append((N, rv.estimate, rv.stderr, float("nan"), True))
@@ -239,21 +232,11 @@ def _run_chaos_rate(p, out_path):
             ratio = estimates[N] / estimates[2 * N]
             ok = 1.4 <= ratio <= 2.8
             rows.append((f"{N}/{2 * N}", estimates[N], estimates[2 * N], ratio, ok))
-            checks.append(
-                _report(f"chaos-rate halving {N}->{2 * N}: ratio {ratio:.3f} in [1.4, 2.8]", ok)
-            )
-    meta = {
-        "experiment": "chaos-rate",
-        "reps": p["reps"],
-        "t": p["t"],
-        "x": p["x"],
-        "k": p["k"],
-        "seed": p["seed"],
-    }
-    return meta, ["N_or_pair", "estimate", "stderr_or_next", "ratio", "passed"], rows, all(checks)
+            checks.append((f"chaos-rate halving {N}->{2 * N}: ratio {ratio:.3f} in [1.4, 2.8]", ok))
+    return ["N_or_pair", "estimate", "stderr_or_next", "ratio", "passed"], rows, checks, {}
 
 
-def _run_chaos_closed_form(p, out_path):
+def _run_chaos_closed_form(p):
     N = p["N"]
     ks = [int(k) for k in _as_list(p["grids"])]
     k_fine = ks[-1]
@@ -267,7 +250,7 @@ def _run_chaos_closed_form(p, out_path):
         grid = _square_grid(k)
         inc = coarsen_increments(fine_inc, k_fine // k)
         sheet = sheet_from_increments(grid, inc, p["seed"])
-        cfg = ChaosConfig(N=N, a_values=p["a"], y0=p["y0"], grid=grid, seed=p["seed"])
+        cfg = ChaosConfig(N=N, a_values=p["a"], y0=p["y0"], grid=grid)
         sim = simulate_particle_system(cfg, sheet)
         exact = closed_form_solution(cfg, sheet)
         return float(np.sqrt(np.mean((sim.values - exact.values) ** 2)))
@@ -277,12 +260,11 @@ def _run_chaos_closed_form(p, out_path):
     for idx, k in enumerate(ks):
         ok = idx == 0 or gaps[idx] < gaps[idx - 1]
         rows.append((k, gaps[idx], ok))
-        checks.append(_report(f"chaos-closed-form k={k}: rms gap {gaps[idx]:.5f}", ok))
-    meta = {"experiment": "chaos-closed-form", "N": N, "a": p["a"], "seed": p["seed"]}
-    return meta, ["cells_per_axis", "rms_gap", "passed"], rows, all(checks)
+        checks.append((f"chaos-closed-form k={k}: rms gap {gaps[idx]:.5f}", ok))
+    return ["cells_per_axis", "rms_gap", "passed"], rows, checks, {}
 
 
-def _run_picard(p, out_path):
+def _run_picard(p):
     r0 = find_r0(1e-12)
     rate = p["rate"] if p["rate"] > 0 else 0.25 * np.sqrt(r0)
     grid = _square_grid(p["k"])
@@ -295,9 +277,9 @@ def _run_picard(p, out_path):
         ok = True if idx < 2 else ratio < 1.0
         rows.append((f"iteration_{idx + 1}", gap, ratio, ok))
         if idx >= 2:
-            checks.append(_report(f"picard gap ratio at iteration {idx + 1}: {ratio:.4f} < 1", ok))
-    checks.append(_report(f"picard converged in {result.iterations} iterations", result.converged))
-    checks.append(_report("picard did not diverge", not result.diverged))
+            checks.append((f"picard gap ratio at iteration {idx + 1}: {ratio:.4f} < 1", ok))
+    checks.append((f"picard converged in {result.iterations} iterations", result.converged))
+    checks.append(("picard did not diverge", not result.diverged))
 
     for factor in _as_list(p["factors"]):
         q_scale = float(factor) * np.sqrt(r0)
@@ -308,26 +290,22 @@ def _run_picard(p, out_path):
             ok = hit.size > 0
             detail = f"first Cauchy step < 1e-8 at n={hit[0] + 2}" if ok else "no Cauchy step"
             rows.append((f"series_factor_{factor}", float(sums[-1]), float("nan"), ok))
-            checks.append(_report(f"majorant series at {factor}*sqrt(r0) converges ({detail})", ok))
+            checks.append((f"majorant series at {factor}*sqrt(r0) converges ({detail})", ok))
         else:
             ok = bool(np.any(np.abs(sums) > 1e6))
             rows.append((f"series_factor_{factor}", float(np.max(np.abs(sums))), float("nan"), ok))
-            checks.append(_report(f"majorant series at {factor}*sqrt(r0) exceeds 1e6", ok))
-    meta = {
-        "experiment": "picard",
+            checks.append((f"majorant series at {factor}*sqrt(r0) exceeds 1e6", ok))
+    derived = {
         "rate": rate,
-        "M": p["M"],
-        "k": p["k"],
-        "seed": p["seed"],
         "area": radius.area,
         "picard_threshold": radius.picard_threshold,
         "gronwall_threshold": radius.gronwall_threshold,
         "divergence": result.divergence,
     }
-    return meta, ["row", "value", "ratio", "passed"], rows, all(checks)
+    return ["row", "value", "ratio", "passed"], rows, checks, derived
 
 
-def _run_fokker_planck(p, out_path):
+def _run_fokker_planck(p):
     grid = _square_grid(p["k"])
     coeffs = mean_reversion_field(p["rate"], (0.7, 0.5))
     freqs = FrequencyGrid(np.asarray(_as_list(p["w"]), dtype=float))
@@ -346,7 +324,7 @@ def _run_fokker_planck(p, out_path):
     results = [one(rep) for rep in range(p["reps"])]
     residuals = np.array([r[0] for r in results])  # (reps, Q)
     zero_residuals = np.array([r[1] for r in results])
-    rows, checks = [], []
+    rows = []
     wvals = [float(w[0]) for w in freqs]
     for qi, w in enumerate(wvals):
         col = residuals[:, qi]
@@ -361,7 +339,7 @@ def _run_fokker_planck(p, out_path):
             )
         )
     zero_ok = bool(np.all(zero_residuals == 0.0))
-    checks.append(_report("fokker-planck residual at w=0 is exactly zero", zero_ok))
+    checks = [("fokker-planck residual at w=0 is exactly zero", zero_ok)]
     conj_gap = 0.0
     for qi, w in enumerate(wvals):
         if -w in wvals:
@@ -370,22 +348,14 @@ def _run_fokker_planck(p, out_path):
                 conj_gap, float(np.max(np.abs(residuals[:, qi] - np.conj(residuals[:, qj]))))
             )
     conj_ok = conj_gap < 1e-12
-    checks.append(_report(f"fokker-planck conjugate symmetry gap {conj_gap:.2e} < 1e-12", conj_ok))
+    checks.append((f"fokker-planck conjugate symmetry gap {conj_gap:.2e} < 1e-12", conj_ok))
     mean_abs = float(np.mean(np.abs(residuals)))
     print(f"fokker-planck mean |residual| over w: {mean_abs:.5f} (M={p['M']}, k={p['k']})")
-    meta = {
-        "experiment": "fokker-planck",
-        "M": p["M"],
-        "k": p["k"],
-        "reps": p["reps"],
-        "rate": p["rate"],
-        "seed": p["seed"],
-        "mean_abs_residual": mean_abs,
-    }
-    return meta, ["w", "re_mean", "im_mean", "stderr_abs", "M", "cells_per_axis"], rows, all(checks)
+    header = ["w", "re_mean", "im_mean", "stderr_abs", "M", "cells_per_axis"]
+    return header, rows, checks, {"mean_abs_residual": mean_abs}
 
 
-def _run_lemma61(p, out_path):
+def _run_lemma61(p):
     grid = _square_grid(p["k"], p["t"], p["x"])
     z = Point(p["t"], p["x"])
     ones = lambda q: np.ones(np.broadcast(q.t, q.x).shape)  # noqa: E731
@@ -398,12 +368,9 @@ def _run_lemma61(p, out_path):
         rep = lemma61_scalar_check(fk, gk, z, grid, p["h"])
         ok = rep.residual < tol
         rows.append((name, rep.mixed_partial, rep.product_rhs, rep.residual, tol, ok))
-        checks.append(
-            _report(f"lemma61 {name}: residual {rep.residual:.6f} < {tol}", ok)
-        )
-    meta = {"experiment": "lemma61", "k": p["k"], "h": p["h"]}
+        checks.append((f"lemma61 {name}: residual {rep.residual:.6f} < {tol}", ok))
     header = ["kernel", "mixed_partial", "product_rhs", "residual", "tolerance", "passed"]
-    return meta, header, rows, all(checks)
+    return header, rows, checks, {}
 
 
 def _control_instance(p):
@@ -413,7 +380,7 @@ def _control_instance(p):
     return grid, controlled, cost
 
 
-def _run_control_equiv(p, out_path):
+def _run_control_equiv(p):
     grid, controlled, cost = _control_instance(p)
     rows, checks = [], []
     for theta in _as_list(p["theta"]):
@@ -430,21 +397,12 @@ def _run_control_equiv(p, out_path):
         rows.append(
             (theta, direct.value, direct.stderr, measure.value, measure.stderr, gap, bound, ok)
         )
-        checks.append(
-            _report(f"control-equiv theta={theta}: |J - J~| = {gap:.4f} <= {bound:.4f}", ok)
-        )
-    meta = {
-        "experiment": "control-equiv",
-        "M": p["M"],
-        "k": p["k"],
-        "reps": p["reps"],
-        "seed": p["seed"],
-    }
+        checks.append((f"control-equiv theta={theta}: |J - J~| = {gap:.4f} <= {bound:.4f}", ok))
     header = ["theta", "J_direct", "stderr_direct", "J_measure", "stderr_measure", "gap", "bound", "passed"]
-    return meta, header, rows, all(checks)
+    return header, rows, checks, {}
 
 
-def _run_control_search(p, out_path):
+def _run_control_search(p):
     grid, controlled, cost = _control_instance(p)
     policies = [mean_feedback_policy(float(t)) for t in _as_list(p["theta"])]
     runs = [
@@ -455,21 +413,11 @@ def _run_control_search(p, out_path):
     for idx, policy in enumerate(policies):
         e1, e2 = runs[0].table[idx], runs[1].table[idx]
         rows.append((policy.theta, e1.value, e1.stderr, e2.value, e2.stderr))
+    best1, best2 = runs[0].best_policy.theta, runs[1].best_policy.theta
     stable = runs[0].best_index == runs[1].best_index
-    check = _report(
-        f"control-search argmax stable across seeds: theta = {runs[0].best_policy.theta} vs "
-        f"{runs[1].best_policy.theta}",
-        stable,
-    )
-    meta = {
-        "experiment": "control-search",
-        "M": p["M"],
-        "k": p["k"],
-        "reps": p["reps"],
-        "best_theta_seed1": runs[0].best_policy.theta,
-        "best_theta_seed2": runs[1].best_policy.theta,
-    }
-    return meta, ["theta", "J_seed1", "stderr_seed1", "J_seed2", "stderr_seed2"], rows, check
+    checks = [(f"control-search argmax stable across seeds: theta = {best1} vs {best2}", stable)]
+    header = ["theta", "J_seed1", "stderr_seed1", "J_seed2", "stderr_seed2"]
+    return header, rows, checks, {"best_theta_seed1": best1, "best_theta_seed2": best2}
 
 
 EXPERIMENTS = {
@@ -533,7 +481,6 @@ EXPERIMENTS = {
             "x": 1.0,
             "tol_constants": 5e-3,
             "tol_separable": 2e-3,
-            "seed": 0,
         },
     ),
     "control-equiv": (
@@ -594,14 +541,17 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        meta, header, rows, all_pass = runner(params, out_path)
+        header, rows, checks, derived = runner(params)
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 1
-    meta["wall_seconds"] = round(time.perf_counter() - start, 3)
-    meta["all_pass"] = all_pass
+    wall_seconds = round(time.perf_counter() - start, 3)
+    for label, passed in checks:
+        print(f"[{'PASS' if passed else 'FAIL'}] {label}")
+    all_pass = all(passed for _, passed in checks)
+    meta = {"experiment": name, **params, **derived, "wall_seconds": wall_seconds, "all_pass": all_pass}
     _write_csv(out_path, meta, header, rows)
-    print(f"wrote {out_path} ({meta['wall_seconds']}s)")
+    print(f"wrote {out_path} ({wall_seconds}s)")
     return 0 if all_pass else 2
 
 

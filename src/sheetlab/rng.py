@@ -28,6 +28,7 @@ DOMAIN_ENSEMBLE = 2
 DOMAIN_CHAOS = 3
 DOMAIN_CONTROL = 4
 DOMAIN_REPLICATE = 5  # replicate-keyed ensemble noise (Monte Carlo over ensembles)
+DOMAIN_COUPLINGS = 6  # the est-check experiment's Gaussian couplings
 
 
 def _key(seed: int) -> np.ndarray:

@@ -208,7 +208,7 @@ def test_ac06_interaction_rate_and_closed_form():
     g = square_grid(32, t=0.5, x=0.5)
     estimates = {}
     for N in (8, 16, 32, 64):
-        cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=g, seed=0)
+        cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=g)
         estimates[N] = remainder_variance(cfg, replicates=100, seed=0).estimate
     ratios = [estimates[N] / estimates[2 * N] for N in (8, 16, 32)]
     rate_ok = all(1.4 <= r <= 2.8 for r in ratios)
@@ -219,7 +219,7 @@ def test_ac06_interaction_rate_and_closed_form():
     for k in (16, 32, 64):
         gk = square_grid(k)
         sh = sheet_from_increments(gk, coarsen_increments(fine_inc, 64 // k), 0)
-        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=gk, seed=0)
+        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=gk)
         sim = simulate_particle_system(cfg, sh)
         exact = closed_form_solution(cfg, sh)
         gaps.append(float(np.sqrt(np.mean((sim.values - exact.values) ** 2))))

@@ -59,17 +59,17 @@ class TestRankOneMatrix:
 
 class TestChaosConfig:
     def test_broadcasts_scalar_weights(self):
-        cfg = ChaosConfig(N=3, a_values=1.5, y0=0.0, grid=square_grid(4), seed=0)
+        cfg = ChaosConfig(N=3, a_values=1.5, y0=0.0, grid=square_grid(4))
         np.testing.assert_array_equal(cfg.a_values, [1.5, 1.5, 1.5])
 
     def test_rejects_degenerate_weight_mean(self):
         with pytest.raises(ValueError):
-            ChaosConfig(N=2, a_values=1e-12, y0=0.0, grid=square_grid(4), seed=0)
+            ChaosConfig(N=2, a_values=1e-12, y0=0.0, grid=square_grid(4))
         with pytest.raises(ValueError):
-            ChaosConfig(N=1, a_values=1.0, y0=0.0, grid=square_grid(4), seed=0, q=-1.0)
+            ChaosConfig(N=1, a_values=1.0, y0=0.0, grid=square_grid(4), q=-1.0)
 
     def test_matrix_carries_the_weights(self):
-        cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4), seed=0)
+        cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4))
         assert cfg.matrix().total == pytest.approx(4.0)
 
 
@@ -77,7 +77,7 @@ class TestClosedForm:
     def test_single_particle_reduces_to_the_sheet(self):
         # N = 1, weight 1: interaction cancels, the state is y0 + B
         g = square_grid(16)
-        cfg = ChaosConfig(N=1, a_values=1.0, y0=0.7, grid=g, seed=2)
+        cfg = ChaosConfig(N=1, a_values=1.0, y0=0.7, grid=g)
         sh = sample_sheet(g, 1, seed=2)
         closed = closed_form_solution(cfg, sh)
         sim = simulate_particle_system(cfg, sh)
@@ -87,7 +87,7 @@ class TestClosedForm:
 
     def test_matches_simulation_on_a_shared_sheet(self):
         g = square_grid(32)
-        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=g, seed=0)
+        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=g)
         sh = sample_sheet(g, 4, seed=0)
         sim = simulate_particle_system(cfg, sh)
         exact = closed_form_solution(cfg, sh)
@@ -96,7 +96,7 @@ class TestClosedForm:
 
     def test_nonuniform_weights(self):
         g = square_grid(32)
-        cfg = ChaosConfig(N=3, a_values=np.array([0.5, 1.0, 2.0]), y0=1.0, grid=g, seed=1)
+        cfg = ChaosConfig(N=3, a_values=np.array([0.5, 1.0, 2.0]), y0=1.0, grid=g)
         sh = sample_sheet(g, 3, seed=1)
         sim = simulate_particle_system(cfg, sh)
         exact = closed_form_solution(cfg, sh)
@@ -112,7 +112,7 @@ class TestClosedForm:
         for k in (16, 32, 64):
             g = square_grid(k)
             sh = sheet_from_increments(g, coarsen_increments(fine_inc, 64 // k), seed)
-            cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=g, seed=seed)
+            cfg = ChaosConfig(N=N, a_values=1.0, y0=1.0, grid=g)
             sim = simulate_particle_system(cfg, sh)
             exact = closed_form_solution(cfg, sh)
             gaps.append(float(np.sqrt(np.mean((sim.values - exact.values) ** 2))))
@@ -120,7 +120,7 @@ class TestClosedForm:
 
     def test_channel_count_must_match(self):
         g = square_grid(8)
-        cfg = ChaosConfig(N=3, a_values=1.0, y0=0.0, grid=g, seed=0)
+        cfg = ChaosConfig(N=3, a_values=1.0, y0=0.0, grid=g)
         with pytest.raises(ValueError):
             closed_form_solution(cfg, sample_sheet(g, 2, 0))
         with pytest.raises(ValueError):
@@ -132,21 +132,21 @@ class TestRemainderVariance:
         # E|I_N|^2 = V0 / N for unit weights; V0 pinned by quadrature
         v0 = 0.0016185367426575223
         g = Grid(horizon=Point(0.5, 0.5), nt=32, nx=32)
-        cfg = ChaosConfig(N=8, a_values=1.0, y0=1.0, grid=g, seed=0)
+        cfg = ChaosConfig(N=8, a_values=1.0, y0=1.0, grid=g)
         est = remainder_variance(cfg, replicates=200, seed=0)
         assert est.replicates == 200
         assert abs(est.estimate * 8 - v0) < 4.0 * est.stderr * 8
 
     def test_redrawn_weights_supported(self):
         g = Grid(horizon=Point(0.5, 0.5), nt=16, nx=16)
-        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=g, seed=0)
+        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=g)
         est = remainder_variance(
             cfg, replicates=50, seed=3, a_sampler=lambda rng: rng.uniform(0.5, 1.5, size=4)
         )
         assert est.estimate > 0.0
 
     def test_needs_two_replicates(self):
-        cfg = ChaosConfig(N=2, a_values=1.0, y0=0.0, grid=square_grid(4), seed=0)
+        cfg = ChaosConfig(N=2, a_values=1.0, y0=0.0, grid=square_grid(4))
         with pytest.raises(ValueError):
             remainder_variance(cfg, replicates=1, seed=0)
 

@@ -9,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetlab.cli import ENV_OUT, main
+from sheetlab.cli import ENV_OUT, EXPERIMENTS, _gaussian_couplings, main
+from sheetlab.noise import cell_increments, sample_sheet
+from sheetlab.plane import Grid, Point
+from sheetlab.rng import DOMAIN_SHEET, substream
 
 DATA = Path(__file__).parent / "data"
+GOLDENS = sorted(DATA.glob("cli_*_golden.json"))
 
 
 def run(argv, tmp_path, monkeypatch):
@@ -28,15 +32,32 @@ def _csv(path):
 
 def _check_golden(golden, meta, body, rows, rtol=0.0):
     """An experiment's CSV against its recorded golden: metadata, header, the
-    passed column (last) and the numeric columns of ``rows`` at 1e-12."""
+    passed column (last, where the golden records one) and the numeric
+    columns of ``rows`` at 1e-12."""
     assert meta["experiment"] == golden["experiment"]
     assert {key: meta[key] for key in golden["meta"]} == golden["meta"]
     assert meta["all_pass"] == str(golden["all_pass"])
     assert body[0] == golden["header"]
-    assert [row[-1] for row in rows] == [str(p) for p in golden["passed"]]
-    got = np.array([[float(v) for v in row[:-1]] for row in rows])
+    if "passed" in golden:
+        assert [row[-1] for row in rows] == [str(p) for p in golden["passed"]]
+        rows = [row[:-1] for row in rows]
+    got = np.array([[float(v) for v in row] for row in rows])
     want = np.array(golden["rows"], dtype=float)  # null -> nan
     np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-12, equal_nan=True)
+
+
+def _check_golden_run(name, capsys, tmp_path, monkeypatch):
+    """Run the argv of ``name``'s golden; check its exit status, its row
+    labels (where the golden records them) and ``_check_golden``."""
+    golden = json.loads((DATA / f"cli_{name.replace('-', '_')}_golden.json").read_text())
+    assert run(golden["argv"], tmp_path, monkeypatch) == (0 if golden["all_pass"] else 2)
+    capsys.readouterr()
+    meta, body = _csv(tmp_path / f"{name}.csv")
+    rows = body[1:]
+    if "labels" in golden:
+        assert [row[0] for row in rows] == golden["labels"]
+        rows = [row[1:] for row in rows]
+    _check_golden(golden, meta, body, rows)
 
 
 class TestArgumentHandling:
@@ -59,6 +80,11 @@ class TestArgumentHandling:
 
     def test_malformed_token_rejected(self, capsys, tmp_path, monkeypatch):
         assert run(["lemma61", "k64"], tmp_path, monkeypatch) == 1
+
+    def test_lemma61_takes_no_seed(self, capsys, tmp_path, monkeypatch):
+        # lemma61 draws nothing, so it has no seed to set
+        assert run(["lemma61", "seed=0"], tmp_path, monkeypatch) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -112,6 +138,24 @@ class TestSeedAndWorkerInvariance:
         a = [l for l in row(tmp_path / "s0" / "est-check.csv") if l.startswith("gaussian")]
         b = [l for l in row(tmp_path / "s1" / "est-check.csv") if l.startswith("gaussian")]
         assert a != b
+
+
+class TestEstCheckStream:
+    """est-check draws its couplings from a domain of its own.  A coupling is
+    m + s * base, so standardising it recovers its base normals; they must not
+    be channel 1 of the stream-0 sheet at the same seed, which the draw from
+    the sheet domain's stream (0, 1) reproduces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_couplings_are_not_the_sheet_increments(self, seed):
+        grid = Grid(horizon=Point(1.0, 1.0), nt=16, nx=16)
+        increments = cell_increments(sample_sheet(grid, 2, seed), 1).ravel()
+        sheet_normals = increments / np.sqrt(grid.dt * grid.dx)
+        base_of = lambda x: (x - x.mean()) / x.std()  # noqa: E731
+        collided = substream(seed, DOMAIN_SHEET, stream=0, channel=1).normal(size=256)
+        np.testing.assert_allclose(base_of(collided), base_of(sheet_normals), atol=1e-12)
+        first, _ = _gaussian_couplings(1, seed)[0]
+        assert not np.allclose(base_of(first[:, 0]), base_of(sheet_normals), atol=1e-6)
 
 
 class TestFokkerPlanckGolden:
@@ -180,15 +224,47 @@ class TestNoiseDrawGoldens:
 
     @pytest.mark.parametrize("name", ["chaos-rate", "chaos-closed-form", "sheet-stats"])
     def test_run_reproduces_the_recorded_rows(self, name, capsys, tmp_path, monkeypatch):
-        golden = json.loads((DATA / f"cli_{name.replace('-', '_')}_golden.json").read_text())
-        assert run(golden["argv"], tmp_path, monkeypatch) == (0 if golden["all_pass"] else 2)
-        capsys.readouterr()
-        meta, body = _csv(tmp_path / f"{name}.csv")
-        rows = body[1:]
-        if "labels" in golden:
-            assert [row[0] for row in rows] == golden["labels"]
-            rows = [row[1:] for row in rows]
-        _check_golden(golden, meta, body, rows)
+        _check_golden_run(name, capsys, tmp_path, monkeypatch)
+
+
+class TestExperimentGoldens:
+    """lemma61 and est-check at their defaults, and control-search at 4
+    replicates (its defaults take many seconds), against rows and metadata
+    recorded before the runners returned their checks as data
+    (tests/data/cli_*_golden.json).  The est-check golden was recorded again
+    once its couplings moved off the sheet's stream to a domain of their own.
+    control-search's rows have no passed column; its best_theta_* metadata
+    are held exactly."""
+
+    @pytest.mark.parametrize("name", ["lemma61", "est-check", "control-search"])
+    def test_run_reproduces_the_recorded_rows(self, name, capsys, tmp_path, monkeypatch):
+        _check_golden_run(name, capsys, tmp_path, monkeypatch)
+
+
+class TestRunRecord:
+    """What ``main`` records for every experiment (one golden argv each): the
+    experiment, every parameter in the order of its defaults, the derived
+    values, then ``wall_seconds`` and ``all_pass``, which is the AND of the
+    printed PASS/FAIL lines and decides the exit status."""
+
+    @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
+    def test_metadata_records_parameters_and_verdict(self, path, capsys, tmp_path, monkeypatch):
+        argv = json.loads(path.read_text())["argv"]
+        name, defaults = argv[0], EXPERIMENTS[argv[0]][1]
+        code = run(argv, tmp_path, monkeypatch)
+        lines = capsys.readouterr().out.splitlines()
+        meta, _ = _csv(tmp_path / f"{name}.csv")
+        keys = list(meta)
+        assert keys[0] == "experiment" and meta["experiment"] == name
+        assert keys[1 : 1 + len(defaults)] == list(defaults)
+        assert keys[-2:] == ["wall_seconds", "all_pass"]
+        for token in argv[1:]:
+            key, _, value = token.partition("=")
+            assert meta[key] == value
+        verdicts = [l.startswith("[PASS]") for l in lines if l.startswith(("[PASS] ", "[FAIL] "))]
+        assert verdicts
+        assert meta["all_pass"] == str(all(verdicts))
+        assert code == (0 if all(verdicts) else 2)
 
 
 class TestConsoleScript:
