@@ -24,7 +24,6 @@ from sheetlab import (
     ChaosConfig,
     Grid,
     Point,
-    cell_increments,
     closed_form_solution,
     coarsen_increments,
     remainder_variance,
@@ -40,8 +39,7 @@ def square(k, t=1.0, x=1.0):
 
 
 # -- closed form vs direct simulation on shared, coupled noise ---------------
-fine = sample_sheet(square(64), 4, seed=0, stream=0)
-fine_inc = np.stack([cell_increments(fine, c) for c in range(4)])
+fine_inc = sample_sheet(square(64), 4, seed=0, stream=0).increments
 print("closed form vs simulation, N = 4 particles, one coupled draw")
 for k in (16, 32, 64):
     sheet = sheet_from_increments(square(k), coarsen_increments(fine_inc, 64 // k), 0)

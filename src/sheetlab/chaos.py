@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SheetPath, _draw_cells, cell_increments, sample_sheet, sheet_from_increments
+from .noise import SheetPath, _draw_cells, _node_values, sample_sheet, sheet_from_increments
 from .plane import Grid, Point
 from .rng import DOMAIN_CHAOS, substream
 from .series import SeriesConfig, f_series
@@ -197,7 +197,7 @@ def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
     K1 = f_series(-theta, cfg.series)
     K2 = f_series(kappa * theta, cfg.series)
 
-    dB = np.stack([cell_increments(sheet, c) for c in range(cfg.N)], axis=0)
+    dB = sheet.increments
     shared = _convolve_cells(
         np.einsum("j,jab->ab", A.a_values / A.total, dB), K2 - K1
     )
@@ -271,7 +271,7 @@ def limit_solution(
     K1 = f_series(-theta, series)
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
     det = f_series((a - 1.0) * tx, series) * y0
-    values = det + _convolve_cells(cell_increments(sheet_star, 0), K1)
+    values = det + _convolve_cells(sheet_star.increments[0], K1)
     return StateField(values=values[:, :, None], grid=grid)
 
 
@@ -314,30 +314,20 @@ def verify_limit_spde(
     drift_exact = ((f_series(c * tx, series) - 1.0) / c if c != 0 else tx) * y0
     det_residual = float(np.max(np.abs(u - y0 - c * drift_exact)))
 
-    if increments is not None:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (replicates, grid.nt, grid.nx):
-            raise ValueError(
-                f"increments shape {increments.shape} != {(replicates, grid.nt, grid.nx)}"
-            )
-    fields = np.empty((replicates, grid.nt + 1, grid.nx + 1))
-    sheets = []
-    for rep in range(replicates):
-        if increments is None:
-            sheet = sample_sheet(grid, 1, seed, stream=rep)
-        else:
-            sheet = sheet_from_increments(grid, increments[rep : rep + 1], seed)
-        sheets.append(sheet)
-        fields[rep] = limit_solution(a, y0, sheet, series).values[:, :, 0]
-
-    mean_field = fields.mean(axis=0)
-    dtdx = grid.dt * grid.dx
-    residuals = np.empty_like(fields)
-    for rep in range(replicates):
-        integrand = (a * mean_field - fields[rep])[:-1, :-1] * dtdx
-        drift = np.zeros((grid.nt + 1, grid.nx + 1))
-        drift[1:, 1:] = integrand.cumsum(axis=0).cumsum(axis=1)
-        residuals[rep] = fields[rep] - y0 - drift - sheets[rep].values[0]
+    shape = (replicates, grid.nt, grid.nx)
+    if increments is not None and np.shape(increments) != shape:
+        raise ValueError(f"increments shape {np.shape(increments)} != {shape}")
+    sheets = [
+        sample_sheet(grid, 1, seed, stream=rep)
+        if increments is None
+        else sheet_from_increments(grid, increments[rep : rep + 1], seed)
+        for rep in range(replicates)
+    ]
+    fields = np.array([limit_solution(a, y0, sheet, series).values[:, :, 0] for sheet in sheets])
+    B = np.array([sheet.values[0] for sheet in sheets])
+    # the drift integral's lower-corner sums, every replicate at once
+    drift = _node_values((a * fields.mean(axis=0) - fields)[:, :-1, :-1] * (grid.dt * grid.dx))
+    residuals = fields - y0 - drift - B
     stoch_residual = float(np.max(np.sqrt(np.mean(residuals**2, axis=0))))
     return LimitSpdeReport(
         det_residual=det_residual, stoch_residual=stoch_residual, replicates=replicates

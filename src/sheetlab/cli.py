@@ -45,15 +45,9 @@ from .control import (
 from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table
 from .ito_check import ito_refinement_study, scalar_function
 from .measures import EmpiricalMeasure, MQuadrature, est_inequality_check, m_dist_sq
-from .noise import (
-    _draw_cells,
-    cell_increments,
-    coarsen_increments,
-    sample_sheet,
-    sheet_from_increments,
-)
+from .noise import coarsen_increments, sample_sheet, sheet_from_increments
 from .plane import Grid, Point
-from .rng import DOMAIN_COUPLINGS, DOMAIN_SHEET, substream
+from .rng import DOMAIN_COUPLINGS, substream
 from .series import find_r0, picard_series_partial_sums
 from .solver import (
     CoefficientField,
@@ -84,6 +78,8 @@ def _parse_value(text: str):
 
 def _parse_args(tokens, defaults):
     params = dict(defaults)
+    # a key whose default is a number or a list of numbers takes numbers only
+    numeric = lambda value: all(isinstance(v, (int, float)) for v in _as_list(value))  # noqa: E731
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
@@ -91,6 +87,8 @@ def _parse_args(tokens, defaults):
         if key not in defaults:
             raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(defaults))}")
         params[key] = _parse_value(raw)
+        if numeric(defaults[key]) and not numeric(params[key]):
+            raise ValueError(f"key {key!r} takes numbers, got {raw!r}")
     return params
 
 
@@ -125,7 +123,7 @@ def _run_sheet_stats(p):
     phi = np.outer(tc, xc)  # phi(s, a) = s * a at cell lower corners
 
     def one(rep):
-        dB = _draw_cells(grid, seed, DOMAIN_SHEET, [(rep, 0)])[0]
+        dB = sample_sheet(grid, 1, seed, stream=rep).increments[0]
         return (
             dB.sum(),
             dB[: k // 2, :].sum() * dB[:, : k // 2].sum(),
@@ -134,10 +132,11 @@ def _run_sheet_stats(p):
 
     samples = np.array([one(rep) for rep in range(reps)])
     var = float(np.var(samples[:, 0], ddof=1))
+    var_se = float(np.std((samples[:, 0] - samples[:, 0].mean()) ** 2, ddof=1) / np.sqrt(reps))
     cov, cov_se = float(samples[:, 1].mean()), float(samples[:, 1].std(ddof=1) / np.sqrt(reps))
     iso, iso_se = float(samples[:, 2].mean()), float(samples[:, 2].std(ddof=1) / np.sqrt(reps))
     rows = [
-        ("variance_corner", var, 1.0, 0.05, 0.95 <= var <= 1.05),
+        ("variance_corner", var, 1.0, 3 * var_se, abs(var - 1.0) <= 3 * var_se),
         ("cov_disjoint_quadrants", cov, 0.25, 3 * cov_se, abs(cov - 0.25) <= 3 * cov_se),
         ("isometry_bilinear", iso, 1.0 / 9.0, 3 * iso_se, abs(iso - 1.0 / 9.0) <= 3 * iso_se),
     ]
@@ -240,8 +239,7 @@ def _run_chaos_closed_form(p):
     N = p["N"]
     ks = [int(k) for k in _as_list(p["grids"])]
     k_fine = ks[-1]
-    fine = sample_sheet(_square_grid(k_fine), N, p["seed"], stream=0)
-    fine_inc = np.stack([cell_increments(fine, c) for c in range(N)])
+    fine_inc = sample_sheet(_square_grid(k_fine), N, p["seed"], stream=0).increments
 
     def gap(idx):
         k = ks[idx]

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure
+from .noise import _node_values
 from .plane import Grid, Point
 from .rng import DOMAIN_CONTROL
 from .solver import (
@@ -101,12 +102,6 @@ class CostSpec:
     running: object
     terminal: object
     horizon: Point
-
-
-def _common_node_values(grid: Grid, common_increments: np.ndarray) -> np.ndarray:
-    values = np.zeros((grid.nt + 1, grid.nx + 1))
-    values[1:, 1:] = common_increments.cumsum(axis=0).cumsum(axis=1)
-    return values
 
 
 def _observation_views(common_values: np.ndarray, grid: Grid) -> dict:
@@ -227,7 +222,7 @@ def _performance(
     values = np.empty(replicates)
     for rep in range(replicates):
         common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
-        views = _observation_views(_common_node_values(grid, common), grid)
+        views = _observation_views(_node_values(common), grid)
         coeffs = _curry(controlled, policy, views, grid)
         ensemble = solve_conditional_mkv(
             coeffs, y0, M, grid, seed, common_increments=common, idio_increments=idio

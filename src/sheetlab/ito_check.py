@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import SheetPath, cell_increments, sample_sheet
+from .noise import SheetPath, sample_sheet
 from .plane import Grid, Point
 from .solver import CoefficientField, StateField, coefficient_table, solve_goursat
 
@@ -119,12 +119,10 @@ def ito_terms(
     if sheet.channels != coeffs.m:
         raise ValueError(f"sheet has {sheet.channels} channels, coefficients declare m={coeffs.m}")
     i, j = grid.node_index(z)
-    n, m = coeffs.n, coeffs.m
     dtdx = grid.dt * grid.dx
 
     # single-path conditional reading: a measure collapses to the path's own state
     alpha, beta = (t[0] for t in coefficient_table(coeffs, field.values[None], grid, i, j))
-    dB = np.stack([cell_increments(sheet, c)[:i, :j] for c in range(m)], axis=-1)  # (i, j, m)
 
     Yc = field.values[:i, :j, :]
     g1 = np.asarray(f.grad(Yc))       # (i, j, n)
@@ -133,7 +131,7 @@ def ito_terms(
     g4 = np.asarray(f.fourth(Yc))     # (i, j, n, n, n, n)
 
     aD = alpha * dtdx                                   # (i, j, n)
-    bD = np.einsum("ijnm,ijm->ijn", beta, dB)           # (i, j, n)
+    bD = np.einsum("ijnm,mij->ijn", beta, sheet.increments[:, :i, :j])  # (i, j, n)
     qD = np.einsum("ijnm,ijlm->ijnl", beta, beta) * dtdx  # (i, j, n, n) = beta beta^T dtdx
 
     t1 = np.einsum("ijn,ijn->", g1, aD)

@@ -1,10 +1,10 @@
 """Brownian sheets on a grid and the two stochastic integral types.
 
-A sheet path stores node values B(i*dt, j*dx) per channel, built as the 2-D
-cumulative sum of independent N(0, dt*dx) cell increments, so B vanishes on
-both axes and rectangle increments over disjoint rectangles are independent
-by construction.  Covariance of the continuum object: E[B(s,a)B(t,x)] =
-min(s,t)*min(a,x).
+A sheet path stores, read-only and per channel, the independent N(0, dt*dx)
+cell increments it is drawn as (and dumps them, format version 2); its node
+values B(i*dt, j*dx) are their 2-D cumulative sum, derived once, so B vanishes
+on both axes and rectangle increments over disjoint rectangles are independent
+by construction.  Covariance of the continuum: E[B(s,a)B(t,x)] = min(s,t)*min(a,x).
 
 First-type integrals sum phi(lower corner) * dB(cell) — adapted evaluation.
 Second-type integrals sum psi(corner, corner') * dB(cell) * dB(cell') over
@@ -13,15 +13,16 @@ variation, which the planar Ito formula books under its separate
 (1/2) beta beta^T term, so including identical-cell pairs here would double
 count it.
 
-One sampler, :func:`_draw_cells`, draws all cell noise of the library: sheets,
-the CLI's sheet statistics, ensemble, replicate and control noise, and the
-propagation-of-chaos channels, each from its own (domain, stream, channel) words.
+One sampler, :func:`_draw_cells`, draws all cell noise of the library: sheets
+(and so the CLI's sheet statistics), ensemble, replicate and control noise, and
+the propagation-of-chaos channels, each from its own (domain, stream, channel) words.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +45,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SheetPath:
-    """m-channel sheet sampled on a grid; values indexed (channel, i, j)."""
+    """m-channel sheet on a grid: read-only cell increments (channel, i, j) of the
+    cells [i*dt, (i+1)*dt] x [j*dx, (j+1)*dx]; made by the functions below."""
 
-    values: np.ndarray
+    increments: np.ndarray
     grid: Grid
     seed: int
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Node values B(i*dt, j*dx), shape (m, nt+1, nx+1), read-only."""
+        values = _node_values(self.increments)
+        values.setflags(write=False)
+        return values
+
     @property
     def channels(self) -> int:
-        return self.values.shape[0]
+        return self.increments.shape[0]
+
+
+def _node_values(cells: np.ndarray) -> np.ndarray:
+    """Node values of cell increments (..., nt, nx): the double cumulative
+    sum, along t then x, bordered by zeros, shape (..., nt+1, nx+1)."""
+    values = np.zeros(cells.shape[:-2] + (cells.shape[-2] + 1, cells.shape[-1] + 1))
+    values[..., 1:, 1:] = cells.cumsum(axis=-2).cumsum(axis=-1)
+    return values
 
 
 def _draw_cells(grid: Grid, seed: int, domain: int, coordinates) -> np.ndarray:
@@ -77,23 +94,21 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     if m < 1:
         raise ValueError(f"need at least one channel, got m={m}")
     cells = _draw_cells(grid, seed, DOMAIN_SHEET, ((stream, c) for c in range(m)))
-    return sheet_from_increments(grid, cells, seed)
+    cells.setflags(write=False)
+    return SheetPath(increments=cells, grid=grid, seed=seed)
 
 
 def sheet_from_increments(grid: Grid, increments: np.ndarray, seed: int = 0) -> SheetPath:
-    """Rebuild node values from per-cell increments of shape (m, nt, nx).
+    """A sheet on a read-only copy of the cell increments (m, nt, nx).
 
     Inverse of :func:`cell_increments` per channel; the hook for injecting
     coupled noise (coarsened, antithetic, shared) into sheet consumers.
     """
-    increments = np.asarray(increments, dtype=float)
+    increments = np.array(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (grid.nt, grid.nx):
-        raise ValueError(
-            f"increments shape {increments.shape} != (m, {grid.nt}, {grid.nx})"
-        )
-    values = np.zeros((increments.shape[0], grid.nt + 1, grid.nx + 1))
-    values[:, 1:, 1:] = increments.cumsum(axis=1).cumsum(axis=2)
-    return SheetPath(values=values, grid=grid, seed=seed)
+        raise ValueError(f"increments shape {increments.shape} != (m, {grid.nt}, {grid.nx})")
+    increments.setflags(write=False)
+    return SheetPath(increments=increments, grid=grid, seed=seed)
 
 
 def coarsen_increments(increments: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -111,19 +126,17 @@ def coarsen_increments(increments: np.ndarray, factor: int = 2) -> np.ndarray:
 
 
 def cell_increments(path: SheetPath, channel: int) -> np.ndarray:
-    """Per-cell increments dB of one channel, shape (nt, nx)."""
-    v = path.values[channel]
-    return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+    """Per-cell increments dB of one channel, shape (nt, nx), read-only."""
+    return path.increments[channel]
 
 
 def rect_increment(path: SheetPath, channel: int, lower: Point, upper: Point) -> float:
-    """Four-corner alternating sum B over the rectangle [lower, upper]."""
+    """B over the rectangle [lower, upper]: the sum of its cell increments."""
     i1, j1 = path.grid.node_index(lower)
     i2, j2 = path.grid.node_index(upper)
     if i2 < i1 or j2 < j1:
         raise ValueError("rectangle corners must satisfy lower <= upper componentwise")
-    v = path.values[channel]
-    return float(v[i2, j2] - v[i1, j2] - v[i2, j1] + v[i1, j1])
+    return float(path.increments[channel, i1:i2, j1:j2].sum())
 
 
 def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
@@ -132,7 +145,7 @@ def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
     i, j = path.grid.node_index(z)
     if i == 0 or j == 0:
         return 0.0
-    dB = cell_increments(path, channel)[:i, :j]
+    dB = path.increments[channel, :i, :j]
     return float(np.sum(_field_on_corners(phi, path.grid, i, j) * dB))
 
 
@@ -148,8 +161,8 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point, chun
     i, j = grid.node_index(z)
     if i == 0 or j == 0:
         return 0.0
-    d1 = cell_increments(path, ch1)[:i, :j].ravel()
-    d2 = cell_increments(path, ch2)[:i, :j].ravel()
+    d1 = path.increments[ch1, :i, :j].ravel()
+    d2 = path.increments[ch2, :i, :j].ravel()
     tt = (np.arange(i) * grid.dt)[:, None]
     xx = (np.arange(j) * grid.dx)[None, :]
     flat_t = np.broadcast_to(tt, (i, j)).ravel()
@@ -173,11 +186,12 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point, chun
 
 
 _MAGIC = b"SHTL"
-_VERSION = 1
+_VERSION = 2  # version 1 dumps held node values; version 2 holds cell increments
 
 
 def save_sheet(path: SheetPath, filename: str) -> None:
-    """Binary dump: header (grid dims, horizon, m, seed) + row-major doubles."""
+    """Binary dump: header (version, grid dims, m, seed, horizon) + the cell
+    increments as row-major doubles."""
     grid = path.grid
     header = _MAGIC + struct.pack(
         "<IIIIqdd", _VERSION, grid.nt, grid.nx, path.channels, path.seed,
@@ -185,22 +199,24 @@ def save_sheet(path: SheetPath, filename: str) -> None:
     )
     with open(filename, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 
 def load_sheet(filename: str) -> SheetPath:
-    """Inverse of :func:`save_sheet`; validates magic and payload size."""
+    """Inverse of :func:`save_sheet`; validates magic and payload size, and
+    reads a version 1 dump (node values) by differencing it once."""
     with open(filename, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a sheet dump: bad magic {magic!r}")
         version, nt, nx, m, seed, T, X = struct.unpack("<IIIIqdd", fh.read(40))
-        if version != _VERSION:
+        if version not in (1, _VERSION):
             raise ValueError(f"unsupported sheet dump version {version}")
-        payload = fh.read()
-    values = np.frombuffer(payload, dtype="<f8")
-    expected = m * (nt + 1) * (nx + 1)
-    if values.size != expected:
-        raise ValueError(f"sheet dump payload has {values.size} doubles, expected {expected}")
-    grid = Grid(Point(T, X), nt, nx)
-    return SheetPath(values=values.reshape(m, nt + 1, nx + 1).copy(), grid=grid, seed=seed)
+        payload = np.frombuffer(fh.read(), dtype="<f8")
+    shape = (m, nt + 1, nx + 1) if version == 1 else (m, nt, nx)
+    if payload.size != (expected := int(np.prod(shape))):
+        raise ValueError(f"sheet dump payload has {payload.size} doubles, expected {expected}")
+    cells = payload.reshape(shape)
+    if version == 1:
+        cells = cells[:, 1:, 1:] - cells[:, :-1, 1:] - cells[:, 1:, :-1] + cells[:, :-1, :-1]
+    return sheet_from_increments(Grid(Point(T, X), nt, nx), cells, seed)

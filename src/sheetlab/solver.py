@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure
-from .noise import SheetPath, _draw_cells, cell_increments
+from .noise import SheetPath, _draw_cells
 from .plane import Grid, Point
 from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE
 from .series import find_r0
@@ -348,7 +348,7 @@ def solve_goursat(
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     # one path: channel 0 plays the common channel, the rest its own
-    dB = np.stack([cell_increments(sheet, c) for c in range(coeffs.m)])  # (m, nt, nx)
+    dB = sheet.increments  # (m, nt, nx), read in place
     Y = _check_finite(_sweep(coeffs, y0, grid, dB[0], dB[None, 1:], measure_source=measure_source))
     return StateField(values=Y[0], grid=grid)
 

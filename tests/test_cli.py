@@ -81,6 +81,14 @@ class TestArgumentHandling:
     def test_malformed_token_rejected(self, capsys, tmp_path, monkeypatch):
         assert run(["lemma61", "k64"], tmp_path, monkeypatch) == 1
 
+    @pytest.mark.parametrize("argv", [["lemma61", "k=abc"], ["ito-check", "grids=16,x"]])
+    def test_numeric_key_rejects_text(self, argv, capsys, tmp_path, monkeypatch):
+        # a key whose default is numeric takes numbers only: a usage error, not a traceback
+        assert run(argv, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("argument error:") and "usage" in err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
     def test_lemma61_takes_no_seed(self, capsys, tmp_path, monkeypatch):
         # lemma61 draws nothing, so it has no seed to set
         assert run(["lemma61", "seed=0"], tmp_path, monkeypatch) == 1
@@ -218,9 +226,9 @@ class TestControlEquivGolden:
 class TestNoiseDrawGoldens:
     """Experiments whose cell noise is drawn by ``noise._draw_cells``, against
     rows recorded before that sampler served them (tests/data/cli_*_golden.json).
-    sheet-stats runs at 500 replicates: its variance check keeps a fixed 0.05
-    tolerance, which that many replicates miss, so the golden records a FAIL
-    and exit status 2."""
+    sheet-stats runs at 500 replicates; its golden was recorded again when its
+    variance check moved from a fixed 0.05 tolerance, which that many
+    replicates missed (a FAIL and exit status 2), to 3 standard errors."""
 
     @pytest.mark.parametrize("name", ["chaos-rate", "chaos-closed-form", "sheet-stats"])
     def test_run_reproduces_the_recorded_rows(self, name, capsys, tmp_path, monkeypatch):

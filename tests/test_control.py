@@ -18,7 +18,7 @@ from sheetlab import (
     performance_direct,
     performance_measure_based,
 )
-from sheetlab.control import _common_node_values
+from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
 from sheetlab.solver import _replicate_increments
 
@@ -143,7 +143,7 @@ class TestCurriedObservation:
         per_replicate = len(seen) // 2
         for rep in range(2):
             common, _ = _replicate_increments(DOMAIN_CONTROL, g, controlled.m, 3, 4, rep)
-            common_values = _common_node_values(g, common)
+            common_values = _node_values(common)
             for (i, j), view in seen[rep * per_replicate : (rep + 1) * per_replicate]:
                 assert view.shape == (i + 1, j + 1)
                 assert np.array_equal(view, common_values[: i + 1, : j + 1])

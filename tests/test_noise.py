@@ -1,5 +1,7 @@
 """Brownian sheets: sampling, increments, stochastic integrals, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from sheetlab import (
     sheet_from_increments,
     substream,
 )
+from sheetlab.noise import _draw_cells, _node_values
 
 
 def square_grid(k, t=1.0, x=1.0):
@@ -81,6 +84,34 @@ class TestIncrementsRoundTrip:
         incr = np.stack([cell_increments(sh, c) for c in range(2)])
         rebuilt = sheet_from_increments(g, incr, seed=9)
         np.testing.assert_allclose(rebuilt.values, sh.values, atol=1e-12)
+
+    def test_sample_sheet_keeps_the_drawn_increments_read_only(self):
+        g = Grid(horizon=Point(1.0, 2.0), nt=5, nx=3)
+        sh = sample_sheet(g, 3, seed=4, stream=2)
+        drawn = _draw_cells(g, 4, DOMAIN_SHEET, [(2, c) for c in range(3)])
+        assert np.array_equal(sh.increments, drawn)
+        for c in range(3):
+            assert np.array_equal(cell_increments(sh, c), drawn[c])
+        for array in (sh.increments, sh.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 1.0
+
+    def test_sheet_from_increments_copies_its_input(self):
+        g = square_grid(3)
+        incr = np.ones((2, 3, 3))
+        sh = sheet_from_increments(g, incr)
+        incr[0, 0, 0] = 5.0
+        assert sh.increments[0, 0, 0] == 1.0
+        assert not np.shares_memory(sh.increments, incr)
+        assert not sh.increments.flags.writeable and incr.flags.writeable
+        np.testing.assert_array_equal(sh.values[0, -1], [0.0, 3.0, 6.0, 9.0])
+
+    def test_values_are_the_node_values_of_the_increments(self):
+        g = Grid(horizon=Point(1.0, 1.0), nt=4, nx=7)
+        sh = sample_sheet(g, 2, seed=11)
+        assert np.array_equal(sh.values, _node_values(sh.increments))
+        assert sh.values is sh.values  # derived once
 
     def test_coarsen_sums_blocks_and_matches_coarse_nodes(self):
         fine = square_grid(8)
@@ -196,10 +227,27 @@ class TestFileFormat:
         sh = sample_sheet(g, 3, seed=42, stream=5)
         fn = str(tmp_path / "sheet.bin")
         save_sheet(sh, fn)
+        with open(fn, "rb") as fh:
+            assert struct.unpack("<I", fh.read(8)[4:])[0] == 2  # dumps hold increments
         back = load_sheet(fn)
+        np.testing.assert_array_equal(back.increments, sh.increments)
         np.testing.assert_array_equal(back.values, sh.values)
         assert back.grid == sh.grid
         assert back.seed == sh.seed
+
+    def test_loads_a_version_1_dump_of_node_values(self, tmp_path):
+        g = Grid(horizon=Point(1.5, 2.0), nt=6, nx=4)
+        sh = sample_sheet(g, 2, seed=42, stream=5)
+        fn = tmp_path / "sheet_v1.bin"
+        header = struct.pack("<IIIIqdd", 1, 6, 4, 2, 42, 1.5, 2.0)
+        fn.write_bytes(b"SHTL" + header + sh.values.astype("<f8").tobytes())
+        back = load_sheet(str(fn))
+        assert back.grid == g and back.seed == 42
+        np.testing.assert_allclose(back.increments, sh.increments, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(back.values, sh.values, rtol=0, atol=1e-14)
+        fn.write_bytes(b"SHTL" + header + sh.increments.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="payload"):  # a version 1 header needs node values
+            load_sheet(str(fn))
 
     def test_rejects_corrupt_magic(self, tmp_path):
         g = square_grid(4)

@@ -4,7 +4,9 @@ A field whose coefficients ignore the states (and the measure) is solved in
 closed form; these properties pin that form against the row loop, against
 the telescoping identity and, for ensembles, against each particle's own
 single-path solve.  The ensemble noise is pinned to nest across particle
-counts.
+counts, a replicate's value not to depend on which other replicates ran or
+in what order, and the Picard fixed point inside K|z| < sqrt(r0) to be the
+direct conditional solve.
 """
 
 import dataclasses
@@ -18,11 +20,21 @@ from sheetlab import (
     CoefficientField,
     Grid,
     Point,
+    controlled_linear_field,
+    convergence_radius_report,
+    find_r0,
     ito_integral,
+    ito_terms,
+    lq_cost,
+    mean_feedback_policy,
+    mean_reversion_field,
+    performance_direct,
+    picard_solve,
     rect_integral,
     sample_ensemble_increments,
     sample_replicate_increments,
     sample_sheet,
+    scalar_function,
     sheet_from_increments,
     solve_conditional_mkv,
     solve_goursat,
@@ -133,3 +145,84 @@ def test_ensemble_noise_nests_across_particle_counts(seed, rep, m, M, extra, nt,
         (common, idio), (common_big, idio_big) = sample(M), sample(M + extra)
         assert np.array_equal(common, common_big)
         assert np.array_equal(idio, idio_big[:M])
+
+
+# the ito-refine chain: ito-check's quadratic case, additive noise on one channel
+ADDITIVE = CoefficientField(
+    n=1,
+    m=1,
+    drift=lambda z, y, mu: np.zeros_like(y),
+    diffusion=lambda z, y, mu: np.ones(y.shape + (1,)),
+    depends_on_state=False,
+    depends_on_measure=False,
+)
+QUADRATIC = scalar_function(
+    lambda y: y**2, lambda y: 2.0 * y, lambda y: 2.0, lambda y: 0.0, lambda y: 0.0
+)
+
+
+def ito_refine_replicate(grid, seed, stream):
+    sheet = sample_sheet(grid, 1, seed, stream=stream)
+    field = solve_goursat(ADDITIVE, 1.0, sheet, grid)
+    return ito_terms(QUADRATIC, ADDITIVE, field, sheet, grid.horizon)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 200), min_size=1, max_size=6, unique=True),
+    st.data(),
+)
+def test_ito_refine_replicate_does_not_depend_on_the_schedule(k, seed, streams, data):
+    # stream r run alone, and run inside a shuffled subset of streams
+    grid = Grid(horizon=Point(1.0, 1.0), nt=k, nx=k)
+    order = data.draw(st.permutations(streams))
+    scheduled = {r: ito_refine_replicate(grid, seed, r) for r in order}
+    for r in streams:
+        assert ito_refine_replicate(grid, seed, r) == scheduled[r]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(2, 3),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.floats(-1.0, 1.0),
+)
+def test_performance_replicates_are_a_prefix_of_more_replicates(seed, R, extra, M, theta):
+    grid = Grid(horizon=Point(1.0, 1.0), nt=3, nx=3)
+    controlled = controlled_linear_field(drift_gain=-1.0, control_gain=1.0, sigma=(0.5, 0.5))
+    cost = lq_cost(grid.horizon, state_weight=1.0, control_weight=0.25, terminal_weight=1.0)
+    policy = mean_feedback_policy(theta)
+    few, more = (
+        performance_direct(policy, controlled, cost, 2.0, M, grid, reps, seed).replicate_values
+        for reps in (R, R + extra)
+    )
+    assert np.array_equal(few, more[:R])
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.25, 2.0),
+    st.floats(0.25, 2.0),
+    st.floats(0.01, 0.99),
+    st.sampled_from([-1.0, 1.0]),
+    hnp.arrays(float, st.integers(2, 3), elements=st.floats(-1.0, 1.0)),
+    COEFFICIENT,
+)
+def test_picard_fixed_point_is_the_direct_solve(nt, nx, M, seed, t, x, share, sign, sigma, y0):
+    # K = 2|rate| sits at ``share`` of the Picard threshold sqrt(r0) / |z|;
+    # nt + nx iterates reach every node's dependence cone
+    grid = Grid(horizon=Point(t, x), nt=nt, nx=nx)
+    coeffs = mean_reversion_field(sign * share * np.sqrt(find_r0(1e-12)) / (2.0 * t * x), sigma)
+    assert convergence_radius_report(coeffs, grid).picard_ok
+    result = picard_solve(coeffs, y0, M, grid, seed, max_iter=nt + nx, tol=1e-12)
+    assert result.converged and not result.diverged
+    direct = solve_conditional_mkv(coeffs, y0, M, grid, seed)
+    assert np.max(np.abs(result.ensemble.values - direct.values)) <= 1e-6
