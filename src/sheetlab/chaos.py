@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SheetPath, _draw_cells, _node_values, sample_sheet, sheet_from_increments
+from .noise import SheetPath, _draw_cells, _node_values
 from .plane import Grid, Point
-from .rng import DOMAIN_CHAOS, substream
+from .rng import DOMAIN_CHAOS, DOMAIN_SHEET, substream
 from .series import SeriesConfig, f_series
 from .solver import CoefficientField, StateField, solve_goursat
 
@@ -299,7 +299,7 @@ def verify_limit_spde(
     the reported sup-node residual isolates series truncation — lower-corner
     quadrature would bury the identity under O(dt + dx) discretization bias.
 
-    Stochastic part: for each replicate, Y* from :func:`limit_solution` is
+    Stochastic part: for each replicate, Y* of :func:`limit_solution` is
     plugged into the integral equation with E[Y*] replaced by the replicate
     average and the drift integral by its lower-corner sum.  Reported is the
     sup over nodes of the RMS residual across replicates; it shrinks with
@@ -315,16 +315,16 @@ def verify_limit_spde(
     det_residual = float(np.max(np.abs(u - y0 - c * drift_exact)))
 
     shape = (replicates, grid.nt, grid.nx)
-    if increments is not None and np.shape(increments) != shape:
+    if increments is None:  # the draws of sample_sheet(grid, 1, seed, stream=rep)
+        dB = _draw_cells(grid, seed, DOMAIN_SHEET, ((rep, 0) for rep in range(replicates)))
+    elif np.shape(increments) == shape:
+        dB = np.asarray(increments, dtype=float)
+    else:
         raise ValueError(f"increments shape {np.shape(increments)} != {shape}")
-    sheets = [
-        sample_sheet(grid, 1, seed, stream=rep)
-        if increments is None
-        else sheet_from_increments(grid, increments[rep : rep + 1], seed)
-        for rep in range(replicates)
-    ]
-    fields = np.array([limit_solution(a, y0, sheet, series).values[:, :, 0] for sheet in sheets])
-    B = np.array([sheet.values[0] for sheet in sheets])
+    # Y* of limit_solution, one convolution per replicate on one kernel
+    K1 = f_series(-_theta_table(grid), series)
+    fields = np.array([u + _convolve_cells(cells, K1) for cells in dB])
+    B = _node_values(dB)
     # the drift integral's lower-corner sums, every replicate at once
     drift = _node_values((a * fields.mean(axis=0) - fields)[:, :-1, :-1] * (grid.dt * grid.dx))
     residuals = fields - y0 - drift - B

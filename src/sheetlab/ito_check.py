@@ -30,6 +30,16 @@ the generic second-type integral).  Only six running sums occur, of the cell
 drift, noise and quadratic-variation factors along t and along x, and each
 is taken once and shared by the terms that read it.
 
+One batched implementation evaluates the terms of R paths at once, along a
+leading path axis, and :func:`ito_terms` is its R = 1 case.  Each sum is a
+two-operand einsum, which adds a path's products in the same order whatever R
+is.  :func:`ito_refinement_study` takes its replications through it in chunks
+of at most ``_REPLICATE_CELLS`` grid cells (2^16; AC04's study peaks near 10
+MB); a chunk is one draw of the words ``sample_sheet`` draws (stream =
+replication), one solve, one coefficient read and one batched call.  For f and
+maps that evaluate each point on its own, its residuals are the public
+chain's, bit for bit.
+
 Test functions carry their own analytic derivatives: differentiating
 numerically inside the validator would contaminate the residual it measures.
 Complex-valued f is supported (the Fourier-side checks reuse this module's
@@ -42,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import SheetPath, sample_sheet
+from .noise import SheetPath, _draw_cells
 from .plane import Grid, Point
-from .solver import CoefficientField, StateField, coefficient_table, solve_goursat
+from .rng import DOMAIN_SHEET
+from .solver import CoefficientField, StateField, _check_finite, _sweep, coefficient_table
 
 __all__ = [
     "TestFunction",
@@ -54,6 +65,9 @@ __all__ = [
     "RefinementStudy",
     "ito_refinement_study",
 ]
+
+# grid cells per chunk of the study's replications: bounds its working arrays
+_REPLICATE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,42 @@ class ItoTermReport:
     residual: float
 
 
+def _batched_terms(f: TestFunction, alpha, beta, dB, Y, grid: Grid):
+    """The seven terms, lhs, total and residual, each (R,), of R paths at node
+    (i, j): alpha (R, i, j, n) and beta (R, i, j, n, m) read on the cells of
+    R_z, the paths' cells dB (R, m, >= i, >= j) and states Y (R, > i, > j, n),
+    C-contiguous so that each path's sums run as in a batch of one."""
+    i, j = alpha.shape[1:3]
+    dtdx = grid.dt * grid.dx
+    g1, g2, g3, g4 = (np.asarray(d(Y[:, :i, :j])) for d in (f.grad, f.hess, f.third, f.fourth))
+    # the cell factors (2, R, i, j, n): D[0] = alpha dt dx (drift), D[1] = beta dB (noise)
+    D = np.stack([alpha * dtdx, np.einsum("rijnm,rmij->rijn", beta, dB[:, :, :i, :j])])
+    qD = np.einsum("rijnm,rijlm->rijnl", beta, beta) * dtdx  # (R, i, j, n, n) = beta beta^T dtdx
+    t1, t2 = np.einsum("rijk,srijk->sr", g1, D)
+    t3 = 0.5 * np.einsum("rijkl,rijkl->r", g2, qD)
+
+    # pair terms: zeta factor summed along t (col), zeta' factor along x (row), join at v.
+    # Each is a cell sum of u . (d^k f v), taken as the product d^k f v, then the sum:
+    # CR[s, t] = sum col[s] . d2f row[t], DD[s, t] = sum D[s] . d2f D[t],
+    # QR[t] = sum q_col : d3f row[t], QC[t] = sum q_row : d3f col[t].
+    col, row, q_col, q_row = D.cumsum(axis=2), D.cumsum(axis=3), qD.cumsum(axis=1), qD.cumsum(axis=2)
+    CR = np.einsum("srijk,trijk->str", col, np.einsum("rijkl,trijl->trijk", g2, row))
+    DD = np.einsum("srijk,trijk->str", D, np.einsum("rijkl,trijl->trijk", g2, D))
+    QR = np.einsum("rijkl,trijkl->tr", q_col, np.einsum("rijklp,trijp->trijkl", g3, row))
+    QC = np.einsum("rijkl,trijkl->tr", q_row, np.einsum("rijklp,trijp->trijkl", g3, col))
+    QD = np.einsum("rijkl,rijkl->r", qD, np.einsum("rijklp,rijp->rijkl", g3, D[1]))
+    QQ = np.einsum("rijkl,rijkl->r", q_col, np.einsum("rijklpq,rijpq->rijkl", g4, q_row))
+    t4 = CR[1, 1] - DD[1, 1]
+    t5 = CR[0, 1] - DD[0, 1] + 0.5 * (QR[1] - QD)
+    t6 = CR[1, 0] - DD[1, 0] + 0.5 * (QC[1] - QD)
+    t7 = CR[0, 0] + 0.5 * (QR[0] + QC[0]) + 0.25 * QQ
+
+    lhs = np.asarray(f.value(Y[:, i, j])) - np.asarray(f.value(Y[:, 0, 0]))
+    terms = (t1, t2, t3, t4, t5, t6, t7)
+    total = sum(terms)
+    return terms, lhs, total, np.abs(lhs - total)
+
+
 def ito_terms(
     f: TestFunction,
     coeffs: CoefficientField,
@@ -118,57 +168,12 @@ def ito_terms(
         raise ValueError("sheet and field live on different grids")
     if sheet.channels != coeffs.m:
         raise ValueError(f"sheet has {sheet.channels} channels, coefficients declare m={coeffs.m}")
-    i, j = grid.node_index(z)
-    dtdx = grid.dt * grid.dx
-
     # single-path conditional reading: a measure collapses to the path's own state
-    alpha, beta = (t[0] for t in coefficient_table(coeffs, field.values[None], grid, i, j))
-
-    Yc = field.values[:i, :j, :]
-    g1 = np.asarray(f.grad(Yc))       # (i, j, n)
-    g2 = np.asarray(f.hess(Yc))       # (i, j, n, n)
-    g3 = np.asarray(f.third(Yc))      # (i, j, n, n, n)
-    g4 = np.asarray(f.fourth(Yc))     # (i, j, n, n, n, n)
-
-    aD = alpha * dtdx                                   # (i, j, n)
-    bD = np.einsum("ijnm,mij->ijn", beta, sheet.increments[:, :i, :j])  # (i, j, n)
-    qD = np.einsum("ijnm,ijlm->ijnl", beta, beta) * dtdx  # (i, j, n, n) = beta beta^T dtdx
-
-    t1 = np.einsum("ijn,ijn->", g1, aD)
-    t2 = np.einsum("ijn,ijn->", g1, bD)
-    t3 = 0.5 * np.einsum("ijnl,ijnl->", g2, qD)
-
-    # pair terms: zeta factor summed along t (col), zeta' factor along x (row), join at v
-    a_col, b_col, q_col = (np.cumsum(F, axis=0) for F in (aD, bD, qD))
-    a_row, b_row, q_row = (np.cumsum(F, axis=1) for F in (aD, bD, qD))
-    t4 = np.einsum("ijkl,ijk,ijl->", g2, b_col, b_row) - np.einsum("ijkl,ijk,ijl->", g2, bD, bD)
-    t5 = (
-        np.einsum("ijkl,ijk,ijl->", g2, a_col, b_row)
-        - np.einsum("ijkl,ijk,ijl->", g2, aD, bD)
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_col, b_row)
-        - 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, qD, bD)
-    )
-    t6 = (
-        np.einsum("ijkl,ijk,ijl->", g2, b_col, a_row)
-        - np.einsum("ijkl,ijk,ijl->", g2, bD, aD)
-        + 0.5 * np.einsum("ijklr,ijr,ijkl->", g3, b_col, q_row)
-        - 0.5 * np.einsum("ijklr,ijr,ijkl->", g3, bD, qD)
-    )
-    t7 = (
-        np.einsum("ijkl,ijk,ijl->", g2, a_col, a_row)
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_col, a_row)
-        + 0.5 * np.einsum("ijklr,ijkl,ijr->", g3, q_row, a_col)
-        + 0.25 * np.einsum("ijklrs,ijkl,ijrs->", g4, q_col, q_row)
-    )
-
-    lhs = complex(np.asarray(f.value(field.values[i, j][None, :]))[0]) - complex(
-        np.asarray(f.value(field.values[0, 0][None, :]))[0]
-    )
-    terms = (t1, t2, t3, t4, t5, t6, t7)
-    total = complex(sum(terms))
-    return ItoTermReport(
-        *(complex(t) for t in terms), lhs=lhs, total=total, residual=abs(lhs - total)
-    )
+    Y = field.values[None]
+    alpha, beta = coefficient_table(coeffs, Y, grid, *grid.node_index(z))
+    terms, lhs, total, residual = _batched_terms(f, alpha, beta, sheet.increments[None], Y, grid)
+    *terms, lhs, total = (complex(t[0]) for t in (*terms, lhs, total))
+    return ItoTermReport(*terms, lhs=lhs, total=total, residual=float(residual[0]))
 
 
 @dataclass(frozen=True)
@@ -194,21 +199,30 @@ def ito_refinement_study(
 ) -> RefinementStudy:
     """Mean |residual| with standard error per grid; verdict on monotone decay.
 
-    Each replication solves the field on a freshly sampled sheet (stream =
-    replication index) and evaluates :func:`ito_terms` at z.
+    Replication r is ``sample_sheet(grid, m, seed, stream=r)`` taken through
+    ``solve_goursat`` and :func:`ito_terms` at z, run in batches (module
+    docstring); the field must be measure-free.
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids, coarse to fine")
+    if replications < 2:
+        raise ValueError(f"need at least two replications, got {replications}")
+    if coeffs.depends_on_measure:
+        raise ValueError("ito_refinement_study solves single paths: the field must be measure-free")
+    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     rows = []
     for grid in grids:
+        shape, chunk = (coeffs.m, grid.nt, grid.nx), max(1, _REPLICATE_CELLS // (grid.nt * grid.nx))
         residuals = np.empty(replications)
-        for rep in range(replications):
-            sheet = sample_sheet(grid, coeffs.m, seed, stream=rep)
-            field = solve_goursat(coeffs, y0, sheet, grid)
-            residuals[rep] = ito_terms(f, coeffs, field, sheet, z).residual
-        rows.append(
-            (grid.nt, float(residuals.mean()), float(residuals.std(ddof=1) / np.sqrt(replications)))
-        )
+        for lo in range(0, replications, chunk):
+            reps = range(lo, min(lo + chunk, replications))
+            words = ((r, c) for r in reps for c in range(coeffs.m))  # sample_sheet's, stream = r
+            dB = _draw_cells(grid, seed, DOMAIN_SHEET, words).reshape(len(reps), *shape)
+            Y = np.ascontiguousarray(_check_finite(_sweep(coeffs, y0, grid, dB.swapaxes(0, 1))))
+            alpha, beta = coefficient_table(coeffs, Y, grid, *grid.node_index(z))
+            residuals[lo : lo + len(reps)] = _batched_terms(f, alpha, beta, dB, Y, grid)[3]
+        se = residuals.std(ddof=1) / np.sqrt(replications)
+        rows.append((grid.nt, float(residuals.mean()), float(se)))
     means = [r[1] for r in rows]
     monotone = all(means[k + 1] < means[k] for k in range(len(means) - 1))
     return RefinementStudy(rows=rows, monotone=monotone)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import Grid, Point, _field_on_corners
+from .plane import _PAIR_CHUNK, Grid, Point, _field_on_corners
 from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
@@ -149,7 +149,7 @@ def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
     return float(np.sum(_field_on_corners(phi, path.grid, i, j) * dB))
 
 
-def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point, chunk: int = 128) -> float:
+def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point) -> float:
     """Second-type integral: sum of psi(corner, corner') dB_ch1(cell) dB_ch2(cell')
     over ordered pairs of distinct cells of R_z.
 
@@ -173,8 +173,8 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point, chun
         return float(total)
     second = Point(flat_t[None, :], flat_x[None, :])
     total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n)
         first = Point(flat_t[lo:hi, None], flat_x[lo:hi, None])
         block = np.asarray(psi(first, second), dtype=float)
         block = np.broadcast_to(block, (hi - lo, n)).copy()

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _NODE_RTOL = 1e-9
+_PAIR_CHUNK = 128  # first cells per block of the cell-pair sums here and in noise
 
 
 def _negative(v) -> bool:
@@ -153,13 +154,13 @@ def rect_integral(h, z: Point, grid: Grid) -> float:
     return float(vals.sum() * grid.dt * grid.dx)
 
 
-def double_rect_integral(h, z: Point, grid: Grid, chunk: int = 128) -> float:
+def double_rect_integral(h, z: Point, grid: Grid) -> float:
     """Double lower-corner Riemann sum of h(zeta, zeta') over R_z x R_z.
 
     Sums over *all* ordered cell pairs (identical pairs included: this is
     plain product quadrature, unlike the diagonal-free second-type stochastic
     sum).  ``h`` is a callable of two Points; evaluation is chunked over the
-    first cell index to bound memory at O(chunk * cells).
+    first cell index to bound memory at O(_PAIR_CHUNK * cells).
     """
     i, j = grid.node_index(z)
     if i == 0 or j == 0:
@@ -170,8 +171,8 @@ def double_rect_integral(h, z: Point, grid: Grid, chunk: int = 128) -> float:
     flat_t, flat_x = T.ravel(), X.ravel()
     second = Point(flat_t[None, :], flat_x[None, :])
     total = 0.0
-    for lo in range(0, flat_t.size, chunk):
-        hi = min(lo + chunk, flat_t.size)
+    for lo in range(0, flat_t.size, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, flat_t.size)
         first = Point(flat_t[lo:hi, None], flat_x[lo:hi, None])
         total += float(np.sum(h(first, second)))
     return total * (grid.dt * grid.dx) ** 2

@@ -27,9 +27,11 @@ two forms:
   along x followed by one along t.  The additions happen in the row loop's
   order, so both forms give the same bits.
 
-Ensemble and replicate noise come from the one cell-noise sampler,
-``noise._draw_cells``, as views of one array; both forms read it in place,
-contracting beta with one channel at a time, a row or the whole grid at once.
+The recursion takes its noise in one form, m channel arrays of shape (1 or M,
+nt, nx): a channel of length 1 is shared by the M paths (a sheet's one path, an
+ensemble's common channel), one of length M holds each path's own cells (the
+particles' channels, the Ito study's replicates).  They are views of what the
+one sampler, ``noise._draw_cells``, draws, read in place by both forms.
 
 The M paths' states are stored node-major, (nt+1, nx+1, M, n), with the
 particle axis innermost: the conditional law at a node is the empirical
@@ -256,8 +258,8 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
     :func:`coefficient_rows` at once, with no call on an empty rectangle.
 
     Its library users are the closed-form solve of a state-free field and the
-    single-path ``ito_check.ito_terms``; the weak Fokker-Planck residual
-    streams :func:`coefficient_rows` instead.
+    Ito validation (``ito_terms`` and the study's batches); the weak
+    Fokker-Planck residual streams :func:`coefficient_rows` instead.
     """
     M, n, m = values.shape[0], coeffs.n, coeffs.m
     alpha = np.empty((M, rows, cols, n))
@@ -268,33 +270,31 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
     return alpha, beta
 
 
-def _noise_source(beta: np.ndarray, common: np.ndarray, idio: np.ndarray) -> np.ndarray:
+def _noise_source(beta: np.ndarray, cells: list) -> np.ndarray:
     """beta . dB for node-major beta (..., M, n, m), as an explicit sum over the
-    channels: the shared ``common`` (...) and the per-path ``idio`` (M, m-1, ...),
-    read in place.  Both forms of the recursion contract through here, a row
-    (``common[i]``, ``idio[:, :, i]``) or the whole grid at a time, so they add
-    the same products in the same order."""
-    out = beta[..., 0] * common[..., None, None]
-    own = idio.transpose(1, *range(2, idio.ndim), 0)  # (m-1, ..., M)
-    for c, dB in enumerate(own, start=1):
-        out += beta[..., c] * dB[..., None]
+    m channel arrays ``cells`` (..., 1 or M), read in place.  Both forms of the
+    recursion contract through here, a row or the whole grid at a time, so they
+    add the same products in the same order."""
+    out = beta[..., 0] * cells[0][..., None]
+    for c in range(1, len(cells)):
+        out += beta[..., c] * cells[c][..., None]
     return out
 
 
-def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> np.ndarray:
+def _sweep(coeffs, y0, grid, noise, frozen=None, measure_source=None) -> np.ndarray:
     """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
 
     The states are stored node-major, (nt+1, nx+1, M, n), and returned as the
     (M, nt+1, nx+1, n) view, so a node's cloud and a row's update are
-    contiguous.  The noise is channel 0 ``common`` (nt, nx), shared by all
-    paths, and the per-path channels ``idio`` (M, m-1, nt, nx), both read in
-    place.  Coefficients are read along the states being solved (row i once it
-    is filled) or, for a Picard step, along the ``frozen`` previous iterate.
+    contiguous.  ``noise`` is the m channel arrays (1 or M, nt, nx) of the module
+    docstring.  Coefficients are read along the states being solved (row i once
+    it is filled) or, for a Picard step, along the ``frozen`` previous iterate.
     A state- and measure-free field solved directly takes the closed form
     (module docstring).
     """
     nt, nx = grid.nt, grid.nx
-    M = idio.shape[0]
+    M = max(len(dB) for dB in noise)
+    cells = [dB.transpose(1, 2, 0) for dB in noise]  # (nt, nx, 1 or M) views
     Y = np.empty((nt + 1, nx + 1, M, coeffs.n))
     states = Y.transpose(2, 0, 1, 3)
     dtdx = grid.dt * grid.dx
@@ -302,7 +302,7 @@ def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> 
         Y[...] = y0  # the maps see finite states, never uninitialised memory
         alpha, beta = coefficient_table(coeffs, states, grid, nt, nx)
         alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
-        src = alpha * dtdx + _noise_source(beta, common, idio)
+        src = alpha * dtdx + _noise_source(beta, cells)
         # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
         run = np.cumsum(src, axis=1)
         run[0] += y0
@@ -312,8 +312,8 @@ def _sweep(coeffs, y0, grid, common, idio, frozen=None, measure_source=None) -> 
     Y[:, 0] = y0
     rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx, measure_source)
     for i, (alpha, beta) in enumerate(rows):
-        noise = _noise_source(beta.swapaxes(0, 1), common[i], idio[:, :, i])
-        src = alpha.swapaxes(0, 1) * dtdx + noise
+        beta_dB = _noise_source(beta.swapaxes(0, 1), [dB[i] for dB in cells])
+        src = alpha.swapaxes(0, 1) * dtdx + beta_dB
         np.add(Y[i, 1:], np.cumsum(src, axis=0), out=Y[i + 1, 1:])
     return states
 
@@ -347,9 +347,8 @@ def solve_goursat(
     if coeffs.depends_on_measure and measure_source is None:
         raise ValueError("coefficients depend on the measure: supply measure_source")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
-    # one path: channel 0 plays the common channel, the rest its own
-    dB = sheet.increments  # (m, nt, nx), read in place
-    Y = _check_finite(_sweep(coeffs, y0, grid, dB[0], dB[None, 1:], measure_source=measure_source))
+    noise = sheet.increments[:, None]  # one path: m channels of shape (1, nt, nx), read in place
+    Y = _check_finite(_sweep(coeffs, y0, grid, noise, measure_source=measure_source))
     return StateField(values=Y[0], grid=grid)
 
 
@@ -469,7 +468,7 @@ def solve_conditional_mkv(
     common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     return ParticleEnsemble(
-        values=_check_finite(_sweep(coeffs, y0, grid, common, idio)),
+        values=_check_finite(_sweep(coeffs, y0, grid, [common[None], *idio.swapaxes(0, 1)])),
         grid=grid,
         common_increments=common,
         idio_increments=idio,
@@ -517,8 +516,9 @@ def picard_solve(
     gaps = []
     converged = False
     divergence = None
+    noise = [common[None], *idio.swapaxes(0, 1)]  # shared, then each particle's own
     for _ in range(max_iter):
-        cur = _sweep(coeffs, y0, grid, common, idio, frozen=prev)
+        cur = _sweep(coeffs, y0, grid, noise, frozen=prev)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur

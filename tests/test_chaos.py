@@ -161,6 +161,13 @@ class TestLimitEquation:
         rep = verify_limit_spde(1.3, 1.0, square_grid(16), replicates=2, seed=0)
         assert rep.det_residual < 1e-13
 
+    def test_default_noise_is_the_sheet_streams(self):
+        # replicate r's cells are those of sample_sheet(grid, 1, seed, stream=r)
+        g = square_grid(8)
+        inc = np.stack([sample_sheet(g, 1, 5, stream=r).increments[0] for r in range(6)])
+        drawn = verify_limit_spde(1.5, 0.5, g, replicates=6, seed=5)
+        assert drawn == verify_limit_spde(1.5, 0.5, g, replicates=6, seed=5, increments=inc)
+
     def test_residual_shrinks_under_joint_refinement(self):
         # replicate count grows with the grid so the Monte Carlo floor
         # stays below the discretization error being measured

@@ -89,6 +89,13 @@ class TestArgumentHandling:
         assert err.startswith("argument error:") and "usage" in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
 
+    def test_ito_check_needs_two_replications(self, capsys, tmp_path, monkeypatch):
+        # one replication has no standard error: a usage error, not NaN rows
+        assert run(["ito-check", "reps=1"], tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("argument error:") and "two replications" in err
+        assert not (tmp_path / "ito-check.csv").exists()
+
     def test_lemma61_takes_no_seed(self, capsys, tmp_path, monkeypatch):
         # lemma61 draws nothing, so it has no seed to set
         assert run(["lemma61", "seed=0"], tmp_path, monkeypatch) == 1

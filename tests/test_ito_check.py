@@ -1,5 +1,7 @@
 """Discrete planar change-of-variables: term factorization and residual decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sheetlab import (
     double_ito_integral,
     ito_refinement_study,
     ito_terms,
+    mean_reversion_field,
     sample_sheet,
     scalar_function,
     solve_goursat,
@@ -206,6 +209,47 @@ class TestRefinement:
         assert len(lines) == 3  # header + one row per grid
         assert lines[1].startswith("4,")
         assert lines[2].startswith("8,")
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_needs_two_replications(self, replications):
+        # one replication has no standard error, none has no mean
+        with pytest.raises(ValueError, match="two replications"):
+            ito_refinement_study(
+                quartic(), constant_field(0.0, [1.0]), 0.0, Point(1.0, 1.0),
+                [square_grid(4), square_grid(8)], replications, 0,
+            )
+
+    def test_rejects_a_measure_dependent_field(self):
+        # the study solves single paths and takes no measure_source to offer one
+        co, grids = mean_reversion_field(1.0, [1.0]), [square_grid(4), square_grid(8)]
+        with pytest.raises(ValueError, match="ito_refinement_study") as err:
+            ito_refinement_study(quartic(), co, 0.0, Point(1.0, 1.0), grids, 3, 0)
+        assert "measure_source" not in str(err.value)
+
+    def test_memory_is_bounded_by_the_replicate_budget(self):
+        # AC04's study: working arrays are one chunk of replications, not all of them
+        f = scalar_function(
+            lambda y: y**2, lambda y: 2.0 * y, lambda y: 2.0, lambda y: 0.0, lambda y: 0.0
+        )
+        co = CoefficientField(
+            n=1,
+            m=2,
+            drift=lambda z, y, mu: 0.5 - 0.3 * y,
+            diffusion=lambda z, y, mu: np.broadcast_to(np.array([0.6, 0.4]), y.shape + (2,)),
+            depends_on_measure=False,
+        )
+        grids = [square_grid(k) for k in (16, 32, 64)]
+
+        def peak_mb(replications):
+            tracemalloc.start()
+            try:
+                ito_refinement_study(f, co, 1.0, Point(1.0, 1.0), grids, replications, 0)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb(200) <= 12.0
+        assert peak_mb(400) <= peak_mb(100) + 0.5
 
     def test_needs_two_grids(self):
         f = quartic()

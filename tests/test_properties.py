@@ -5,11 +5,13 @@ closed form; these properties pin that form against the row loop, against
 the telescoping identity and, for ensembles, against each particle's own
 single-path solve.  The ensemble noise is pinned to nest across particle
 counts, a replicate's value not to depend on which other replicates ran or
-in what order, and the Picard fixed point inside K|z| < sqrt(r0) to be the
-direct conditional solve.
+in what order, the batched Ito study to be the public chain per replicate, and
+the Picard fixed point inside K|z| < sqrt(r0) to be the direct conditional
+solve.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,10 +22,12 @@ from sheetlab import (
     CoefficientField,
     Grid,
     Point,
+    TestFunction as ItoTestFunction,  # aliased so pytest does not collect it
     controlled_linear_field,
     convergence_radius_report,
     find_r0,
     ito_integral,
+    ito_refinement_study,
     ito_terms,
     lq_cost,
     mean_feedback_policy,
@@ -39,6 +43,7 @@ from sheetlab import (
     solve_conditional_mkv,
     solve_goursat,
 )
+from sheetlab import ito_check
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -181,6 +186,66 @@ def test_ito_refine_replicate_does_not_depend_on_the_schedule(k, seed, streams, 
     scheduled = {r: ito_refine_replicate(grid, seed, r) for r in order}
     for r in streams:
         assert ito_refine_replicate(grid, seed, r) == scheduled[r]
+
+
+def exponential(w) -> ItoTestFunction:
+    """f(y) = exp(w . y): every derivative is f times a tensor power of w.  The
+    dot product is summed point by point, so f's bits do not depend on the batch."""
+
+    def derivative(order):
+        def evaluate(y):
+            out = np.exp(sum(y[..., k] * w[k] for k in range(w.size)))
+            for _ in range(order):
+                out = out[..., None] * w
+            return out
+
+        return evaluate
+
+    return ItoTestFunction(*(derivative(order) for order in range(5)))
+
+
+@st.composite
+def ito_studies(draw):
+    """(f, field, y0, grids, replications, seed): n in {1, 2}, m in {1, 2, 3},
+    a state-free or a state-dependent measure-free field, two square grids."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    a = draw(hnp.arrays(float, (3, n), elements=COEFFICIENT))
+    b = draw(hnp.arrays(float, (3, n, m), elements=COEFFICIENT))
+    field = affine_field(a, b)
+    if draw(st.booleans()):
+        field = dataclasses.replace(
+            field,
+            drift=lambda z, y, mu: a[0] + a[1] * np.tanh(y),
+            diffusion=lambda z, y, mu: b[0] + np.sin(y)[..., None] * b[1],
+            depends_on_state=True,
+        )
+    w = draw(hnp.arrays(float, (n,), elements=st.floats(-1.0, 1.0)))
+    y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
+    horizon = Point(draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0)))
+    ks = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    grids = [Grid(horizon=horizon, nt=k, nx=k) for k in ks]
+    return exponential(w), field, y0, grids, draw(st.integers(2, 7)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(ito_studies())
+def test_ito_study_is_the_public_chain_per_replicate(study):
+    f, field, y0, grids, R, seed = study
+    z = grids[0].horizon
+    want = []
+    for grid in grids:
+        residuals = np.empty(R)
+        for r in range(R):
+            sheet = sample_sheet(grid, field.m, seed, stream=r)
+            path = solve_goursat(field, y0, sheet, grid)
+            residuals[r] = ito_terms(f, field, path, sheet, z).residual
+        want.append((grid.nt, float(residuals.mean()), float(residuals.std(ddof=1) / np.sqrt(R))))
+    # one replication per chunk; chunks of R // 2 + 1 on the finer grid, so for
+    # R > 2 the last is short; the default budget, one chunk per grid here
+    finest = max(grid.nt * grid.nx for grid in grids)
+    for budget in (1, (R // 2 + 1) * finest, ito_check._REPLICATE_CELLS):
+        with mock.patch.object(ito_check, "_REPLICATE_CELLS", budget):
+            assert ito_refinement_study(f, field, y0, z, grids, R, seed).rows == want
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
