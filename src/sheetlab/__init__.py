@@ -99,7 +99,6 @@ from .rng import (
     substream,
 )
 from .series import (
-    SeriesConfig,
     f_series,
     f_series_derivative,
     find_r0,

@@ -41,14 +41,14 @@ strictly below the evaluation node, matching the solver's explicit recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import SheetPath, _draw_cells, _node_values
 from .plane import Grid, Point
 from .rng import DOMAIN_CHAOS, DOMAIN_SHEET, substream
-from .series import SeriesConfig, f_series
+from .series import f_series
 from .solver import CoefficientField, StateField, solve_goursat
 
 __all__ = [
@@ -63,6 +63,8 @@ __all__ = [
     "LimitSpdeReport",
     "verify_limit_spde",
 ]
+
+_WEIGHT_FLOOR = 1e-8  # lowest admissible mean interaction weight
 
 
 @dataclass(frozen=True)
@@ -116,28 +118,24 @@ def matrix_power_decomposition(A: RankOneMatrix, n: int) -> np.ndarray:
 class ChaosConfig:
     """Particle count, interaction weights, shared start value, grid.
 
-    The mean weight must stay above the floor q > 0: the closed form divides
-    by sum(a), and the limit equation's contraction constant degenerates as
-    the mean weight approaches zero.
+    The mean weight must stay above the floor _WEIGHT_FLOOR = 1e-8: the closed
+    form divides by sum(a), and the limit equation's contraction constant
+    degenerates as the mean weight approaches zero.
     """
 
     N: int
     a_values: np.ndarray
     y0: float
     grid: Grid
-    q: float = 1e-8
-    series: SeriesConfig = field(default_factory=SeriesConfig)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one particle, got N={self.N}")
-        if not self.q > 0:
-            raise ValueError(f"weight-mean floor q must be positive, got {self.q}")
         a = np.broadcast_to(np.asarray(self.a_values, dtype=float), (self.N,)).copy()
         if not np.all(np.isfinite(a)):
             raise ValueError("weights must be finite")
-        if a.mean() < self.q:
-            raise ValueError(f"mean weight {a.mean()} below the floor q={self.q}")
+        if a.mean() < _WEIGHT_FLOOR:
+            raise ValueError(f"mean weight {a.mean()} below the floor {_WEIGHT_FLOOR:g}")
         object.__setattr__(self, "a_values", a)
         object.__setattr__(self, "y0", float(self.y0))
 
@@ -194,15 +192,15 @@ def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
     A = cfg.matrix()
     kappa = A.kappa()
     theta = _theta_table(grid)
-    K1 = f_series(-theta, cfg.series)
-    K2 = f_series(kappa * theta, cfg.series)
+    K1 = f_series(-theta)
+    K2 = f_series(kappa * theta)
 
     dB = sheet.increments
     shared = _convolve_cells(
         np.einsum("j,jab->ab", A.a_values / A.total, dB), K2 - K1
     )
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
-    det = f_series(kappa * tx, cfg.series) * cfg.y0
+    det = f_series(kappa * tx) * cfg.y0
 
     values = np.empty((grid.nt + 1, grid.nx + 1, cfg.N))
     for i in range(cfg.N):
@@ -236,7 +234,7 @@ def remainder_variance(
     theta = _theta_table(grid)
 
     def weight_table(a: RankOneMatrix) -> np.ndarray:
-        return f_series(a.kappa() * theta, cfg.series) - f_series(-theta, cfg.series)
+        return f_series(a.kappa() * theta) - f_series(-theta)
 
     A = cfg.matrix()
     W = weight_table(A)
@@ -260,19 +258,22 @@ def remainder_variance(
     )
 
 
-def limit_solution(
-    a: float, y0: float, sheet_star: SheetPath, series: SeriesConfig = SeriesConfig()
-) -> StateField:
+def _limit_fields(a: float, y0: float, grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """Y* for each slab of cell increments (R, nt, nx), shape (R, nt+1, nx+1):
+    the deterministic part and the f(-theta) kernel are built once, then one
+    convolution per slab, so the FFT buffers stay one slab's."""
+    tx = np.outer(grid.t_nodes(), grid.x_nodes())
+    det = f_series((a - 1.0) * tx) * y0
+    K1 = f_series(-_theta_table(grid))
+    return np.array([det + _convolve_cells(slab, K1) for slab in cells])
+
+
+def limit_solution(a: float, y0: float, sheet_star: SheetPath) -> StateField:
     """Decoupled limit field on a single-channel sheet, constant weight a."""
     if sheet_star.channels != 1:
         raise ValueError(f"limit field uses one channel, sheet has {sheet_star.channels}")
-    grid = sheet_star.grid
-    theta = _theta_table(grid)
-    K1 = f_series(-theta, series)
-    tx = np.outer(grid.t_nodes(), grid.x_nodes())
-    det = f_series((a - 1.0) * tx, series) * y0
-    values = det + _convolve_cells(sheet_star.increments[0], K1)
-    return StateField(values=values[:, :, None], grid=grid)
+    values = _limit_fields(a, y0, sheet_star.grid, sheet_star.increments)
+    return StateField(values=values[0, :, :, None], grid=sheet_star.grid)
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,6 @@ def verify_limit_spde(
     replicates: int,
     seed: int,
     increments: np.ndarray | None = None,
-    series: SeriesConfig = SeriesConfig(),
 ) -> LimitSpdeReport:
     """Check that the limit field solves its transport equation, two ways.
 
@@ -310,8 +310,9 @@ def verify_limit_spde(
         raise ValueError(f"need at least two replicates, got {replicates}")
     c = a - 1.0
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
-    u = f_series(c * tx, series) * y0
-    drift_exact = ((f_series(c * tx, series) - 1.0) / c if c != 0 else tx) * y0
+    f = f_series(c * tx)
+    u = f * y0
+    drift_exact = ((f - 1.0) / c if c != 0 else tx) * y0
     det_residual = float(np.max(np.abs(u - y0 - c * drift_exact)))
 
     shape = (replicates, grid.nt, grid.nx)
@@ -321,9 +322,7 @@ def verify_limit_spde(
         dB = np.asarray(increments, dtype=float)
     else:
         raise ValueError(f"increments shape {np.shape(increments)} != {shape}")
-    # Y* of limit_solution, one convolution per replicate on one kernel
-    K1 = f_series(-_theta_table(grid), series)
-    fields = np.array([u + _convolve_cells(cells, K1) for cells in dB])
+    fields = _limit_fields(a, y0, grid, dB)
     B = _node_values(dB)
     # the drift integral's lower-corner sums, every replicate at once
     drift = _node_values((a * fields.mean(axis=0) - fields)[:, :-1, :-1] * (grid.dt * grid.dx))

@@ -115,6 +115,8 @@ def _square_grid(k: int, t: float = 1.0, x: float = 1.0) -> Grid:
 
 def _run_sheet_stats(p):
     reps, k, seed = p["reps"], p["k"], p["seed"]
+    if reps < 2:  # one replicate has no standard error, none no estimate
+        raise ValueError(f"need at least two replicates, got reps={reps}")
     if k % 2:
         raise ValueError(f"k must be even to split the horizon, got {k}")
     grid = _square_grid(k)
@@ -304,6 +306,8 @@ def _run_picard(p):
 
 
 def _run_fokker_planck(p):
+    if p["reps"] < 2:
+        raise ValueError(f"need at least two replicates, got reps={p['reps']}")
     grid = _square_grid(p["k"])
     coeffs = mean_reversion_field(p["rate"], (0.7, 0.5))
     freqs = FrequencyGrid(np.asarray(_as_list(p["w"]), dtype=float))

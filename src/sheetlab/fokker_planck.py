@@ -47,7 +47,7 @@ factor at zeta vs at zeta') must pair its own cumulative direction, or tie
 cells are over-counted by an O(1) amount.  The tables keep both, in cD x rD
 for the drift part and as the two distinct products cQ x rD and cD x rQ for
 the diffusion part.  The tables are cell-last, (K, cells) with K = n + n^2 +
-n^3 + n^4, each block written in place.  For a chunk of cells, all Q
+n^3 + n^4, stacked from the four blocks.  For a chunk of cells, all Q
 frequencies then cost one cos and one sin per cell and frequency, stacked
 into one (2Q, cells) array, and a single (2Q, cells) x (cells, K) product;
 each frequency is still evaluated on its own, -w included.
@@ -197,13 +197,9 @@ def _residuals(ensemble: ParticleEnsemble, W: np.ndarray, z: Point) -> np.ndarra
     return lhs - _five_term_sums(ensemble, W, i, j)
 
 
-def _outer(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cell-last outer product of X (a, cells) and Y (b, cells): (a*b, cells),
-    written into ``out`` (a C-contiguous (a*b, cells) block) when given."""
-    if out is None:
-        out = np.empty((X.shape[0] * Y.shape[0], X.shape[1]))
-    np.multiply(X[:, None], Y[None], out=out.reshape(X.shape[0], Y.shape[0], -1))
-    return out
+def _outer(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Cell-last outer product of X (a, cells) and Y (b, cells): (a*b, cells)."""
+    return (X[:, None] * Y[None]).reshape(-1, X.shape[1])
 
 
 def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -251,12 +247,12 @@ def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
     A, B (n, p, j) and Q (n, n, p, j) are the chunk's per-cell tables of the
     module docstring, Y (n, p*j) its states.  D = A + B and Q are first added
     to the t-carries cD and cQ in place, so that these then hold the running
-    sums along t up to this row.  The chunk's table T (K, cells) holds the
+    sums along t up to this row.  The chunk's table T (K, cells) stacks the
     real part's w^2 and w^4 coefficients, then the imaginary part's w and w^3
-    ones, each block written in place.  With C, S the cos and sin of w.Y for
-    all Q frequencies, stacked into one (2Q, cells) array, [C; S] @ T^T is
-    one product, and frequency q's sum is (C_q @ T^T - i S_q @ T^T) @ mono[q]
-    with mono = [w^2, w^4, i w, i w^3].
+    ones.  With C, S the cos and sin of w.Y for all Q frequencies, stacked
+    into one (2Q, cells) array, [C; S] @ T^T is one product, and frequency
+    q's sum is (C_q @ T^T - i S_q @ T^T) @ mono[q] with mono = [w^2, w^4,
+    i w, i w^3].
     """
     n, cells = Y.shape
     D = A + B
@@ -266,20 +262,9 @@ def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
     rQ = np.cumsum(Q, axis=-1).reshape(n * n, cells)
     cD, A, B, D = (X.reshape(n, cells) for X in (cD, A, B, D))
     cQ, Q = (X.reshape(n * n, cells) for X in (cQ, Q))
-    T = np.empty((n * n + n**4 + n + n**3, cells))
-    T2, T4, T1, T3 = np.split(T, np.cumsum([n * n, n**4, n]))
-    tmp = np.empty((n**3, cells))
-    np.multiply(Q, -0.5, out=T2)
-    T2 += _outer(D, D, tmp[: n * n])
-    T2 -= _outer(A, A, tmp[: n * n])
-    T2 -= _outer(cD, rD, tmp[: n * n])
-    _outer(cQ, rQ, T4)
-    T4 *= 0.25
-    np.negative(D, out=T1)
-    _outer(cQ, rD, T3)
-    T3 += _outer(cD, rQ, tmp)
-    T3 *= 0.5
-    T3 -= _outer(Q, B, tmp)
+    T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD)
+    T3 = (_outer(cQ, rD) + _outer(cD, rQ)) * 0.5 - _outer(Q, B)
+    T = np.concatenate([T2, _outer(cQ, rQ) * 0.25, -D, T3])
     q = len(W)
     cs = np.empty((2 * q, cells))
     theta = np.dot(W, Y, out=cs[q:])  # np.matmul is several times slower for n = 1

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import _PAIR_CHUNK, Grid, Point, _field_on_corners
+from .plane import Grid, Point, _cell_pair_sum, _field_on_corners
 from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
@@ -163,26 +163,9 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point) -> f
         return 0.0
     d1 = path.increments[ch1, :i, :j].ravel()
     d2 = path.increments[ch2, :i, :j].ravel()
-    tt = (np.arange(i) * grid.dt)[:, None]
-    xx = (np.arange(j) * grid.dx)[None, :]
-    flat_t = np.broadcast_to(tt, (i, j)).ravel()
-    flat_x = np.broadcast_to(xx, (i, j)).ravel()
-    n = d1.size
     if psi is None:
-        total = d1.sum() * d2.sum() - float(d1 @ d2)
-        return float(total)
-    second = Point(flat_t[None, :], flat_x[None, :])
-    total = 0.0
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        first = Point(flat_t[lo:hi, None], flat_x[lo:hi, None])
-        block = np.asarray(psi(first, second), dtype=float)
-        block = np.broadcast_to(block, (hi - lo, n)).copy()
-        # remove the identical-cell diagonal of this block
-        idx = np.arange(lo, hi)
-        block[np.arange(hi - lo), idx] = 0.0
-        total += float(d1[lo:hi] @ block @ d2)
-    return total
+        return float(d1.sum() * d2.sum() - float(d1 @ d2))
+    return _cell_pair_sum(psi, grid, i, j, (d1, d2))
 
 
 _MAGIC = b"SHTL"

@@ -12,7 +12,8 @@ All quadrature is lower-left-corner Riemann: it is the deterministic twin of
 the adapted (left-point) evaluation used for stochastic integrals, so both
 integral types share one discretization.  Grids are uniform and closed at
 both ends; APIs that take an evaluation point require it to sit on a node —
-no silent interpolation.
+no silent interpolation.  The one loop over cell pairs, :func:`_cell_pair_sum`,
+lives here; :mod:`sheetlab.noise`'s second-type integral sums through it too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 _NODE_RTOL = 1e-9
-_PAIR_CHUNK = 128  # first cells per block of the cell-pair sums here and in noise
+_PAIR_CHUNK = 128  # first cells per block of _cell_pair_sum
 
 
 def _negative(v) -> bool:
@@ -71,7 +72,7 @@ class Point:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0, T] x [0, X] with nt x nx cells ((nt+1)(nx+1) nodes)."""
+    """Uniform grid on [0, T] x [0, X], T and X positive and finite, nt x nx cells."""
 
     horizon: Point
     nt: int
@@ -80,6 +81,8 @@ class Grid:
     def __post_init__(self):
         if self.nt < 1 or self.nx < 1:
             raise ValueError(f"grid needs at least one cell per axis, got {self.nt} x {self.nx}")
+        if not (0.0 < self.horizon.t < np.inf and 0.0 < self.horizon.x < np.inf):
+            raise ValueError(f"grid horizon needs positive finite sides, got {self.horizon}")
 
     @property
     def dt(self) -> float:
@@ -112,7 +115,7 @@ class Grid:
         tt = np.arange(i_count) * self.dt
         xx = np.arange(j_count) * self.dx
         T, X = np.meshgrid(tt, xx, indexing="ij")
-        return Point(T, X)
+        return Point._unchecked(T, X)
 
 
 def sup_join(a: Point, b: Point) -> Point:
@@ -165,17 +168,30 @@ def double_rect_integral(h, z: Point, grid: Grid) -> float:
     i, j = grid.node_index(z)
     if i == 0 or j == 0:
         return 0.0
-    tt = np.arange(i) * grid.dt
-    xx = np.arange(j) * grid.dx
-    T, X = np.meshgrid(tt, xx, indexing="ij")
-    flat_t, flat_x = T.ravel(), X.ravel()
+    return _cell_pair_sum(h, grid, i, j) * (grid.dt * grid.dx) ** 2
+
+
+def _cell_pair_sum(pair, grid: Grid, i: int, j: int, weights=None) -> float:
+    """Sum of pair(corner, corner') over ordered pairs of the first i x j cells,
+    _PAIR_CHUNK first cells per block: each block summed whole (identical
+    pairs kept), or, given flat cell weights (d1, d2), as d1 @ block @ d2 with
+    the identical-cell diagonal left out."""
+    corners = grid.corner_points(i, j)
+    flat_t, flat_x = corners.t.ravel(), corners.x.ravel()
+    n = flat_t.size
     second = Point(flat_t[None, :], flat_x[None, :])
     total = 0.0
-    for lo in range(0, flat_t.size, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, flat_t.size)
-        first = Point(flat_t[lo:hi, None], flat_x[lo:hi, None])
-        total += float(np.sum(h(first, second)))
-    return total * (grid.dt * grid.dx) ** 2
+    for lo in range(0, n, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n)
+        block = pair(Point(flat_t[lo:hi, None], flat_x[lo:hi, None]), second)
+        if weights is None:
+            total += float(np.sum(block))
+            continue
+        d1, d2 = weights
+        block = np.broadcast_to(np.asarray(block, dtype=float), (hi - lo, n)).copy()
+        block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        total += float(d1[lo:hi] @ block @ d2)
+    return total
 
 
 def mixed_partial(F, z: Point, h: float) -> float:

@@ -7,6 +7,13 @@ solves the ODE y f'' + f' = f.  Its first zero on the negative axis sits at
 two-parameter Gronwall/Picard machinery: mean-square Picard iterates are
 majorized by sum (K|z|)^{2n} x_n, which converges exactly when K|z| < sqrt(r0).
 
+f and f' share one truncated loop: at most _TERMS = 60 terms, stopping early
+once every term is below _TAIL_TOL = 1e-14 of the running sum, for |y| up to
+_Y_GUARD = 700.  Sixty terms suffice at the guard: the terms y^n/(n!)^2 peak
+near n = sqrt(|y|) ~ 26 and then shrink by |y|/n^2 per step, so at |y| = 700
+the first dropped term is 1.4e-15 of the sum of the magnitudes and the whole
+dropped tail 1.7e-15 (4e-15 for f'), a few units in the last place.
+
 The x_n satisfy the convolution recursion x_n = -sum_{j=1}^n (-1)^j/(j!)^2
 x_{n-j}; with the seed x_0 = 1 this makes (x_n) the coefficient sequence of
 the reciprocal power series 1 / f(-t) = 1 / J0(2 sqrt(t)) — the generating-
@@ -16,12 +23,9 @@ x_0; the seed is a library convention, consistent with the majorant role.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SeriesConfig",
     "f_series",
     "f_series_derivative",
     "find_r0",
@@ -30,55 +34,36 @@ __all__ = [
 ]
 
 _Y_GUARD = 700.0  # |y| cap: keeps term growth far from overflow at desk scale
+_TERMS = 60  # terms n = 0..59 at most
+_TAIL_TOL = 1e-14  # early stop: every term below this share of the running sum
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    truncation_terms: int = 60
-    tail_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.truncation_terms < 10:
-            raise ValueError(f"need at least 10 series terms, got {self.truncation_terms}")
-
-
-def f_series(y, config: SeriesConfig = SeriesConfig()):
-    """f(y) = sum y^n/(n!)^2 by the recursion term_n = term_{n-1} * y / n^2.
-
-    Accepts scalars or arrays; stops early when every term has dropped below
-    tail_tol relative to the running sum.
-    """
+def _truncated_series(y, shift: int):
+    """The shift-th derivative of f (shift 0 or 1) for scalars or arrays: from
+    the leading 1, term *= y / (n (n - shift)) for n = 1 + shift, 2 + shift, ..."""
     arr = np.asarray(y, dtype=float)
     if np.any(np.abs(arr) > _Y_GUARD):
         raise ValueError(f"|y| <= {_Y_GUARD:g} required for the series evaluation")
     total = np.ones_like(arr)
     term = np.ones_like(arr)
-    for n in range(1, config.truncation_terms):
-        term = term * arr / (n * n)
+    for n in range(1 + shift, _TERMS):
+        term = term * arr / (n * (n - shift))
         total = total + term
-        if np.all(np.abs(term) < config.tail_tol * np.maximum(np.abs(total), 1.0)):
+        if np.all(np.abs(term) < _TAIL_TOL * np.maximum(np.abs(total), 1.0)):
             break
     if np.ndim(y) == 0:
         return float(total)
     return total
 
 
-def f_series_derivative(y, config: SeriesConfig = SeriesConfig()):
-    """f'(y) = sum_{n>=1} n y^{n-1}/(n!)^2, same truncation policy as f_series."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(np.abs(arr) > _Y_GUARD):
-        raise ValueError(f"|y| <= {_Y_GUARD:g} required for the series evaluation")
-    total = np.ones_like(arr)  # n=1 term: 1/(1!)^2
-    term = np.ones_like(arr)
-    for n in range(2, config.truncation_terms):
-        # term ratio between consecutive derivative terms: y * n / ((n-1) n^2)
-        term = term * arr / (n * (n - 1))
-        total = total + term
-        if np.all(np.abs(term) < config.tail_tol * np.maximum(np.abs(total), 1.0)):
-            break
-    if np.ndim(y) == 0:
-        return float(total)
-    return total
+def f_series(y):
+    """f(y) = sum y^n/(n!)^2 by the recursion term_n = term_{n-1} * y / n^2."""
+    return _truncated_series(y, 0)
+
+
+def f_series_derivative(y):
+    """f'(y) = sum_{n>=1} n y^{n-1}/(n!)^2: term ratio y / (n (n-1)) from n = 2."""
+    return _truncated_series(y, 1)
 
 
 def find_r0(tol: float) -> float:

@@ -1,0 +1,138 @@
+"""Bit goldens: the exact doubles (``float.hex``) of the comparison series f and
+f', the cell-pair sums, the limit field and the weak-residual table.
+
+They pin the last bit, not a tolerance, so a refactor of these routines that
+claims to keep behaviour must keep every value.  The file was recorded with
+``PYTHONPATH=src python tests/test_bit_goldens.py``; re-record only for a
+change that is meant to move these bits, and say so.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sheetlab import (
+    CoefficientField,
+    FrequencyGrid,
+    Grid,
+    Point,
+    double_ito_integral,
+    double_rect_integral,
+    f_series,
+    f_series_derivative,
+    find_r0,
+    limit_solution,
+    residual_table,
+    sample_sheet,
+    solve_conditional_mkv,
+    verify_limit_spde,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "bit_goldens.json"
+
+WIDE = np.linspace(-700.0, 700.0, 401)
+NARROW = np.linspace(-3.0, 3.0, 241)
+SCALARS = (-700.0, -25.0, -1.4457964907366958, -0.3, 0.0, 0.3, 1.0, 25.0, 700.0)
+
+# 16 x 12 = 192 cells: more than one block of first cells in the pair sums
+PAIR_GRID = Grid(Point(1.0, 0.75), 16, 12)
+LIMIT_GRID = Grid(Point(1.0, 0.5), 12, 10)
+
+
+def _psi(a, b):
+    return np.exp(-((a.t - b.t) ** 2)) * (1.0 + a.x * b.x)
+
+
+def _h(a, b):
+    return np.cos(a.t * b.x) + a.x * b.t
+
+
+def _coupled_field(n, m):
+    """State-dependent, measure-coupled coefficients with a full beta beta^T."""
+    rng = np.random.default_rng(10 * n + m)
+    K = 0.3 * rng.normal(size=(n, n))
+    S = 0.5 * rng.normal(size=(n, m))
+
+    def drift(z, y, mu):
+        return y @ K.T - 0.4 * (y - mu.samples.mean(axis=0))
+
+    def diffusion(z, y, mu):
+        return S[None] * (1.0 + 0.2 * np.sin(y))[:, :, None]
+
+    return CoefficientField(n=n, m=m, drift=drift, diffusion=diffusion)
+
+
+def _residual_table(n, m):
+    grid = Grid(Point(1.0, 1.0), 6, 6)
+    ens = solve_conditional_mkv(_coupled_field(n, m), np.linspace(0.2, 0.6, n), 40, grid, seed=3)
+    W = np.random.default_rng(n).normal(size=(4, n))
+    out = []
+    for z in (grid.horizon, Point(0.5, 5.0 / 6.0)):
+        res = [r for _, r in residual_table(ens, FrequencyGrid(W), z)]
+        out += [part for r in res for part in (r.real, r.imag)]
+    return out
+
+
+def _pair_sums():
+    sheet = sample_sheet(PAIR_GRID, 2, seed=5)
+    out = []
+    for z in (PAIR_GRID.horizon, Point(0.5, 0.5)):
+        out += [
+            double_ito_integral(_psi, sheet, 0, 1, z),
+            double_ito_integral(_psi, sheet, 1, 1, z),
+            double_ito_integral(None, sheet, 0, 1, z),
+            double_ito_integral(None, sheet, 0, 0, z),
+            double_rect_integral(_h, z, PAIR_GRID),
+        ]
+    return out
+
+
+def _limit_spde():
+    out = []
+    for a in (1.5, 1.0, 0.25):
+        rep = verify_limit_spde(a, 0.7, LIMIT_GRID, 6, seed=2)
+        out += [rep.det_residual, rep.stoch_residual]
+    return out
+
+
+CASES = {
+    "f_series_wide": lambda: f_series(WIDE),
+    "f_series_narrow": lambda: f_series(NARROW),
+    "f_series_scalars": lambda: [f_series(y) for y in SCALARS],
+    "f_series_derivative_wide": lambda: f_series_derivative(WIDE),
+    "f_series_derivative_narrow": lambda: f_series_derivative(NARROW),
+    "f_series_derivative_scalars": lambda: [f_series_derivative(y) for y in SCALARS],
+    "find_r0": lambda: [find_r0(1e-12)],
+    "pair_sums": _pair_sums,
+    "limit_solution": lambda: limit_solution(
+        1.5, 0.7, sample_sheet(LIMIT_GRID, 1, seed=4, stream=2)
+    ).values,
+    "verify_limit_spde": _limit_spde,
+    "residual_table_n1": lambda: _residual_table(1, 2),
+    "residual_table_n2": lambda: _residual_table(2, 3),
+    "residual_table_n3": lambda: _residual_table(3, 2),
+}
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=float))]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bits_match_the_recorded_golden(name, golden):
+    assert _hex(CASES[name]()) == golden[name]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({name: _hex(fn()) for name, fn in CASES.items()}, indent=1) + "\n")

@@ -65,8 +65,6 @@ class TestChaosConfig:
     def test_rejects_degenerate_weight_mean(self):
         with pytest.raises(ValueError):
             ChaosConfig(N=2, a_values=1e-12, y0=0.0, grid=square_grid(4))
-        with pytest.raises(ValueError):
-            ChaosConfig(N=1, a_values=1.0, y0=0.0, grid=square_grid(4), q=-1.0)
 
     def test_matrix_carries_the_weights(self):
         cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4))

@@ -96,6 +96,23 @@ class TestArgumentHandling:
         assert err.startswith("argument error:") and "two replications" in err
         assert not (tmp_path / "ito-check.csv").exists()
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    @pytest.mark.parametrize("argv", [["sheet-stats", "k=4"], ["fokker-planck", "M=20", "k=4"]])
+    def test_replicate_statistics_need_two_reps(self, argv, reps, capsys, tmp_path, monkeypatch):
+        # no replicate has no estimate and one has no standard error: a usage
+        # error, not an IndexError traceback or NaN in the CSV
+        assert run([*argv, f"reps={reps}"], tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("argument error:") and "two replicates" in err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_chaos_rate_rejects_a_zero_horizon(self, capsys, tmp_path, monkeypatch):
+        # a zero side makes dt = 0: a usage error, not a ZeroDivisionError
+        assert run(["chaos-rate", "t=0"], tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("argument error:") and "horizon" in err
+        assert not (tmp_path / "chaos-rate.csv").exists()
+
     def test_lemma61_takes_no_seed(self, capsys, tmp_path, monkeypatch):
         # lemma61 draws nothing, so it has no seed to set
         assert run(["lemma61", "seed=0"], tmp_path, monkeypatch) == 1

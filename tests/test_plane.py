@@ -53,6 +53,14 @@ class TestGrid:
         np.testing.assert_allclose(g.t_nodes(), np.linspace(0, 1, 5))
         np.testing.assert_allclose(g.x_nodes(), np.linspace(0, 2, 9))
 
+    @pytest.mark.parametrize(
+        "horizon", [(0.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.nan), (np.nan, np.nan)]
+    )
+    def test_rejects_a_degenerate_horizon(self, horizon):
+        # a zero, infinite or NaN side leaves dt or dx without meaning
+        with pytest.raises(ValueError, match="horizon"):
+            Grid(horizon=Point(*horizon), nt=4, nx=4)
+
     def test_node_index_roundtrip(self):
         g = square_grid(8)
         for i in range(9):

@@ -5,7 +5,6 @@ import pytest
 import scipy.special
 
 from sheetlab import (
-    SeriesConfig,
     f_series,
     f_series_derivative,
     find_r0,
@@ -40,10 +39,6 @@ class TestFSeries:
         for y in (-1.5, -0.2, 0.0, 0.8):
             fd = (f_series(y + h) - f_series(y - h)) / (2 * h)
             assert f_series_derivative(y) == pytest.approx(fd, abs=1e-6)
-
-    def test_truncation_config_validated(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(truncation_terms=0)
 
 
 class TestRootFinder:
