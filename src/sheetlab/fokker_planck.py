@@ -48,9 +48,18 @@ cells are over-counted by an O(1) amount.  The tables keep both, in cD x rD
 for the drift part and as the two distinct products cQ x rD and cD x rQ for
 the diffusion part.  The tables are cell-last, (K, cells) with K = n + n^2 +
 n^3 + n^4, stacked from the four blocks.  For a chunk of cells, all Q
-frequencies then cost one cos and one sin per cell and frequency, stacked
-into one (2Q, cells) array, and a single (2Q, cells) x (cells, K) product;
-each frequency is still evaluated on its own, -w included.
+frequencies then cost their cos and sin per cell, stacked into one (2Q,
+cells) array, and a single (2Q, cells) x (cells, K) product.
+
+Not every row pays for its own trig.  A plan made once per call from the
+frequency rows sorts them three ways: a row that is all zero takes cos = 1
+and sin = 0; a row exactly twice a row evaluated directly takes the double
+angle, cos = c^2 - s^2 and sin = 2 s c, since 2w.Y is exactly twice w.Y in
+floating point; every other row is evaluated with cos and sin.  Neither half
+of a +-w pair is ever taken from the other, so -2 may come from -1 but never
+from +1.  AC09's {+-1, +-2} thus needs trig for +-1 only, and w = 0 for no
+row at all.  Every row, the zero row included, still goes through the table
+product.
 
 The tables are built while the coefficients stream in: R_z, the cells
 [0, i) x [0, j), is read one grid row at a time from solver.coefficient_rows,
@@ -68,12 +77,18 @@ At w = 0 every monomial of w vanishes, so the kernel sum is an exact zero,
 and so is the left side: the residual is identically 0.0 — a structural
 identity the tests pin.  Negating w flips the sign of the sines and of the odd
 monomials only, so the residual is conjugate-symmetric in w to rounding.
+Both halves of +-1 are evaluated directly, so the gap at +-1 is a real
+check of the kernel and carries the conjugate test.  At +-2, doubled from
++-1, the double angle keeps the cosines and negates the sines exactly when
++-1's do: the gap there reads exactly 0.0 and tests nothing the gap at +-1
+does not.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,8 +233,9 @@ def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -
     grid = ensemble.grid
     dtdx = grid.dt * grid.dx
     M, n = ensemble.particles, ensemble.n
-    w1, w2, w3, w4 = itertools.accumulate([W.T] * 4, _outer)
-    mono = np.concatenate([w2, w4, 1j * w1, 1j * w3]).T  # (Q, K)
+    plan = _trig_plan(W)
+    w1, w2, w3, w4 = itertools.accumulate([W[plan.order].T] * 4, _outer)
+    mono = np.concatenate([w2, w4, 1j * w1, 1j * w3]).T  # (Q, K), in plan order
     step = max(1, _CELLS // max(j, 1))
     cD = np.zeros((n, M, j))
     cQ = np.zeros((n, n, M, j))
@@ -237,22 +253,65 @@ def _five_term_sums(ensemble: ParticleEnsemble, W: np.ndarray, i: int, j: int) -
         for lo in range(0, M, step):
             p = slice(lo, lo + step)
             chunk = A[:, p], B[:, p], Q[:, :, p], cD[:, p], cQ[:, :, p], Y[:, p].reshape(n, -1)
-            total += _chunk_sums(*chunk, W, mono)
-    return total / M
+            total += _chunk_sums(*chunk, plan, mono)
+    sums = np.empty_like(total)
+    sums[plan.order] = total
+    return sums / M
 
 
-def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
-    """Unaveraged five-term sums over one chunk of a grid row, at each row of W.
+class _TrigPlan(NamedTuple):
+    """Where each frequency row's cos and sin come from (module docstring).
+
+    order lists the caller's row indices as the kernel holds them: first the
+    rows of direct (d, n), evaluated with cos and sin, then one doubled row
+    per entry of halves, the index into direct of the row it is twice, then
+    the zero rows.
+    """
+
+    order: np.ndarray
+    direct: np.ndarray
+    halves: np.ndarray
+
+
+def _trig_plan(W: np.ndarray) -> _TrigPlan:
+    """Plan the trig of the frequency rows W (Q, n); see :class:`_TrigPlan`.
+
+    Rows are decided by increasing largest |component|, so a row's half is
+    decided before it.  A row is doubled only if its half is evaluated
+    directly, never from a row that is itself doubled; direct rows keep the
+    caller's order.
+    """
+    zero = ~W.any(axis=1)
+    direct, half_of = [], {}
+    for r in np.argsort(np.abs(W).max(axis=1), kind="stable"):
+        if zero[r]:
+            continue
+        half = next((s for s in direct if np.array_equal(2 * W[s], W[r])), None)
+        if half is None:
+            direct.append(r)
+        else:
+            half_of[r] = half
+    direct.sort()
+    doubled = sorted(half_of)
+    order = np.array(direct + doubled + list(np.flatnonzero(zero)), dtype=np.intp)
+    halves = np.searchsorted(direct, [half_of[r] for r in doubled]).astype(np.intp)
+    return _TrigPlan(order, W[direct], halves)
+
+
+def _chunk_sums(A, B, Q, cD, cQ, Y, plan, mono) -> np.ndarray:
+    """Unaveraged five-term sums over one chunk of a grid row, in plan order.
 
     A, B (n, p, j) and Q (n, n, p, j) are the chunk's per-cell tables of the
     module docstring, Y (n, p*j) its states.  D = A + B and Q are first added
     to the t-carries cD and cQ in place, so that these then hold the running
     sums along t up to this row.  The chunk's table T (K, cells) stacks the
     real part's w^2 and w^4 coefficients, then the imaginary part's w and w^3
-    ones.  With C, S the cos and sin of w.Y for all Q frequencies, stacked
-    into one (2Q, cells) array, [C; S] @ T^T is one product, and frequency
-    q's sum is (C_q @ T^T - i S_q @ T^T) @ mono[q] with mono = [w^2, w^4,
-    i w, i w^3].
+    ones.  C, S, the cos and sin of w.Y for the Q frequencies in the order of
+    plan (a :class:`_TrigPlan`), fill one (2Q, cells) array block by block:
+    the direct rows by cos and sin of their theta, the doubled rows by the
+    double angle of their halves' rows, the zero rows by 1 and 0.  [C; S] @
+    T^T is then one product, and frequency q's sum is (C_q @ T^T - i S_q @
+    T^T) @ mono[q] with mono = [w^2, w^4, i w, i w^3].
     """
     n, cells = Y.shape
     D = A + B
@@ -265,11 +324,21 @@ def _chunk_sums(A, B, Q, cD, cQ, Y, W, mono) -> np.ndarray:
     T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD)
     T3 = (_outer(cQ, rD) + _outer(cD, rQ)) * 0.5 - _outer(Q, B)
     T = np.concatenate([T2, _outer(cQ, rQ) * 0.25, -D, T3])
-    q = len(W)
+    q, d, e = len(mono), len(plan.direct), len(plan.halves)
     cs = np.empty((2 * q, cells))
-    theta = np.dot(W, Y, out=cs[q:])  # np.matmul is several times slower for n = 1
-    np.cos(theta, out=cs[:q])
+    cos, sin = cs[:q], cs[q:]
+    theta = np.dot(plan.direct, Y, out=sin[:d])  # np.matmul is several times slower for n = 1
+    np.cos(theta, out=cos[:d])
     np.sin(theta, out=theta)
+    for r, h in enumerate(plan.halves, d):  # in place, no temporaries: c^2 - s^2 and 2 s c
+        c, s = cos[h], sin[h]
+        np.multiply(c, c, out=cos[r])
+        np.multiply(s, s, out=sin[r])
+        cos[r] -= sin[r]
+        np.multiply(s, c, out=sin[r])
+        sin[r] *= 2
+    cos[d + e :] = 1.0
+    sin[d + e :] = 0.0
     P = cs @ T.T
     return np.sum((P[:q] - 1j * P[q:]) * mono, axis=1)
 

@@ -184,11 +184,13 @@ def _cell_pair_sum(pair, grid: Grid, i: int, j: int, weights=None) -> float:
     for lo in range(0, n, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, n)
         block = pair(Point(flat_t[lo:hi, None], flat_x[lo:hi, None]), second)
+        # a kernel may return a scalar or a partly broadcast array: every pair counts once
+        block = np.broadcast_to(np.asarray(block, dtype=float), (hi - lo, n))
         if weights is None:
             total += float(np.sum(block))
             continue
         d1, d2 = weights
-        block = np.broadcast_to(np.asarray(block, dtype=float), (hi - lo, n)).copy()
+        block = block.copy()
         block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         total += float(d1[lo:hi] @ block @ d2)
     return total

@@ -27,7 +27,7 @@ from sheetlab import (
     weak_residual,
 )
 from sheetlab import fokker_planck
-from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _wa_wb_wq
+from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _trig_plan, _wa_wb_wq
 from sheetlab.solver import coefficient_table
 
 
@@ -267,8 +267,9 @@ class TestPolynomialTableKernel:
 @st.composite
 def kernel_cases(draw):
     """A small coupled ensemble, a node (i, j) of its grid, a frequency set of
-    1, 3 or 5 rows holding w = 0 and +-w pairs in a drawn order, and a chunk
-    size that may split every row into particle sub-chunks."""
+    1 to 9 rows holding w = 0, +-w pairs and possibly their doubles +-2w (the
+    kernel's double-angle rows) in a drawn order, and a chunk size that may
+    split every row into particle sub-chunks."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     grid = Grid(horizon=Point(1.0, 0.75), nt=draw(st.integers(1, 6)), nx=draw(st.integers(1, 6)))
     y0 = draw(hnp.arrays(float, (n,), elements=st.floats(-1.0, 1.0)))
@@ -276,7 +277,8 @@ def kernel_cases(draw):
     ens = solve_conditional_mkv(coupled_field(n, m), y0, M, grid, seed)
     away_from_zero = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
     pairs = draw(hnp.arrays(float, (draw(st.integers(0, 2)), n), elements=away_from_zero))
-    W = np.vstack([np.zeros((1, n)), pairs, -pairs])
+    doubles = [2 * pairs, -2 * pairs] if draw(st.booleans()) else []
+    W = np.vstack([np.zeros((1, n)), pairs, -pairs, *doubles])
     W = W[draw(st.permutations(range(len(W))))]
     node = draw(st.integers(0, grid.nt)), draw(st.integers(0, grid.nx))
     return ens, W, node, draw(st.sampled_from([1, 7, 1 << 14]))
@@ -306,6 +308,33 @@ class TestKernelProperties:
         alpha, beta = coefficient_table(ens.coeffs, ens.values, ens.grid, i, j)
         want = [_five_term_sum(ens, alpha, beta, w, i, j, 16) for w in W]
         np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
+
+
+class TestTrigPlan:
+    """Which frequency rows the kernel evaluates with cos and sin: the rest are
+    doubles of those (the double angle) or zero (cos = 1, sin = 0)."""
+
+    @pytest.mark.parametrize(
+        "W, direct",
+        [
+            ([1.0, -2.0], [1.0, -2.0]),  # -2 is not twice +1: no cross-sign derivation
+            ([-1.0, 2.0], [-1.0, 2.0]),
+            ([0.0], []),
+            ([1.0, -1.0, 2.0, -2.0, 0.0], [1.0, -1.0]),
+            ([[0.5, -1.0], [3.0, 0.0], [1.0, -2.0]], [[0.5, -1.0], [3.0, 0.0]]),
+            ([4.0, 2.0, 1.0], [4.0, 1.0]),  # 4 is twice a doubled row, so it is evaluated
+        ],
+        ids=["1,-2", "-1,2", "0", "+-1,+-2,0", "n2", "1,2,4"],
+    )
+    def test_direct_rows(self, W, direct):
+        W = FrequencyGrid(np.array(W)).values
+        plan = _trig_plan(W)
+        d, e = len(plan.direct), len(plan.halves)
+        np.testing.assert_array_equal(plan.direct, np.reshape(direct, (-1, W.shape[1])))
+        assert sorted(plan.order) == list(range(len(W)))
+        np.testing.assert_array_equal(W[plan.order[:d]], plan.direct)
+        np.testing.assert_array_equal(W[plan.order[d : d + e]], 2 * plan.direct[plan.halves])
+        assert not W[plan.order[d + e :]].any()
 
 
 class TestRowStream:

@@ -129,6 +129,17 @@ class TestRectIntegral:
         product = rect_integral(f, z, g) * rect_integral(h, z, g)
         assert double == pytest.approx(product, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "h, f",
+        [(lambda a, b: 1.0, lambda p: 1.0), (lambda a, b: a.t, lambda p: p.t)],
+        ids=["scalar", "first-point-only"],
+    )
+    def test_double_integral_counts_every_pair_of_a_broadcast_kernel(self, h, f):
+        # 256 cells are two blocks of first cells: a scalar counted once per
+        # block read 3.05e-5, not 1.0
+        g, z = square_grid(16), Point(1.0, 1.0)
+        assert double_rect_integral(h, z, g) == pytest.approx(rect_integral(f, z, g), abs=1e-12)
+
 
 class TestMixedPartial:
     def test_recovers_second_mixed_derivative(self):
