@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .noise import _node_values
 from .plane import Grid, Point
 from .rng import DOMAIN_CONTROL
@@ -41,6 +40,7 @@ from .solver import (
     CoefficientField,
     ParticleEnsemble,
     _replicate_increments,
+    _row_measures,
     _row_points,
     _uniform_weights,
     solve_conditional_mkv,
@@ -171,7 +171,15 @@ def _replicate_cost(
 ) -> float:
     """One replicate's cost on the solved ensemble, with the node measures,
     Points and observation ``views`` built as the solver's coefficient pass
-    builds them."""
+    builds them.
+
+    The running costs fill an (nt, nx, M) table, reduced once per route:
+    direct sums each particle's column over the nodes in row-major order,
+    measure-based sums the nodes' particle means in the same order.  Both
+    sums run in order through ``np.cumsum`` (``np.add.reduce`` sums a lone
+    particle's column pairwise), so they add what the per-node accumulation
+    added, in its order.
+    """
     grid = ensemble.grid
     dt, dx = grid.dt, grid.dx
     dtdx = dt * dx
@@ -179,22 +187,69 @@ def _replicate_cost(
     weights = _uniform_weights(M)
     xs = [j * dx for j in range(grid.nx)]
     rule, running = policy.rule, cost.running
-    per_particle = np.zeros(M)
-    measure_total = 0.0
+    ell = np.empty((grid.nt, grid.nx, M))
     for i in range(grid.nt):
-        for z, states in zip(_row_points(i * dt, xs), ensemble.values[:, i].swapaxes(0, 1)):
-            mu = EmpiricalMeasure._unchecked(states, weights)
+        row = ensemble.values[:, i, : grid.nx].swapaxes(0, 1)
+        for j, (z, mu) in enumerate(zip(_row_points(i * dt, xs), _row_measures(row, weights))):
             u = np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
-            ell = np.asarray(running(z, states, u), dtype=float)
-            if route == "direct":
-                per_particle += ell * dtdx
-            else:
-                measure_total += float(ell.mean()) * dtdx
+            ell[i, j] = running(z, mu.samples, u)
     terminal = np.asarray(cost.terminal(ensemble.values[:, -1, -1, :]), dtype=float)
     if route == "direct":
-        per_particle += terminal
-        return float(per_particle.mean())
-    return measure_total + float(terminal.mean())
+        per_particle = np.cumsum((ell * dtdx).reshape(-1, M), axis=0)[-1]
+        return float((per_particle + terminal).mean())
+    node_means = np.add.reduce(ell, axis=-1) / M
+    return float(np.cumsum(node_means * dtdx)[-1]) + float(terminal.mean())
+
+
+def _replicate_values(
+    policies: list,
+    controlled: ControlledCoefficients,
+    cost: CostSpec,
+    y0,
+    M: int,
+    grid: Grid,
+    replicates: int,
+    seed: int,
+    route: str,
+) -> list:
+    """Each policy's (replicates,) values on common random numbers.
+
+    Replicates run on the outside: each replicate's noise, node values and
+    observation views are built once and shared by every policy, and only one
+    replicate's noise is held at a time.
+    """
+    if route not in ("direct", "measure"):
+        raise ValueError(f"route must be 'direct' or 'measure', got {route!r}")
+    if replicates < 2:
+        raise ValueError(f"need at least two replicates, got {replicates}")
+    if not (
+        np.isclose(float(cost.horizon.t), float(grid.horizon.t))
+        and np.isclose(float(cost.horizon.x), float(grid.horizon.x))
+    ):
+        raise ValueError(
+            f"cost horizon {(cost.horizon.t, cost.horizon.x)} is not the grid horizon"
+        )
+    values = [np.empty(replicates) for _ in policies]
+    for rep in range(replicates):
+        common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
+        views = _observation_views(_node_values(common), grid)
+        for policy, policy_values in zip(policies, values):
+            coeffs = _curry(controlled, policy, views, grid)
+            ensemble = solve_conditional_mkv(
+                coeffs, y0, M, grid, seed, common_increments=common, idio_increments=idio
+            )
+            policy_values[rep] = _replicate_cost(ensemble, policy, cost, views, route)
+    return values
+
+
+def _estimate(policy: ControlPolicy, values: np.ndarray, route: str) -> PerformanceEstimate:
+    return PerformanceEstimate(
+        theta=policy.theta,
+        value=float(values.mean()),
+        stderr=float(values.std(ddof=1) / np.sqrt(len(values))),
+        replicate_values=values,
+        route=route,
+    )
 
 
 def _performance(
@@ -208,33 +263,8 @@ def _performance(
     seed: int,
     route: str,
 ) -> PerformanceEstimate:
-    if route not in ("direct", "measure"):
-        raise ValueError(f"route must be 'direct' or 'measure', got {route!r}")
-    if replicates < 2:
-        raise ValueError(f"need at least two replicates, got {replicates}")
-    if not (
-        np.isclose(float(cost.horizon.t), float(grid.horizon.t))
-        and np.isclose(float(cost.horizon.x), float(grid.horizon.x))
-    ):
-        raise ValueError(
-            f"cost horizon {(cost.horizon.t, cost.horizon.x)} is not the grid horizon"
-        )
-    values = np.empty(replicates)
-    for rep in range(replicates):
-        common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
-        views = _observation_views(_node_values(common), grid)
-        coeffs = _curry(controlled, policy, views, grid)
-        ensemble = solve_conditional_mkv(
-            coeffs, y0, M, grid, seed, common_increments=common, idio_increments=idio
-        )
-        values[rep] = _replicate_cost(ensemble, policy, cost, views, route)
-    return PerformanceEstimate(
-        theta=policy.theta,
-        value=float(values.mean()),
-        stderr=float(values.std(ddof=1) / np.sqrt(replicates)),
-        replicate_values=values,
-        route=route,
-    )
+    (values,) = _replicate_values([policy], controlled, cost, y0, M, grid, replicates, seed, route)
+    return _estimate(policy, values, route)
 
 
 def performance_direct(
@@ -283,13 +313,14 @@ def grid_search(
     seed: int,
     route: str = "direct",
 ) -> GridSearchResult:
-    """Evaluate every policy on common random numbers; earliest argmax wins."""
+    """Evaluate every policy on common random numbers; earliest argmax wins.
+
+    Each replicate's noise is drawn once per scan and shared by the policies.
+    """
     if not policies:
         raise ValueError("need at least one policy")
-    table = [
-        _performance(p, controlled, cost, y0, M, grid, replicates, seed, route)
-        for p in policies
-    ]
+    values = _replicate_values(policies, controlled, cost, y0, M, grid, replicates, seed, route)
+    table = [_estimate(p, v, route) for p, v in zip(policies, values)]
     best = int(np.argmax([est.value for est in table]))
     return GridSearchResult(best_index=best, best_policy=policies[best], table=table)
 
@@ -301,13 +332,13 @@ def grid_search(
 def mean_feedback_policy(theta: float) -> ControlPolicy:
     """u = theta * mean of the conditional measure (componentwise).
 
-    The mean is the unweighted mean of ``mu.samples``: the solver and the cost
-    pass hand the policy uniform weights.
+    The mean is ``mu.sample_mean``, the unweighted mean of ``mu.samples``: the
+    solver and the cost pass hand the policy uniform weights, and their
+    measures carry that mean from one reduction per grid row.
     """
 
     def rule(z, common, mu):
-        s = mu.samples
-        return theta * (np.add.reduce(s, axis=0) / s.shape[0])
+        return theta * mu.sample_mean
 
     return ControlPolicy(theta=theta, rule=rule)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,13 +77,36 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def _unchecked(cls, samples: np.ndarray, weights: np.ndarray) -> EmpiricalMeasure:
+    def _unchecked(
+        cls, samples: np.ndarray, weights: np.ndarray, sample_mean: np.ndarray | None = None
+    ) -> EmpiricalMeasure:
         """A measure with no validation or copy: the caller guarantees float64
-        samples of shape (M, n), M >= 1, and valid (M,) weights."""
+        samples of shape (M, n), M >= 1, and valid (M,) weights.  A given
+        read-only ``sample_mean`` (n,) is stored as the measure's
+        :attr:`sample_mean`; the caller guarantees it is that property's value."""
         mu = object.__new__(cls)
-        object.__setattr__(mu, "samples", samples)
-        object.__setattr__(mu, "weights", weights)
+        # the instance dict directly: the fields are plain attributes, and this
+        # runs once per grid node of a coefficient pass
+        attrs = mu.__dict__
+        attrs["samples"] = samples
+        attrs["weights"] = weights
+        if sample_mean is not None:
+            attrs["sample_mean"] = sample_mean
         return mu
+
+    @cached_property
+    def sample_mean(self) -> np.ndarray:
+        """The unweighted mean of ``samples``, shape (n,), computed once.
+
+        It is ``np.add.reduce(samples, axis=0) / M``, the expression of
+        ``samples.mean(axis=0)``, and ignores ``weights``: it is the mean of
+        the measure only under uniform weights, which every measure a solver
+        builds carries.  It is computed on first read and kept, so the samples
+        must not change after that.  The array is read-only.
+        """
+        mean = np.add.reduce(self.samples, axis=0) / self.samples.shape[0]
+        mean.setflags(write=False)
+        return mean
 
     @property
     def dim(self) -> int:

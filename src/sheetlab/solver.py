@@ -52,9 +52,12 @@ a field must not write to them.  Every return is shape-checked.
 
 The empirical measure the pass builds itself skips validation, since the
 grid and the solver guarantee it: its ``samples`` is a view of the solver's
-states at the node (the same array as y), and its ``weights`` is one
-read-only uniform array shared by every node of the pass.  A field must not
-write to either.  Node Points are likewise built unchecked, because grid
+states at the node (the same array as y), its ``weights`` is one read-only
+uniform array shared by every node of the pass, and its ``sample_mean`` is a
+read-only row of one reduction over the grid row's clouds, so a field that
+reads only the mean (``mean_reversion_field``, the control's
+``mean_feedback_policy``) reduces no cloud of its own.  A field must not write
+to any of them.  Node Points are likewise built unchecked, because grid
 coordinates i*dt and j*dx are nonnegative.
 
 The conditional mean-field system couples M particles through the empirical
@@ -208,6 +211,21 @@ def _row_points(t: float, xs: list) -> list:
     return [Point._unchecked(t, x) for x in xs]
 
 
+def _row_measures(states: np.ndarray, weights: np.ndarray) -> list:
+    """The unchecked empirical measures of one grid row's nodes.
+
+    ``states`` (cols, M, n) holds node j's cloud at ``states[j]``, which
+    becomes that measure's ``samples``; every measure shares ``weights``.  The
+    nodes' sample means come from one reduction over the particle axis, read
+    only, and equal each cloud's own ``sample_mean`` bit for bit when the
+    states are node-major (module docstring).
+    """
+    means = np.add.reduce(states, axis=1) / states.shape[1]
+    means.setflags(write=False)
+    unchecked = EmpiricalMeasure._unchecked
+    return [unchecked(cloud, weights, mean) for cloud, mean in zip(states, means)]
+
+
 def coefficient_rows(
     coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int, measure_source=None
 ):
@@ -220,6 +238,11 @@ def coefficient_rows(
     or with ``measure_source(i, j)`` when given, and its returns are written to
     node-major (cols, M, ...) buffers, of which the yielded pair are views; a
     measure-free field is called per row on the (M*cols, n) batch.
+
+    The measures built here carry their ``sample_mean`` from one reduction per
+    row (:func:`_row_measures`).  On node-major states, the layout of every
+    library caller, it equals the mean each cloud would give alone bit for
+    bit; on other layouts the two agree to rounding.
     """
     values = np.asarray(values, dtype=float)
     M, n, m = values.shape[0], coeffs.n, coeffs.m
@@ -232,12 +255,12 @@ def coefficient_rows(
             # node-major buffers: node j's coefficients are one contiguous write
             alpha = np.empty((cols, M, n))
             beta = np.empty((cols, M, n, m))
-            nodes = zip(_row_points(i * grid.dt, xs), values[:, i].swapaxes(0, 1))
-            for j, (z, states) in enumerate(nodes):
-                if measure_source is None:
-                    mu = EmpiricalMeasure._unchecked(states, weights)
-                else:
-                    mu = measure_source(i, j)
+            row = values[:, i, :cols].swapaxes(0, 1)
+            if measure_source is None:
+                nodes = ((mu.samples, mu) for mu in _row_measures(row, weights))
+            else:
+                nodes = ((states, measure_source(i, j)) for j, states in enumerate(row))
+            for j, (z, (states, mu)) in enumerate(zip(_row_points(i * grid.dt, xs), nodes)):
                 alpha[j] = _check_shapes("drift", drift(z, states, mu), alpha_shape)
                 beta[j] = _check_shapes("diffusion", diffusion(z, states, mu), beta_shape)
             yield alpha.swapaxes(0, 1), beta.swapaxes(0, 1)
@@ -394,10 +417,11 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
 def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     """Conditional OU dynamics: drift = rate * (mean of mu - y), constant beta.
 
-    The mean is the unweighted mean of ``mu.samples``: the solvers hand every
-    field uniform weights.  The drift is rate-Lipschitz in the state and
-    rate-Lipschitz in the measure (through the mean), so the declared joint
-    constant is 2 * rate.
+    The mean is ``mu.sample_mean``, the unweighted mean of ``mu.samples``: the
+    solvers hand every field uniform weights, and the measures they build
+    carry that mean from one reduction per grid row.  The drift is
+    rate-Lipschitz in the state and rate-Lipschitz in the measure (through the
+    mean), so the declared joint constant is 2 * rate.
     """
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
@@ -406,8 +430,7 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     betas = {}  # batch size -> read-only broadcast view of sigma
 
     def drift(z, y, mu):
-        s = mu.samples
-        return rate * (np.add.reduce(s, axis=0) / s.shape[0] - y)
+        return rate * (mu.sample_mean - y)
 
     def diffusion(z, y, mu):
         beta = betas.get(y.shape[0])

@@ -1,5 +1,6 @@
 """Bit goldens: the exact doubles (``float.hex``) of the comparison series f and
-f', the cell-pair sums, the limit field and the weak-residual table.
+f', the cell-pair sums, the limit field, the weak-residual table, a Picard solve
+of the conditional OU field and the two control cost routes.
 
 They pin the last bit, not a tolerance, so a refactor of these routines that
 claims to keep behaviour must keep every value.  The file was recorded with
@@ -18,12 +19,20 @@ from sheetlab import (
     FrequencyGrid,
     Grid,
     Point,
+    controlled_linear_field,
     double_ito_integral,
     double_rect_integral,
     f_series,
     f_series_derivative,
     find_r0,
+    grid_search,
     limit_solution,
+    lq_cost,
+    mean_feedback_policy,
+    mean_reversion_field,
+    performance_direct,
+    performance_measure_based,
+    picard_solve,
     residual_table,
     sample_sheet,
     solve_conditional_mkv,
@@ -39,6 +48,7 @@ SCALARS = (-700.0, -25.0, -1.4457964907366958, -0.3, 0.0, 0.3, 1.0, 25.0, 700.0)
 # 16 x 12 = 192 cells: more than one block of first cells in the pair sums
 PAIR_GRID = Grid(Point(1.0, 0.75), 16, 12)
 LIMIT_GRID = Grid(Point(1.0, 0.5), 12, 10)
+CONTROL_GRID = Grid(Point(1.0, 1.0), 4, 4)
 
 
 def _psi(a, b):
@@ -97,6 +107,37 @@ def _limit_spde():
     return out
 
 
+def _picard():
+    field = mean_reversion_field(0.4, (0.5, 0.3, 0.2), n=2)
+    result = picard_solve(field, (1.0, -0.5), 7, Grid(Point(1.0, 0.8), 6, 5), 5, 6, 1e-14)
+    return [*result.gaps, *result.ensemble.values.ravel()]
+
+
+def _control():
+    """controlled_linear_field and lq_cost as in the control tests, y0 = 2"""
+    return (
+        controlled_linear_field(-1.0, 1.0, (0.5, 0.5)),
+        lq_cost(CONTROL_GRID.horizon, 1.0, 0.25, 1.0),
+        2.0,
+    )
+
+
+def _performance(route, M):
+    estimate = route(mean_feedback_policy(-0.5), *_control(), M, CONTROL_GRID, 3, 11)
+    return [estimate.value, estimate.stderr, *estimate.replicate_values]
+
+
+def _grid_search():
+    policies = [mean_feedback_policy(theta) for theta in (-0.5, 0.0, 0.5)]
+    out = []
+    for route in ("direct", "measure"):
+        result = grid_search(policies, *_control(), 5, CONTROL_GRID, 3, 13, route=route)
+        out.append(result.best_index)
+        for est in result.table:
+            out += [est.theta, est.value, est.stderr, *est.replicate_values]
+    return out
+
+
 CASES = {
     "f_series_wide": lambda: f_series(WIDE),
     "f_series_narrow": lambda: f_series(NARROW),
@@ -113,6 +154,12 @@ CASES = {
     "residual_table_n1": lambda: _residual_table(1, 2),
     "residual_table_n2": lambda: _residual_table(2, 3),
     "residual_table_n3": lambda: _residual_table(3, 2),
+    "picard_mean_reversion_n2": _picard,
+    "performance_direct": lambda: _performance(performance_direct, 5),
+    "performance_measure_based": lambda: _performance(performance_measure_based, 5),
+    # one particle: each particle's cost sum is a column of length nt * nx
+    "performance_direct_m1": lambda: _performance(performance_direct, 1),
+    "grid_search": _grid_search,
 }
 
 

@@ -1,5 +1,7 @@
 """Policies observing the common channel: two cost routes and policy search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from sheetlab import (
 )
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
-from sheetlab.solver import _replicate_increments
+from sheetlab.solver import _replicate_increments, _row_measures, _uniform_weights
 
 
 def square_grid(k):
@@ -77,9 +79,14 @@ class TestStockCallbacks:
         s = rng.normal(size=(M, n)) * 3.0
         y = rng.normal(size=(M, n))
         u = rng.normal(size=n)
-        mu = EmpiricalMeasure(s)
+        # a measure as a user builds it, and one as the solver's row pass builds it
+        row = _row_measures(np.stack([s, -2.0 * s]), _uniform_weights(M))
         z = Point(0.25, 0.5)
-        assert np.array_equal(mean_feedback_policy(theta).rule(z, None, mu), theta * s.mean(0))
+        for mu in (EmpiricalMeasure(s), row[0]):
+            assert np.array_equal(mean_feedback_policy(theta).rule(z, None, mu), theta * s.mean(0))
+        doubled = mean_feedback_policy(theta).rule(z, None, row[1])
+        assert np.array_equal(doubled, theta * (-2.0 * s).mean(0))
+        mu = row[0]
         running = lq_cost(Point(1.0, 1.0), sw, cw, 1.0, target).running(z, y, u)
         former = -(sw * np.sum((y - target) ** 2, axis=-1) + cw * float(np.sum(u**2)))
         assert np.array_equal(running, former)
@@ -204,15 +211,17 @@ class TestGridSearch:
         assert result.table[0].value == pytest.approx(result.table[1].value, abs=1e-14)
 
     def test_policies_share_noise(self):
+        # each replicate is drawn once per scan, and every policy's values are
+        # those of its own performance_direct call, bit for bit
         g, controlled, cost = instance(4)
-        result = grid_search(
-            [mean_feedback_policy(t) for t in (-0.5, 0.0)],
-            controlled, cost, 1.0, 2, g, replicates=2, seed=7,
-        )
-        direct = performance_direct(
-            mean_feedback_policy(0.0), controlled, cost, 1.0, 2, g, replicates=2, seed=7
-        )
-        np.testing.assert_array_equal(result.table[1].replicate_values, direct.replicate_values)
+        policies = [mean_feedback_policy(t) for t in (-0.5, 0.0, 0.5)]
+        with mock.patch("sheetlab.control._replicate_increments", wraps=_replicate_increments) as draw:
+            result = grid_search(policies, controlled, cost, 1.0, 2, g, replicates=3, seed=7)
+        assert [call.args[-1] for call in draw.call_args_list] == [0, 1, 2]
+        for policy, est in zip(policies, result.table):
+            alone = performance_direct(policy, controlled, cost, 1.0, 2, g, replicates=3, seed=7)
+            np.testing.assert_array_equal(est.replicate_values, alone.replicate_values)
+            assert (est.value, est.stderr) == (alone.value, alone.stderr)
 
     def test_empty_policy_list_rejected(self):
         g, controlled, cost = instance(4)

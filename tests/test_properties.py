@@ -5,9 +5,9 @@ closed form; these properties pin that form against the row loop, against
 the telescoping identity and, for ensembles, against each particle's own
 single-path solve.  The ensemble noise is pinned to nest across particle
 counts, a replicate's value not to depend on which other replicates ran or
-in what order, the batched Ito study to be the public chain per replicate, and
-the Picard fixed point inside K|z| < sqrt(r0) to be the direct conditional
-solve.
+in what order, the batched Ito study to be the public chain per replicate, the
+Picard fixed point inside K|z| < sqrt(r0) to be the direct conditional solve,
+and a grid row's batched node means to be each cloud's own mean, bit for bit.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from sheetlab import (
     CoefficientField,
+    EmpiricalMeasure,
     Grid,
     Point,
     TestFunction as ItoTestFunction,  # aliased so pytest does not collect it
@@ -44,6 +45,7 @@ from sheetlab import (
     solve_goursat,
 )
 from sheetlab import ito_check
+from sheetlab.solver import _row_measures, _uniform_weights
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -291,3 +293,27 @@ def test_picard_fixed_point_is_the_direct_solve(nt, nx, M, seed, t, x, share, si
     assert result.converged and not result.diverged
     direct = solve_conditional_mkv(coeffs, y0, M, grid, seed)
     assert np.max(np.abs(result.ensemble.values - direct.values)) <= 1e-6
+
+
+@PROPERTY
+@given(
+    st.integers(1, 1200),
+    st.integers(1, 3),
+    st.integers(1, 9),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
+    # node-major states (nt+1, nx+1, M, n), read as the coefficient pass reads a
+    # row: nodes j < cols of row 1, with ``extra`` columns left out
+    stored = np.random.default_rng(seed).normal(size=(3, cols + extra, M, n)) * 4.0
+    row = stored.transpose(2, 0, 1, 3)[:, 1, :cols].swapaxes(0, 1)
+    weights = _uniform_weights(M)
+    measures = _row_measures(row, weights)
+    assert len(measures) == cols
+    for cloud, mu in zip(row, measures):
+        assert np.array_equal(mu.samples, cloud) and np.shares_memory(mu.samples, stored)
+        assert mu.weights is weights
+        assert np.array_equal(mu.sample_mean, np.add.reduce(cloud, axis=0) / M)
+        assert not mu.sample_mean.flags.writeable
+        assert np.array_equal(EmpiricalMeasure(cloud).sample_mean, cloud.mean(axis=0))

@@ -29,7 +29,12 @@ from sheetlab.rng import (
     DOMAIN_SHEET,
     substream,
 )
-from sheetlab.solver import _replicate_increments, coefficient_table
+from sheetlab.solver import (
+    _replicate_increments,
+    _row_measures,
+    _uniform_weights,
+    coefficient_table,
+)
 
 R0 = 1.4457964907366958
 
@@ -336,6 +341,8 @@ class TestConditionalEnsemble:
             np.testing.assert_array_equal(mu.samples, reference.samples)
             np.testing.assert_array_equal(mu.weights, reference.weights)
             assert not mu.weights.flags.writeable
+            assert np.array_equal(mu.sample_mean, reference.samples.mean(axis=0))
+            assert not mu.sample_mean.flags.writeable
         assert all(mu.weights is seen[0][2].weights for _, _, mu in seen)
 
     def test_empty_ensemble_is_still_rejected(self):
@@ -375,10 +382,13 @@ class TestStockField:
         co = mean_reversion_field(rate, sigma, n=n)
         s = rng.normal(size=(M, n)) * 3.0
         y = rng.normal(size=(M, n))
-        mu = EmpiricalMeasure(s)
+        # a measure as a user builds it, and one as the solver's row pass builds it
+        row = _row_measures(np.stack([s, -2.0 * s]), _uniform_weights(M))
         z = Point(0.25, 0.5)
-        assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(0) - y))
-        assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(axis=0)[None, :] - y))
+        for mu in (EmpiricalMeasure(s), row[0]):
+            assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(0) - y))
+            assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(axis=0)[None, :] - y))
+        assert np.array_equal(co.drift(z, y, row[1]), rate * ((-2.0 * s).mean(0) - y))
         for batch in (y, y[:1], y):
             beta = co.diffusion(z, batch, mu)
             assert np.array_equal(beta, np.broadcast_to(sigma, (batch.shape[0], n, 2)))
