@@ -28,7 +28,6 @@ from .control import (
     CostSpec,
     GridSearchResult,
     PerformanceEstimate,
-    constant_policy,
     controlled_linear_field,
     curry_policy,
     grid_search,
@@ -59,18 +58,12 @@ from .measures import (
     EstReport,
     MQuadrature,
     est_inequality_check,
-    fourier,
     fourier_batch,
     m_dist_sq,
     m_inner,
-    m_norm_sq,
-    measure_from_csv,
-    measure_to_csv,
-    wasserstein2_sq_1d,
 )
 from .noise import (
     SheetPath,
-    cell_increments,
     coarsen_increments,
     double_ito_integral,
     ito_integral,
@@ -88,7 +81,6 @@ from .plane import (
     mixed_partial,
     quarter_indicator,
     rect_integral,
-    sup_join,
 )
 from .rng import (
     DOMAIN_CHAOS,
@@ -118,7 +110,6 @@ from .solver import (
     sample_replicate_increments,
     solve_conditional_mkv,
     solve_goursat,
-    state_slice_csv,
 )
 
 __version__ = "0.1.0"

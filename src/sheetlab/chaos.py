@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import SheetPath, _draw_cells, _node_values
-from .plane import Grid, Point
+from .plane import Grid
 from .rng import DOMAIN_CHAOS, DOMAIN_SHEET, substream
 from .series import f_series
 from .solver import CoefficientField, StateField, solve_goursat
@@ -67,7 +67,7 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-8  # lowest admissible mean interaction weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneMatrix:
     """Interaction matrix A = ones (x) a, stored by its weight row a."""
 
@@ -99,11 +99,6 @@ class RankOneMatrix:
     def as_array(self) -> np.ndarray:
         return np.tile(self.a_values, (self.size, 1))
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """A y for y of shape (..., N): every component equals a . y."""
-        s = np.einsum("...j,j->...", np.asarray(y, dtype=float), self.a_values)
-        return np.repeat(s[..., None], self.size, axis=-1)
-
 
 def matrix_power_decomposition(A: RankOneMatrix, n: int) -> np.ndarray:
     """(A/N - I)^n in closed form: (-1)^n (I - P) + kappa^n P, P = A/sum(a)."""
@@ -114,7 +109,7 @@ def matrix_power_decomposition(A: RankOneMatrix, n: int) -> np.ndarray:
     return ((-1.0) ** n) * (np.eye(N) - P) + (A.kappa() ** n) * P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChaosConfig:
     """Particle count, interaction weights, shared start value, grid.
 

@@ -78,8 +78,9 @@ def _parse_value(text: str):
 
 def _parse_args(tokens, defaults):
     params = dict(defaults)
-    # a key whose default is a number or a list of numbers takes numbers only
-    numeric = lambda value: all(isinstance(v, (int, float)) for v in _as_list(value))  # noqa: E731
+    # a key whose default is an integer (or a list of them) takes integers only,
+    # and one whose default is a number (or a list of them) takes numbers only
+    of_kind = lambda value, kind: all(isinstance(v, kind) for v in _as_list(value))  # noqa: E731
     for token in tokens:
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
@@ -87,8 +88,9 @@ def _parse_args(tokens, defaults):
         if key not in defaults:
             raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(defaults))}")
         params[key] = _parse_value(raw)
-        if numeric(defaults[key]) and not numeric(params[key]):
-            raise ValueError(f"key {key!r} takes numbers, got {raw!r}")
+        for kind, noun in ((int, "integers"), ((int, float), "numbers")):
+            if of_kind(defaults[key], kind) and not of_kind(params[key], kind):
+                raise ValueError(f"key {key!r} takes {noun}, got {raw!r}")
     return params
 
 
@@ -219,7 +221,7 @@ def _run_est_check(p):
 
 def _run_chaos_rate(p):
     grid = Grid(horizon=Point(p["t"], p["x"]), nt=p["k"], nx=p["k"])
-    sizes = [int(N) for N in _as_list(p["N"])]
+    sizes = _as_list(p["N"])
     estimates = {}
     rows = []
     for N in sizes:
@@ -239,7 +241,7 @@ def _run_chaos_rate(p):
 
 def _run_chaos_closed_form(p):
     N = p["N"]
-    ks = [int(k) for k in _as_list(p["grids"])]
+    ks = _as_list(p["grids"])
     k_fine = ks[-1]
     fine_inc = sample_sheet(_square_grid(k_fine), N, p["seed"], stream=0).increments
 
@@ -544,6 +546,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         header, rows, checks, derived = runner(params)
+        if not checks:  # all([]) would read as a pass
+            raise ValueError(f"the parameters leave {name} no check to run")
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 1

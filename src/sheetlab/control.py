@@ -57,7 +57,6 @@ __all__ = [
     "GridSearchResult",
     "grid_search",
     "mean_feedback_policy",
-    "constant_policy",
     "controlled_linear_field",
     "lq_cost",
 ]
@@ -341,11 +340,6 @@ def mean_feedback_policy(theta: float) -> ControlPolicy:
         return theta * mu.sample_mean
 
     return ControlPolicy(theta=theta, rule=rule)
-
-
-def constant_policy(value) -> ControlPolicy:
-    value_arr = np.atleast_1d(np.asarray(value, dtype=float))
-    return ControlPolicy(theta=float(value_arr[0]), rule=lambda z, common, mu: value_arr)
 
 
 def controlled_linear_field(

@@ -106,7 +106,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Frequencies (Q, n) for residual tables; scalars are promoted to n=1."""
 

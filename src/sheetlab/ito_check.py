@@ -181,12 +181,6 @@ class RefinementStudy:
     rows: list  # (cells_per_axis, mean_residual, stderr)
     monotone: bool
 
-    def to_csv(self, filename: str) -> None:
-        with open(filename, "w", newline="") as fh:
-            fh.write("cells_per_axis,mean_residual,stderr\n")
-            for k, mean, se in self.rows:
-                fh.write(f"{k},{float(mean)!r},{float(se)!r}\n")
-
 
 def ito_refinement_study(
     f: TestFunction,

@@ -28,7 +28,6 @@ averaging happens at the experiment layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,20 +36,15 @@ import numpy as np
 __all__ = [
     "EmpiricalMeasure",
     "MQuadrature",
-    "fourier",
     "fourier_batch",
-    "m_norm_sq",
     "m_dist_sq",
     "m_inner",
-    "wasserstein2_sq_1d",
     "EstReport",
     "est_inequality_check",
-    "measure_to_csv",
-    "measure_from_csv",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Weighted sample cloud in R^n; samples shape (M, n), weights sum to 1."""
 
@@ -117,7 +111,7 @@ class EmpiricalMeasure:
         return self.samples.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MQuadrature:
     """Tensorized Gauss-Hermite rule for integrals against e^{-|y|^2} on R^n."""
 
@@ -138,25 +132,10 @@ class MQuadrature:
         object.__setattr__(self, "weights", weights)
 
 
-def fourier(mu: EmpiricalMeasure, w) -> complex:
-    """mu_hat(w) = sum_k weight_k exp(-i <w, sample_k>) at a single frequency."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (mu.dim,):
-        raise ValueError(f"frequency has dim {w.shape}, measure has dim {mu.dim}")
-    return complex(np.sum(mu.weights * np.exp(-1j * (mu.samples @ w))))
-
-
 def fourier_batch(mu: EmpiricalMeasure, freqs: np.ndarray) -> np.ndarray:
     """mu_hat at a (Q, n) batch of frequencies, shape (Q,) complex."""
     phases = freqs @ mu.samples.T  # (Q, M)
     return np.exp(-1j * phases) @ mu.weights
-
-
-def m_norm_sq(mu: EmpiricalMeasure, quad: MQuadrature) -> float:
-    if quad.dim != mu.dim:
-        raise ValueError(f"quadrature dim {quad.dim} does not match measure dim {mu.dim}")
-    vals = fourier_batch(mu, quad.nodes)
-    return float(np.sum(quad.weights * np.abs(vals) ** 2))
 
 
 def m_dist_sq(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, quad: MQuadrature) -> float:
@@ -176,20 +155,6 @@ def m_inner(mu: EmpiricalMeasure, eta: EmpiricalMeasure, quad: MQuadrature) -> f
     a = fourier_batch(mu, quad.nodes)
     b = fourier_batch(eta, quad.nodes)
     return float(np.sum(quad.weights * np.real(np.conj(a) * b)))
-
-
-def wasserstein2_sq_1d(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
-    """W_2^2 for equal-weight 1-D clouds of equal size (quantile coupling)."""
-    for mu in (mu1, mu2):
-        if mu.dim != 1:
-            raise ValueError("the quantile-coupling route needs 1-D measures")
-        if not np.allclose(mu.weights, 1.0 / mu.size):
-            raise ValueError("the quantile-coupling route needs equal weights")
-    if mu1.size != mu2.size:
-        raise ValueError(f"sample counts differ ({mu1.size} vs {mu2.size}); resample first")
-    a = np.sort(mu1.samples[:, 0])
-    b = np.sort(mu2.samples[:, 0])
-    return float(np.mean((a - b) ** 2))
 
 
 @dataclass(frozen=True)
@@ -221,23 +186,3 @@ def est_inequality_check(pairs, quad: MQuadrature, slack: float = 0.02) -> EstRe
     lhs = float(np.mean(lhs_vals))
     rhs = float(np.pi * np.mean(gap_vals))
     return EstReport(lhs=lhs, rhs=rhs, slack=slack, passed=lhs <= rhs * (1.0 + slack))
-
-
-def measure_to_csv(mu: EmpiricalMeasure, filename: str) -> None:
-    """One row per sample; the last column is the weight."""
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row, w in zip(mu.samples, mu.weights):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(w))])
-
-
-def measure_from_csv(filename: str) -> EmpiricalMeasure:
-    rows = []
-    with open(filename, newline="") as fh:
-        for record in csv.reader(fh):
-            if record:
-                rows.append([float(v) for v in record])
-    if not rows:
-        raise ValueError(f"no samples found in {filename}")
-    arr = np.asarray(rows)
-    return EmpiricalMeasure(samples=arr[:, :-1], weights=arr[:, -1])

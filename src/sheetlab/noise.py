@@ -34,7 +34,6 @@ __all__ = [
     "sample_sheet",
     "sheet_from_increments",
     "coarsen_increments",
-    "cell_increments",
     "rect_increment",
     "ito_integral",
     "double_ito_integral",
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SheetPath:
     """m-channel sheet on a grid: read-only cell increments (channel, i, j) of the
     cells [i*dt, (i+1)*dt] x [j*dx, (j+1)*dx]; made by the functions below."""
@@ -101,8 +100,8 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
 def sheet_from_increments(grid: Grid, increments: np.ndarray, seed: int = 0) -> SheetPath:
     """A sheet on a read-only copy of the cell increments (m, nt, nx).
 
-    Inverse of :func:`cell_increments` per channel; the hook for injecting
-    coupled noise (coarsened, antithetic, shared) into sheet consumers.
+    The hook for injecting coupled noise (coarsened, antithetic, shared) into
+    sheet consumers.
     """
     increments = np.array(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (grid.nt, grid.nx):
@@ -123,11 +122,6 @@ def coarsen_increments(increments: np.ndarray, factor: int = 2) -> np.ndarray:
         raise ValueError(f"cannot coarsen {nt}x{nx} cells by factor {factor}")
     shape = increments.shape[:-2] + (nt // factor, factor, nx // factor, factor)
     return increments.reshape(shape).sum(axis=(-3, -1))
-
-
-def cell_increments(path: SheetPath, channel: int) -> np.ndarray:
-    """Per-cell increments dB of one channel, shape (nt, nx), read-only."""
-    return path.increments[channel]
 
 
 def rect_increment(path: SheetPath, channel: int, lower: Point, upper: Point) -> float:
@@ -169,11 +163,11 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point) -> f
 
 
 _MAGIC = b"SHTL"
-_VERSION = 2  # version 1 dumps held node values; version 2 holds cell increments
+_VERSION = 2  # the dump holds cell increments
 
 
 def save_sheet(path: SheetPath, filename: str) -> None:
-    """Binary dump: header (version, grid dims, m, seed, horizon) + the cell
+    """Binary dump: header (version 2, grid dims, m, seed, horizon) + the cell
     increments as row-major doubles."""
     grid = path.grid
     header = _MAGIC + struct.pack(
@@ -186,20 +180,15 @@ def save_sheet(path: SheetPath, filename: str) -> None:
 
 
 def load_sheet(filename: str) -> SheetPath:
-    """Inverse of :func:`save_sheet`; validates magic and payload size, and
-    reads a version 1 dump (node values) by differencing it once."""
+    """Inverse of :func:`save_sheet`; validates magic, version and payload size."""
     with open(filename, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a sheet dump: bad magic {magic!r}")
         version, nt, nx, m, seed, T, X = struct.unpack("<IIIIqdd", fh.read(40))
-        if version not in (1, _VERSION):
+        if version != _VERSION:
             raise ValueError(f"unsupported sheet dump version {version}")
         payload = np.frombuffer(fh.read(), dtype="<f8")
-    shape = (m, nt + 1, nx + 1) if version == 1 else (m, nt, nx)
-    if payload.size != (expected := int(np.prod(shape))):
+    if payload.size != (expected := m * nt * nx):
         raise ValueError(f"sheet dump payload has {payload.size} doubles, expected {expected}")
-    cells = payload.reshape(shape)
-    if version == 1:
-        cells = cells[:, 1:, 1:] - cells[:, :-1, 1:] - cells[:, 1:, :-1] + cells[:, :-1, :-1]
-    return sheet_from_increments(Grid(Point(T, X), nt, nx), cells, seed)
+    return sheet_from_increments(Grid(Point(T, X), nt, nx), payload.reshape(m, nt, nx), seed)

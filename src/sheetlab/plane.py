@@ -1,10 +1,9 @@
 """Geometry of the parameter plane: points, grids, and rectangle quadrature.
 
 Points z = (t, x) live in the closed quarter-plane.  R_z denotes the
-rectangle [0, t] x [0, x]; |z| = t*x is its area.  Two partial orders matter:
-the componentwise join ``sup_join`` (written a v b) and the *quarter order*
-``quarter_indicator`` — the indicator that a precedes b in time but succeeds
-it in space (a.t <= b.t and a.x >= b.x).  The quarter order governs the mixed
+rectangle [0, t] x [0, x]; |z| = t*x is its area.  The *quarter order*
+``quarter_indicator`` is the indicator that a precedes b in time but succeeds
+it in space (a.t <= b.t and a.x >= b.x).  It governs the mixed
 double-integral term of the planar Ito formula and the differentiation
 identities checked here and in :mod:`sheetlab.fokker_planck`.
 
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "Point",
     "Grid",
-    "sup_join",
     "quarter_indicator",
     "rect_integral",
     "double_rect_integral",
@@ -116,11 +114,6 @@ class Grid:
         xx = np.arange(j_count) * self.dx
         T, X = np.meshgrid(tt, xx, indexing="ij")
         return Point._unchecked(T, X)
-
-
-def sup_join(a: Point, b: Point) -> Point:
-    """Componentwise maximum a v b."""
-    return Point(np.maximum(a.t, b.t), np.maximum(a.x, b.x))
 
 
 def quarter_indicator(a: Point, b: Point):

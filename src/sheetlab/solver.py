@@ -104,7 +104,6 @@ __all__ = [
     "picard_solve",
     "RadiusReport",
     "convergence_radius_report",
-    "state_slice_csv",
 ]
 
 
@@ -136,7 +135,7 @@ class CoefficientField:
             raise ValueError(f"state dim and channel count must be >= 1, got n={self.n}, m={self.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateField:
     """Solution values on grid nodes, shape (nt+1, nx+1, n)."""
 
@@ -152,7 +151,7 @@ class StateField:
         return self.values[i, j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
     """M coupled particles: states (M, nt+1, nx+1, n), shared common channel.
 
@@ -606,21 +605,3 @@ def convergence_radius_report(coeffs: CoefficientField, grid: Grid) -> RadiusRep
         picard_ok=area < picard_threshold,
         gronwall_ok=area <= gronwall_threshold,
     )
-
-
-def state_slice_csv(field: StateField, filename: str, fixed: str, index: int) -> None:
-    """CSV dump of one grid line (fixed='t' row or fixed='x' column) for plotting."""
-    if fixed not in ("t", "x"):
-        raise ValueError(f"fixed must be 't' or 'x', got {fixed!r}")
-    grid = field.grid
-    with open(filename, "w", newline="") as fh:
-        if fixed == "t":
-            coords = grid.x_nodes()
-            rows = field.values[index, :, :]
-            fh.write("x," + ",".join(f"y{k}" for k in range(field.n)) + "\n")
-        else:
-            coords = grid.t_nodes()
-            rows = field.values[:, index, :]
-            fh.write("t," + ",".join(f"y{k}" for k in range(field.n)) + "\n")
-        for c, row in zip(coords, rows):
-            fh.write(",".join(repr(float(v)) for v in (c, *row)) + "\n")

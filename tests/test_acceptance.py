@@ -17,7 +17,6 @@ from sheetlab import (
     Grid,
     Point,
     RankOneMatrix,
-    cell_increments,
     closed_form_solution,
     coarsen_increments,
     controlled_linear_field,
@@ -213,8 +212,7 @@ def test_ac06_interaction_rate_and_closed_form():
     ratios = [estimates[N] / estimates[2 * N] for N in (8, 16, 32)]
     rate_ok = all(1.4 <= r <= 2.8 for r in ratios)
 
-    fine = sample_sheet(square_grid(64), 4, seed=0, stream=0)
-    fine_inc = np.stack([cell_increments(fine, c) for c in range(4)])
+    fine_inc = sample_sheet(square_grid(64), 4, seed=0, stream=0).increments
     gaps = []
     for k in (16, 32, 64):
         gk = square_grid(k)

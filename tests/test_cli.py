@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sheetlab.cli import ENV_OUT, EXPERIMENTS, _gaussian_couplings, main
-from sheetlab.noise import cell_increments, sample_sheet
+from sheetlab.noise import sample_sheet
 from sheetlab.plane import Grid, Point
 from sheetlab.rng import DOMAIN_SHEET, substream
 
@@ -81,9 +81,21 @@ class TestArgumentHandling:
     def test_malformed_token_rejected(self, capsys, tmp_path, monkeypatch):
         assert run(["lemma61", "k64"], tmp_path, monkeypatch) == 1
 
-    @pytest.mark.parametrize("argv", [["lemma61", "k=abc"], ["ito-check", "grids=16,x"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma61", "k=abc"],
+            ["ito-check", "grids=16,x"],
+            ["lemma61", "k=2.5"],
+            ["picard", "M=6.5"],
+            ["ito-check", "reps=1e2"],
+            ["chaos-rate", "N=8.5,17"],
+        ],
+    )
     def test_numeric_key_rejects_text(self, argv, capsys, tmp_path, monkeypatch):
-        # a key whose default is numeric takes numbers only: a usage error, not a traceback
+        # a key whose default is numeric takes numbers only, and one whose default
+        # is an integer takes integers only: a usage error, not a traceback or a
+        # silently truncated value
         assert run(argv, tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
         assert err.startswith("argument error:") and "usage" in err
@@ -111,6 +123,15 @@ class TestArgumentHandling:
         assert run(["chaos-rate", "t=0"], tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
         assert err.startswith("argument error:") and "horizon" in err
+        assert not (tmp_path / "chaos-rate.csv").exists()
+
+    def test_a_run_without_checks_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # no N has its double in the list, so no halving ratio is checked:
+        # a usage error, not a vacuous pass
+        assert run(["chaos-rate", "N=8,12", "reps=2", "k=4"], tmp_path, monkeypatch) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("argument error:") and "no check" in err
+        assert "[PASS]" not in out
         assert not (tmp_path / "chaos-rate.csv").exists()
 
     def test_lemma61_takes_no_seed(self, capsys, tmp_path, monkeypatch):
@@ -181,7 +202,7 @@ class TestEstCheckStream:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_couplings_are_not_the_sheet_increments(self, seed):
         grid = Grid(horizon=Point(1.0, 1.0), nt=16, nx=16)
-        increments = cell_increments(sample_sheet(grid, 2, seed), 1).ravel()
+        increments = sample_sheet(grid, 2, seed).increments[1].ravel()
         sheet_normals = increments / np.sqrt(grid.dt * grid.dx)
         base_of = lambda x: (x - x.mean()) / x.std()  # noqa: E731
         collided = substream(seed, DOMAIN_SHEET, stream=0, channel=1).normal(size=256)

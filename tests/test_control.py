@@ -11,7 +11,6 @@ from sheetlab import (
     EmpiricalMeasure,
     Grid,
     Point,
-    constant_policy,
     controlled_linear_field,
     curry_policy,
     grid_search,
@@ -23,6 +22,9 @@ from sheetlab import (
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
 from sheetlab.solver import _replicate_increments, _row_measures, _uniform_weights
+
+
+ZERO_POLICY = ControlPolicy(theta=0.0, rule=lambda z, common, mu: np.zeros(1))
 
 
 def square_grid(k):
@@ -66,8 +68,6 @@ class TestBuildingBlocks:
         mu = EmpiricalMeasure(samples=np.array([[1.0], [3.0]]))
         pol = mean_feedback_policy(0.5)
         np.testing.assert_allclose(pol.rule(Point(0.0, 0.0), None, mu), [1.0])
-        const = constant_policy(2.5)
-        np.testing.assert_allclose(const.rule(Point(0.0, 0.0), None, mu), [2.5])
 
 
 class TestStockCallbacks:
@@ -120,7 +120,7 @@ class TestCurriedObservation:
 
     def test_off_grid_point_is_rejected(self):
         g, controlled, _ = instance(4)
-        coeffs = curry_policy(controlled, constant_policy(0.0), np.zeros((5, 5)), g)
+        coeffs = curry_policy(controlled, ZERO_POLICY, np.zeros((5, 5)), g)
         mu = EmpiricalMeasure(samples=np.zeros((2, 1)))
         for z in (Point(0.3, 0.25), Point(0.5, 0.26), Point(1.25, 0.0)):
             with pytest.raises(ValueError, match="not a node"):
@@ -158,7 +158,7 @@ class TestCurriedObservation:
 
     def test_curried_field_declares_measure_dependence(self):
         g, controlled, _ = instance(4)
-        coeffs = curry_policy(controlled, constant_policy(0.0), np.zeros((5, 5)), g)
+        coeffs = curry_policy(controlled, ZERO_POLICY, np.zeros((5, 5)), g)
         assert coeffs.depends_on_measure
         assert coeffs.n == controlled.n and coeffs.m == controlled.m
 
@@ -185,7 +185,7 @@ class TestTwoRoutes:
 
     def test_replicates_use_common_random_numbers(self):
         g, controlled, cost = instance(4)
-        pol = constant_policy(0.0)
+        pol = ZERO_POLICY
         a = performance_direct(pol, controlled, cost, 1.0, 2, g, replicates=3, seed=5)
         b = performance_direct(pol, controlled, cost, 1.0, 2, g, replicates=3, seed=5)
         np.testing.assert_array_equal(a.replicate_values, b.replicate_values)

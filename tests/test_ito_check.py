@@ -10,7 +10,6 @@ from sheetlab import (
     Grid,
     Point,
     TestFunction as ScalarTestFunction,  # aliased so pytest does not collect it
-    cell_increments,
     double_ito_integral,
     ito_refinement_study,
     ito_terms,
@@ -109,7 +108,7 @@ def pair_case():
     field = solve_goursat(co, 0.2, sh, g)
     k = 8
     dtdx = g.dt * g.dx
-    dB = np.stack([cell_increments(sh, c)[:k, :k] for c in range(2)], axis=-1)
+    dB = np.stack([sh.increments[c, :k, :k] for c in range(2)], axis=-1)
     bD = dB @ np.array([b1, b2])
     aD = np.full((k, k), alpha * dtdx)
     qD = np.full((k, k), (b1 * b1 + b2 * b2) * dtdx)
@@ -194,21 +193,6 @@ class TestRefinement:
         assert study.monotone
         assert means[0] / means[1] > 1.4
         assert means[1] / means[2] > 1.4
-
-    def test_csv_dump(self, tmp_path):
-        f = scalar_function(
-            lambda y: y**2, lambda y: 2.0 * y, lambda y: 2.0, lambda y: 0.0, lambda y: 0.0
-        )
-        co = constant_field(0.0, [1.0])
-        study = ito_refinement_study(
-            f, co, 0.0, Point(1.0, 1.0), [square_grid(4), square_grid(8)], 5, 0
-        )
-        fn = str(tmp_path / "study.csv")
-        study.to_csv(fn)
-        lines = open(fn).read().strip().splitlines()
-        assert len(lines) == 3  # header + one row per grid
-        assert lines[1].startswith("4,")
-        assert lines[2].startswith("8,")
 
     @pytest.mark.parametrize("replications", [0, 1])
     def test_needs_two_replications(self, replications):

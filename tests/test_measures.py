@@ -7,14 +7,9 @@ from sheetlab import (
     EmpiricalMeasure,
     MQuadrature,
     est_inequality_check,
-    fourier,
     fourier_batch,
     m_dist_sq,
     m_inner,
-    m_norm_sq,
-    measure_from_csv,
-    measure_to_csv,
-    wasserstein2_sq_1d,
 )
 
 
@@ -40,19 +35,19 @@ class TestEmpiricalMeasure:
         mu = EmpiricalMeasure(samples=np.array([[0.0], [2.0]]))
         w = 1.5
         want = 0.5 * (1.0 + np.exp(-1j * w * 2.0))
-        assert fourier(mu, w) == pytest.approx(want, abs=1e-14)
+        assert fourier_batch(mu, np.full((1, 1), w))[0] == pytest.approx(want, abs=1e-14)
 
     def test_fourier_batch_matches_loop(self):
         rng = np.random.default_rng(0)
         mu = EmpiricalMeasure(samples=rng.normal(size=(6, 2)))
         freqs = rng.normal(size=(5, 2))
         batch = fourier_batch(mu, freqs)
-        loop = np.array([fourier(mu, w) for w in freqs])
+        loop = np.array([mu.weights @ np.exp(-1j * (mu.samples @ w)) for w in freqs])
         np.testing.assert_allclose(batch, loop, atol=1e-13)
 
     def test_fourier_at_zero_is_total_mass(self):
         mu = EmpiricalMeasure(samples=np.array([[1.0], [3.0], [-2.0]]))
-        assert fourier(mu, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert fourier_batch(mu, np.zeros((1, 1)))[0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestMetric:
@@ -75,7 +70,7 @@ class TestMetric:
         mu = EmpiricalMeasure(samples=rng.normal(size=(5, 1)))
         eta = EmpiricalMeasure(samples=rng.normal(size=(7, 1)) + 0.5)
         lhs = m_dist_sq(mu, eta, quad)
-        rhs = m_norm_sq(mu, quad) + m_norm_sq(eta, quad) - 2.0 * m_inner(mu, eta, quad)
+        rhs = m_inner(mu, mu, quad) + m_inner(eta, eta, quad) - 2.0 * m_inner(mu, eta, quad)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_distance_increases_then_saturates(self):
@@ -100,24 +95,7 @@ class TestMetric:
         quad = MQuadrature(dim=1, order=10)
         mu2 = EmpiricalMeasure(samples=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            m_norm_sq(mu2, quad)
-
-
-class TestWasserstein:
-    def test_point_masses(self):
-        assert wasserstein2_sq_1d(delta(0.0), delta(3.0)) == pytest.approx(9.0)
-
-    def test_quantile_coupling(self):
-        mu = EmpiricalMeasure(samples=np.array([[3.0], [1.0]]))
-        eta = EmpiricalMeasure(samples=np.array([[2.0], [6.0]]))
-        # sorted pairing: (1,2), (3,6)
-        assert wasserstein2_sq_1d(mu, eta) == pytest.approx(0.5 * (1.0 + 9.0))
-
-    def test_rejects_unequal_sizes(self):
-        mu = EmpiricalMeasure(samples=np.zeros((2, 1)))
-        eta = EmpiricalMeasure(samples=np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            wasserstein2_sq_1d(mu, eta)
+            m_dist_sq(mu2, mu2, quad)
 
 
 class TestNormBound:
@@ -160,16 +138,3 @@ class TestNormBound:
         r_large = est_inequality_check([(np.zeros((1, 1)), np.full((1, 1), 10.0))], quad)
         assert r_small.lhs / r_small.rhs > r_large.lhs / r_large.rhs
         assert r_small.passed and r_large.passed
-
-
-class TestCsvRoundTrip:
-    def test_weighted_measure(self, tmp_path):
-        mu = EmpiricalMeasure(
-            samples=np.array([[0.5, -1.0], [2.0, 3.5]]),
-            weights=np.array([0.25, 0.75]),
-        )
-        fn = str(tmp_path / "measure.csv")
-        measure_to_csv(mu, fn)
-        back = measure_from_csv(fn)
-        np.testing.assert_array_equal(back.samples, mu.samples)
-        np.testing.assert_array_equal(back.weights, mu.weights)

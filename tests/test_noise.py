@@ -10,7 +10,6 @@ from sheetlab import (
     DOMAIN_SHEET,
     Grid,
     Point,
-    cell_increments,
     coarsen_increments,
     double_ito_integral,
     ito_integral,
@@ -64,7 +63,7 @@ class TestSampleSheet:
         g = square_grid(5)
         sh = sample_sheet(g, 2, seed=1)
         v = sh.values[1]
-        d = cell_increments(sh, 1)
+        d = sh.increments[1]
         manual = v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]
         np.testing.assert_allclose(d, manual, atol=1e-14)
 
@@ -81,7 +80,7 @@ class TestIncrementsRoundTrip:
     def test_sheet_from_increments_inverts_cell_increments(self):
         g = square_grid(6)
         sh = sample_sheet(g, 2, seed=9)
-        incr = np.stack([cell_increments(sh, c) for c in range(2)])
+        incr = sh.increments
         rebuilt = sheet_from_increments(g, incr, seed=9)
         np.testing.assert_allclose(rebuilt.values, sh.values, atol=1e-12)
 
@@ -90,8 +89,6 @@ class TestIncrementsRoundTrip:
         sh = sample_sheet(g, 3, seed=4, stream=2)
         drawn = _draw_cells(g, 4, DOMAIN_SHEET, [(2, c) for c in range(3)])
         assert np.array_equal(sh.increments, drawn)
-        for c in range(3):
-            assert np.array_equal(cell_increments(sh, c), drawn[c])
         for array in (sh.increments, sh.values):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -117,7 +114,7 @@ class TestIncrementsRoundTrip:
         fine = square_grid(8)
         coarse = square_grid(4)
         sh = sample_sheet(fine, 1, seed=5)
-        incr = cell_increments(sh, 0)[None]
+        incr = sh.increments[:1]
         down = coarsen_increments(incr, 2)
         assert down.shape == (1, 4, 4)
         assert down[0, 0, 0] == pytest.approx(incr[0, :2, :2].sum(), abs=1e-14)
@@ -175,8 +172,8 @@ class TestItoIntegrals:
         z = Point(1.0, 1.0)
         psi = lambda a, b: 1.0 + a.t * b.x  # noqa: E731
         got = double_ito_integral(psi, sh, 0, 1, z)
-        d0 = cell_increments(sh, 0)
-        d1 = cell_increments(sh, 1)
+        d0 = sh.increments[0]
+        d1 = sh.increments[1]
         want = 0.0
         for p in range(4):
             for q in range(4):
@@ -235,18 +232,13 @@ class TestFileFormat:
         assert back.grid == sh.grid
         assert back.seed == sh.seed
 
-    def test_loads_a_version_1_dump_of_node_values(self, tmp_path):
-        g = Grid(horizon=Point(1.5, 2.0), nt=6, nx=4)
-        sh = sample_sheet(g, 2, seed=42, stream=5)
+    def test_rejects_a_version_1_dump(self, tmp_path):
+        # version 1 dumps held node values
+        sh = sample_sheet(Grid(horizon=Point(1.5, 2.0), nt=6, nx=4), 2, seed=42, stream=5)
         fn = tmp_path / "sheet_v1.bin"
         header = struct.pack("<IIIIqdd", 1, 6, 4, 2, 42, 1.5, 2.0)
         fn.write_bytes(b"SHTL" + header + sh.values.astype("<f8").tobytes())
-        back = load_sheet(str(fn))
-        assert back.grid == g and back.seed == 42
-        np.testing.assert_allclose(back.increments, sh.increments, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(back.values, sh.values, rtol=0, atol=1e-14)
-        fn.write_bytes(b"SHTL" + header + sh.increments.astype("<f8").tobytes())
-        with pytest.raises(ValueError, match="payload"):  # a version 1 header needs node values
+        with pytest.raises(ValueError, match="^unsupported sheet dump version 1$"):
             load_sheet(str(fn))
 
     def test_rejects_corrupt_magic(self, tmp_path):

@@ -11,7 +11,6 @@ from sheetlab import (
     mixed_partial,
     quarter_indicator,
     rect_integral,
-    sup_join,
 )
 
 
@@ -84,13 +83,6 @@ class TestGrid:
 
 
 class TestQuarterOrder:
-    def test_sup_join_is_componentwise_max(self):
-        a, b = Point(0.2, 0.9), Point(0.7, 0.3)
-        j = sup_join(a, b)
-        assert (j.t, j.x) == (0.7, 0.9)
-        j2 = sup_join(b, a)
-        assert (j2.t, j2.x) == (j.t, j.x)
-
     def test_indicator_ties_included(self):
         assert quarter_indicator(Point(0.2, 0.9), Point(0.7, 0.3)) == 1
         assert quarter_indicator(Point(0.7, 0.3), Point(0.2, 0.9)) == 0

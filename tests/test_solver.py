@@ -8,7 +8,6 @@ from sheetlab import (
     EmpiricalMeasure,
     Grid,
     Point,
-    cell_increments,
     convergence_radius_report,
     mean_reversion_field,
     picard_solve,
@@ -18,7 +17,6 @@ from sheetlab import (
     sheet_from_increments,
     solve_conditional_mkv,
     solve_goursat,
-    state_slice_csv,
 )
 from sheetlab.noise import _draw_cells
 from sheetlab.rng import (
@@ -97,7 +95,7 @@ class TestSinglePathSolve:
         )
         sh = sample_sheet(g, 1, 9)
         field = solve_goursat(co, 1.0, sh, g)
-        dB = cell_increments(sh, 0)
+        dB = sh.increments[0]
         dtdx = g.dt * g.dx
         Y = np.full((7, 7), 1.0)
         for i in range(6):
@@ -484,22 +482,3 @@ class TestRadiusReport:
     def test_needs_a_declared_constant(self):
         with pytest.raises(ValueError):
             convergence_radius_report(constant_field(1.0, [1.0]), square_grid(4))
-
-
-class TestSliceCsv:
-    def test_row_dump_round_trips(self, tmp_path):
-        g = square_grid(4)
-        sh = sample_sheet(g, 1, 7)
-        field = solve_goursat(constant_field(0.5, [1.0]), 1.0, sh, g)
-        fn = str(tmp_path / "slice.csv")
-        state_slice_csv(field, fn, fixed="t", index=2)
-        rows = [line.strip().split(",") for line in open(fn)][1:]
-        got = np.array([[float(v) for v in r] for r in rows])
-        np.testing.assert_allclose(got[:, 0], g.x_nodes(), atol=1e-15)
-        np.testing.assert_allclose(got[:, 1], field.values[2, :, 0], atol=1e-15)
-
-    def test_rejects_unknown_axis(self, tmp_path):
-        g = square_grid(4)
-        field = solve_goursat(constant_field(0.0, [1.0]), 0.0, sample_sheet(g, 1, 0), g)
-        with pytest.raises(ValueError):
-            state_slice_csv(field, str(tmp_path / "x.csv"), fixed="z", index=0)
