@@ -47,7 +47,7 @@ import numpy as np
 
 from .noise import SheetPath, _draw_cells, _node_values
 from .plane import Grid
-from .rng import DOMAIN_CHAOS, DOMAIN_SHEET, substream
+from .rng import DOMAIN_CHAOS, DOMAIN_SHEET
 from .series import f_series
 from .solver import CoefficientField, StateField, solve_goursat
 
@@ -210,9 +210,7 @@ class RemainderVariance:
     replicates: int
 
 
-def remainder_variance(
-    cfg: ChaosConfig, replicates: int, seed: int, a_sampler=None
-) -> RemainderVariance:
+def remainder_variance(cfg: ChaosConfig, replicates: int, seed: int) -> RemainderVariance:
     """Monte Carlo estimate of E|I_N|^2 at the horizon.
 
     The coupling remainder at z = horizon is the weighted sum over channels of
@@ -220,27 +218,16 @@ def remainder_variance(
     and one Gaussian array per channel are needed — no field solve.  Channel
     substreams are indexed (replicate, channel), so estimates for nested
     particle counts at the same seed share their first channels: the rate
-    ratio est(N)/est(2N) is then a paired comparison.  ``a_sampler(rng)``, if
-    given, redraws the weight vector each replicate.
+    ratio est(N)/est(2N) is then a paired comparison.
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
     grid = cfg.grid
     theta = _theta_table(grid)
-
-    def weight_table(a: RankOneMatrix) -> np.ndarray:
-        return f_series(a.kappa() * theta) - f_series(-theta)
-
     A = cfg.matrix()
-    W = weight_table(A)
+    W = f_series(A.kappa() * theta) - f_series(-theta)
     samples = np.empty(replicates)
     for rep in range(replicates):
-        if a_sampler is not None:
-            rng = substream(seed, DOMAIN_CHAOS, stream=rep, channel=cfg.N)
-            A = RankOneMatrix(a_values=np.asarray(a_sampler(rng), dtype=float))
-            if A.size != cfg.N:
-                raise ValueError(f"a_sampler returned {A.size} weights, expected {cfg.N}")
-            W = weight_table(A)
         cells = _draw_cells(grid, seed, DOMAIN_CHAOS, ((rep, c) for c in range(cfg.N)))
         I = 0.0
         for c, dB in enumerate(cells):

@@ -39,10 +39,8 @@ from .rng import DOMAIN_CONTROL
 from .solver import (
     CoefficientField,
     ParticleEnsemble,
+    _node_measures,
     _replicate_increments,
-    _row_measures,
-    _row_points,
-    _uniform_weights,
     solve_conditional_mkv,
 )
 
@@ -152,7 +150,7 @@ def _curry(controlled: ControlledCoefficients, policy: ControlPolicy, views: dic
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformanceEstimate:
     theta: float
     value: float
@@ -168,9 +166,9 @@ def _replicate_cost(
     views: dict,
     route: str,
 ) -> float:
-    """One replicate's cost on the solved ensemble, with the node measures,
-    Points and observation ``views`` built as the solver's coefficient pass
-    builds them.
+    """One replicate's cost on the solved ensemble, read along the solver's one
+    node pass (:func:`solver._node_measures`): the same node measures and
+    Points its coefficient pass builds, with the observation ``views``.
 
     The running costs fill an (nt, nx, M) table, reduced once per route:
     direct sums each particle's column over the nodes in row-major order,
@@ -180,16 +178,12 @@ def _replicate_cost(
     added, in its order.
     """
     grid = ensemble.grid
-    dt, dx = grid.dt, grid.dx
-    dtdx = dt * dx
+    dtdx = grid.dt * grid.dx
     M = ensemble.particles
-    weights = _uniform_weights(M)
-    xs = [j * dx for j in range(grid.nx)]
     rule, running = policy.rule, cost.running
     ell = np.empty((grid.nt, grid.nx, M))
-    for i in range(grid.nt):
-        row = ensemble.values[:, i, : grid.nx].swapaxes(0, 1)
-        for j, (z, mu) in enumerate(zip(_row_points(i * dt, xs), _row_measures(row, weights))):
+    for i, nodes in enumerate(_node_measures(ensemble.values, grid, grid.nt, grid.nx)):
+        for j, (z, mu) in enumerate(nodes):
             u = np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
             ell[i, j] = running(z, mu.samples, u)
     terminal = np.asarray(cost.terminal(ensemble.values[:, -1, -1, :]), dtype=float)
@@ -294,7 +288,7 @@ def performance_measure_based(
     return _performance(policy, controlled, cost, y0, M, grid, replicates, seed, "measure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSearchResult:
     best_index: int
     best_policy: ControlPolicy

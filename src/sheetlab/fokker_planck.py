@@ -127,7 +127,7 @@ class FrequencyGrid:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelContext:
     """Coefficient values feeding the kernels: alpha (..., n), beta (..., n, m).
 
@@ -392,8 +392,6 @@ def lemma61_scalar_check(fker, gker, z: Point, grid: Grid, h: float) -> Lemma61R
     after the two boundary terms is itself a double integral, and this
     residual does not vanish.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
     k = grid.nt
     t, x = float(z.t), float(z.x)
     fd = mixed_partial(lambda p: _quarter_product_sum(fker, gker, p, k), z, h)

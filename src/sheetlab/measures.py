@@ -72,20 +72,18 @@ class EmpiricalMeasure:
 
     @classmethod
     def _unchecked(
-        cls, samples: np.ndarray, weights: np.ndarray, sample_mean: np.ndarray | None = None
+        cls, samples: np.ndarray, weights: np.ndarray, sample_mean: np.ndarray
     ) -> EmpiricalMeasure:
         """A measure with no validation or copy: the caller guarantees float64
-        samples of shape (M, n), M >= 1, and valid (M,) weights.  A given
-        read-only ``sample_mean`` (n,) is stored as the measure's
-        :attr:`sample_mean`; the caller guarantees it is that property's value."""
+        samples of shape (M, n), M >= 1, valid (M,) weights, and that the
+        read-only ``sample_mean`` (n,) is the value of :attr:`sample_mean`."""
         mu = object.__new__(cls)
         # the instance dict directly: the fields are plain attributes, and this
         # runs once per grid node of a coefficient pass
         attrs = mu.__dict__
         attrs["samples"] = samples
         attrs["weights"] = weights
-        if sample_mean is not None:
-            attrs["sample_mean"] = sample_mean
+        attrs["sample_mean"] = sample_mean
         return mu
 
     @cached_property

@@ -180,12 +180,14 @@ def save_sheet(path: SheetPath, filename: str) -> None:
 
 
 def load_sheet(filename: str) -> SheetPath:
-    """Inverse of :func:`save_sheet`; validates magic, version and payload size."""
+    """Inverse of :func:`save_sheet`; validates magic, header, version and payload size."""
     with open(filename, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a sheet dump: bad magic {magic!r}")
-        version, nt, nx, m, seed, T, X = struct.unpack("<IIIIqdd", fh.read(40))
+        if len(header := fh.read(40)) != 40:
+            raise ValueError(f"sheet dump header has {len(header)} bytes, expected 40")
+        version, nt, nx, m, seed, T, X = struct.unpack("<IIIIqdd", header)
         if version != _VERSION:
             raise ValueError(f"unsupported sheet dump version {version}")
         payload = np.frombuffer(fh.read(), dtype="<f8")

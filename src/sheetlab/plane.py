@@ -220,8 +220,6 @@ def diff_double_integral_identity_check(f, z: Point, grid: Grid, h: float) -> fl
     is 2*t*x, not 0 — callers asserting smallness must use kernels supported
     away from the quarter order.
     """
-    if h <= 0:
-        raise ValueError(f"stencil step must be positive, got {h}")
     i, j = grid.node_index(z)
     if i == 0 or j == 0:
         raise ValueError("identity check needs a nonempty rectangle R_z")

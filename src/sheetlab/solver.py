@@ -44,21 +44,22 @@ y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers
 and validators all read them through one row-wise pass,
 :func:`coefficient_rows`, under one contract.  A measure-dependent field is
 called once per node: y is the (M, n) cloud of the M paths' states there, z a
-scalar Point, mu their EmpiricalMeasure or the measure the caller supplies.
-A measure-free field is called once per grid row with mu = None: y is the
-(M*nx, n) batch of the row's states, particle-major, and z holds arrays of
-the matching node coordinates, built once per pass and shared by its rows, so
-a field must not write to them.  Every return is shape-checked.
+scalar Point, mu their EmpiricalMeasure.  A measure-free field is called once
+per grid row with mu = None: y is the (M*nx, n) batch of the row's states,
+particle-major, and z holds arrays of the matching node coordinates, built
+once per pass and shared by its rows, so a field must not write to them.
+Every return is shape-checked.
 
-The empirical measure the pass builds itself skips validation, since the
-grid and the solver guarantee it: its ``samples`` is a view of the solver's
-states at the node (the same array as y), its ``weights`` is one read-only
-uniform array shared by every node of the pass, and its ``sample_mean`` is a
-read-only row of one reduction over the grid row's clouds, so a field that
-reads only the mean (``mean_reversion_field``, the control's
-``mean_feedback_policy``) reduces no cloud of its own.  A field must not write
-to any of them.  Node Points are likewise built unchecked, because grid
-coordinates i*dt and j*dx are nonnegative.
+The node measures and Points come from one node pass, :func:`_node_measures`,
+which the control's cost pass reads too.  Its measures skip validation, since
+the grid and the solver guarantee it: a measure's ``samples`` is a view of the
+solver's states at the node (the same array as y), its ``weights`` is one
+read-only uniform array shared by every node of the pass, and its
+``sample_mean`` is a read-only row of one reduction over the grid row's
+clouds, so a field that reads only the mean (``mean_reversion_field``, the
+control's ``mean_feedback_policy``) reduces no cloud of its own.  A field must
+not write to any of them.  Node Points are likewise built unchecked, because
+grid coordinates i*dt and j*dx are nonnegative.
 
 The conditional mean-field system couples M particles through the empirical
 measure of their states at the current node: channel 1 of the sheet is shared
@@ -195,73 +196,59 @@ def _check_shapes(tag: str, arr: np.ndarray, expected: tuple) -> np.ndarray:
     return arr
 
 
-def _uniform_weights(M: int) -> np.ndarray:
-    """The read-only uniform weights (M,) that every node's empirical measure
-    of an M-particle pass shares."""
+def _node_measures(values: np.ndarray, grid: Grid, rows: int, cols: int):
+    """The one node pass: for grid rows i = 0..rows-1, yield the list of row
+    i's (z, mu) pairs, nodes j < cols, read on the states ``values`` (M, >=
+    rows, >= cols, n) only when the row is requested.
+
+    ``z`` is the node's unchecked Point and ``mu`` the unchecked empirical
+    measure of its M states: ``mu.samples`` is a view of ``values``, every
+    ``mu.weights`` is one read-only uniform array of the pass, and the nodes'
+    read-only ``sample_mean`` come from one reduction over the row's particle
+    axis: on node-major states (module docstring), the layout of every library
+    caller, each equals its cloud's own mean bit for bit, and on other layouts
+    to rounding.
+    """
+    M = values.shape[0]
     if M < 1:
         raise ValueError(f"an empirical measure needs at least one sample, got M={M}")
     weights = np.full(M, 1.0 / M)
     weights.setflags(write=False)
-    return weights
-
-
-def _row_points(t: float, xs: list) -> list:
-    """The nodes (t, x) of one grid row; grid coordinates need no sign check."""
-    return [Point._unchecked(t, x) for x in xs]
-
-
-def _row_measures(states: np.ndarray, weights: np.ndarray) -> list:
-    """The unchecked empirical measures of one grid row's nodes.
-
-    ``states`` (cols, M, n) holds node j's cloud at ``states[j]``, which
-    becomes that measure's ``samples``; every measure shares ``weights``.  The
-    nodes' sample means come from one reduction over the particle axis, read
-    only, and equal each cloud's own ``sample_mean`` bit for bit when the
-    states are node-major (module docstring).
-    """
-    means = np.add.reduce(states, axis=1) / states.shape[1]
-    means.setflags(write=False)
-    unchecked = EmpiricalMeasure._unchecked
-    return [unchecked(cloud, weights, mean) for cloud, mean in zip(states, means)]
+    xs = [j * grid.dx for j in range(cols)]
+    point, measure = Point._unchecked, EmpiricalMeasure._unchecked
+    for i in range(rows):
+        t = i * grid.dt
+        clouds = values[:, i, :cols].swapaxes(0, 1)
+        means = np.add.reduce(clouds, axis=1) / M
+        means.setflags(write=False)
+        yield [(point(t, x), measure(c, weights, mean)) for x, c, mean in zip(xs, clouds, means)]
 
 
 def coefficient_rows(
-    coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int, measure_source=None
+    coeffs: CoefficientField, values: np.ndarray, grid: Grid, rows: int, cols: int
 ):
     """Yield (alpha (M, cols, n), beta (M, cols, n, m)) for grid rows 0..rows-1.
 
     The coefficients are read on the states ``values`` (M, >= rows, >= cols, n),
     nodes j < cols of each row.  Row i is read only when its pair is requested,
     so a solver may fill values[:, i] between two steps.  A measure-dependent
-    field is called per node with the EmpiricalMeasure of the M states there,
-    or with ``measure_source(i, j)`` when given, and its returns are written to
-    node-major (cols, M, ...) buffers, of which the yielded pair are views; a
-    measure-free field is called per row on the (M*cols, n) batch.
-
-    The measures built here carry their ``sample_mean`` from one reduction per
-    row (:func:`_row_measures`).  On node-major states, the layout of every
-    library caller, it equals the mean each cloud would give alone bit for
-    bit; on other layouts the two agree to rounding.
+    field is called per node with the (z, mu) of :func:`_node_measures`, the
+    one node pass, and its returns are written to node-major (cols, M, ...)
+    buffers, of which the yielded pair are views; a measure-free field is
+    called per row on the (M*cols, n) batch.
     """
     values = np.asarray(values, dtype=float)
     M, n, m = values.shape[0], coeffs.n, coeffs.m
     drift, diffusion = coeffs.drift, coeffs.diffusion
     if coeffs.depends_on_measure:
-        weights = _uniform_weights(M) if measure_source is None else None
-        xs = [j * grid.dx for j in range(cols)]
         alpha_shape, beta_shape = (M, n), (M, n, m)
-        for i in range(rows):
+        for nodes in _node_measures(values, grid, rows, cols):
             # node-major buffers: node j's coefficients are one contiguous write
             alpha = np.empty((cols, M, n))
             beta = np.empty((cols, M, n, m))
-            row = values[:, i, :cols].swapaxes(0, 1)
-            if measure_source is None:
-                nodes = ((mu.samples, mu) for mu in _row_measures(row, weights))
-            else:
-                nodes = ((states, measure_source(i, j)) for j, states in enumerate(row))
-            for j, (z, (states, mu)) in enumerate(zip(_row_points(i * grid.dt, xs), nodes)):
-                alpha[j] = _check_shapes("drift", drift(z, states, mu), alpha_shape)
-                beta[j] = _check_shapes("diffusion", diffusion(z, states, mu), beta_shape)
+            for j, (z, mu) in enumerate(nodes):
+                alpha[j] = _check_shapes("drift", drift(z, mu.samples, mu), alpha_shape)
+                beta[j] = _check_shapes("diffusion", diffusion(z, mu.samples, mu), beta_shape)
             yield alpha.swapaxes(0, 1), beta.swapaxes(0, 1)
         return
     batch = M * cols
@@ -303,7 +290,7 @@ def _noise_source(beta: np.ndarray, cells: list) -> np.ndarray:
     return out
 
 
-def _sweep(coeffs, y0, grid, noise, frozen=None, measure_source=None) -> np.ndarray:
+def _sweep(coeffs, y0, grid, noise, frozen=None) -> np.ndarray:
     """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
 
     The states are stored node-major, (nt+1, nx+1, M, n), and returned as the
@@ -332,7 +319,7 @@ def _sweep(coeffs, y0, grid, noise, frozen=None, measure_source=None) -> np.ndar
         return states
     Y[0] = y0
     Y[:, 0] = y0
-    rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx, measure_source)
+    rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx)
     for i, (alpha, beta) in enumerate(rows):
         beta_dB = _noise_source(beta.swapaxes(0, 1), [dB[i] for dB in cells])
         src = alpha.swapaxes(0, 1) * dtdx + beta_dB
@@ -349,28 +336,21 @@ def _check_finite(Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def solve_goursat(
-    coeffs: CoefficientField,
-    y0,
-    sheet: SheetPath,
-    grid: Grid,
-    measure_source=None,
-) -> StateField:
+def solve_goursat(coeffs: CoefficientField, y0, sheet: SheetPath, grid: Grid) -> StateField:
     """Single-path explicit recursion; boundary rows/columns stay at y0.
 
-    ``measure_source``, required when coeffs.depends_on_measure, is a callable
-    (i, j) -> EmpiricalMeasure supplying the frozen measure at each node.
-    Raises ValueError naming the first node whose state is not finite.
+    The field must be measure-free: one path has no law to estimate.  Raises
+    ValueError naming the first node whose state is not finite.
     """
     if sheet.channels != coeffs.m:
         raise ValueError(f"sheet has {sheet.channels} channels, coefficients declare m={coeffs.m}")
     if sheet.grid != grid:
         raise ValueError("sheet was sampled on a different grid")
-    if coeffs.depends_on_measure and measure_source is None:
-        raise ValueError("coefficients depend on the measure: supply measure_source")
+    if coeffs.depends_on_measure:
+        raise ValueError("solve_goursat solves one path: the field must be measure-free")
     y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
     noise = sheet.increments[:, None]  # one path: m channels of shape (1, nt, nx), read in place
-    Y = _check_finite(_sweep(coeffs, y0, grid, noise, measure_source=measure_source))
+    Y = _check_finite(_sweep(coeffs, y0, grid, noise))
     return StateField(values=Y[0], grid=grid)
 
 
@@ -500,7 +480,7 @@ def solve_conditional_mkv(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PicardResult:
     ensemble: ParticleEnsemble
     gaps: np.ndarray

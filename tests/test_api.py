@@ -10,11 +10,16 @@ from sheetlab import (
     EmpiricalMeasure,
     FrequencyGrid,
     Grid,
+    GridSearchResult,
+    KernelContext,
     MQuadrature,
     ParticleEnsemble,
+    PerformanceEstimate,
+    PicardResult,
     Point,
     RankOneMatrix,
     StateField,
+    mean_feedback_policy,
     sample_sheet,
 )
 
@@ -69,6 +74,12 @@ def _grid():
     return Grid(horizon=Point(1.0, 1.0), nt=2, nx=2)
 
 
+def _estimate():
+    return PerformanceEstimate(
+        theta=0.0, value=0.0, stderr=0.0, replicate_values=np.zeros(2), route="direct"
+    )
+
+
 ARRAY_HOLDERS = {
     "EmpiricalMeasure": lambda: EmpiricalMeasure(samples=np.zeros((3, 1))),
     "MQuadrature": lambda: MQuadrature(dim=1, order=4),
@@ -84,6 +95,18 @@ ARRAY_HOLDERS = {
         idio_increments=np.zeros((2, 0, 2, 2)),
         seed=0,
     ),
+    "PicardResult": lambda: PicardResult(
+        ensemble=ARRAY_HOLDERS["ParticleEnsemble"](),
+        gaps=np.zeros(2),
+        iterations=2,
+        converged=True,
+        diverged=False,
+    ),
+    "PerformanceEstimate": _estimate,
+    "GridSearchResult": lambda: GridSearchResult(
+        best_index=0, best_policy=mean_feedback_policy(0.0), table=[_estimate(), _estimate()]
+    ),
+    "KernelContext": lambda: KernelContext(alpha=np.zeros(1), beta=np.zeros((1, 2))),
 }
 
 

@@ -131,14 +131,6 @@ class TestRemainderVariance:
         assert est.replicates == 200
         assert abs(est.estimate * 8 - v0) < 4.0 * est.stderr * 8
 
-    def test_redrawn_weights_supported(self):
-        g = Grid(horizon=Point(0.5, 0.5), nt=16, nx=16)
-        cfg = ChaosConfig(N=4, a_values=1.0, y0=1.0, grid=g)
-        est = remainder_variance(
-            cfg, replicates=50, seed=3, a_sampler=lambda rng: rng.uniform(0.5, 1.5, size=4)
-        )
-        assert est.estimate > 0.0
-
     def test_needs_two_replicates(self):
         cfg = ChaosConfig(N=2, a_values=1.0, y0=0.0, grid=square_grid(4))
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from sheetlab import (
 )
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
-from sheetlab.solver import _replicate_increments, _row_measures, _uniform_weights
+from sheetlab.solver import _node_measures, _replicate_increments
 
 
 ZERO_POLICY = ControlPolicy(theta=0.0, rule=lambda z, common, mu: np.zeros(1))
@@ -79,8 +79,11 @@ class TestStockCallbacks:
         s = rng.normal(size=(M, n)) * 3.0
         y = rng.normal(size=(M, n))
         u = rng.normal(size=n)
-        # a measure as a user builds it, and one as the solver's row pass builds it
-        row = _row_measures(np.stack([s, -2.0 * s]), _uniform_weights(M))
+        # a measure as a user builds it, and one as the solver's node pass
+        # builds it on node-major states (1, 2, M, n)
+        values = np.stack([s, -2.0 * s])[None].transpose(2, 0, 1, 3)
+        (nodes,) = _node_measures(values, square_grid(2), 1, 2)
+        row = [mu for _, mu in nodes]
         z = Point(0.25, 0.5)
         for mu in (EmpiricalMeasure(s), row[0]):
             assert np.array_equal(mean_feedback_policy(theta).rule(z, None, mu), theta * s.mean(0))

@@ -204,7 +204,7 @@ class TestRefinement:
             )
 
     def test_rejects_a_measure_dependent_field(self):
-        # the study solves single paths and takes no measure_source to offer one
+        # the study solves single paths, and its message offers no per-node measure option
         co, grids = mean_reversion_field(1.0, [1.0]), [square_grid(4), square_grid(8)]
         with pytest.raises(ValueError, match="ito_refinement_study") as err:
             ito_refinement_study(quartic(), co, 0.0, Point(1.0, 1.0), grids, 3, 0)

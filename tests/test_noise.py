@@ -250,3 +250,9 @@ class TestFileFormat:
         open(fn, "wb").write(bytes(blob))
         with pytest.raises(ValueError):
             load_sheet(fn)
+
+    def test_rejects_truncated_header(self, tmp_path):
+        fn = tmp_path / "sheet.bin"
+        fn.write_bytes(b"SHTL" + struct.pack("<I", 2))
+        with pytest.raises(ValueError, match="^sheet dump header has 4 bytes, expected 40$"):
+            load_sheet(str(fn))

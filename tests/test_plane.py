@@ -184,3 +184,8 @@ class TestDifferentiationIdentity:
         one = lambda a, b: np.ones(np.broadcast(a.t + a.x, b.t + b.x).shape)  # noqa: E731
         with pytest.raises(ValueError):
             diff_double_integral_identity_check(one, Point(0.0, 1.0), square_grid(8), 1e-3)
+
+    def test_rejects_nonpositive_step(self):
+        one = lambda a, b: np.ones(np.broadcast(a.t + a.x, b.t + b.x).shape)  # noqa: E731
+        with pytest.raises(ValueError, match="stencil step must be positive"):
+            diff_double_integral_identity_check(one, Point(1.0, 1.0), square_grid(8), 0.0)

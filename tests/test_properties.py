@@ -45,7 +45,7 @@ from sheetlab import (
     solve_goursat,
 )
 from sheetlab import ito_check
-from sheetlab.solver import _row_measures, _uniform_weights
+from sheetlab.solver import _node_measures
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -307,11 +307,15 @@ def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
     # node-major states (nt+1, nx+1, M, n), read as the coefficient pass reads a
     # row: nodes j < cols of row 1, with ``extra`` columns left out
     stored = np.random.default_rng(seed).normal(size=(3, cols + extra, M, n)) * 4.0
-    row = stored.transpose(2, 0, 1, 3)[:, 1, :cols].swapaxes(0, 1)
-    weights = _uniform_weights(M)
-    measures = _row_measures(row, weights)
-    assert len(measures) == cols
-    for cloud, mu in zip(row, measures):
+    values = stored.transpose(2, 0, 1, 3)
+    row = values[:, 1, :cols].swapaxes(0, 1)
+    grid = Grid(horizon=Point(1.0, 1.0), nt=2, nx=cols + extra)
+    _, nodes = _node_measures(values, grid, 2, cols)
+    assert len(nodes) == cols
+    weights = nodes[0][1].weights
+    assert np.array_equal(weights, np.full(M, 1.0 / M)) and not weights.flags.writeable
+    for j, (cloud, (z, mu)) in enumerate(zip(row, nodes)):
+        assert z == Point(grid.dt, j * grid.dx)
         assert np.array_equal(mu.samples, cloud) and np.shares_memory(mu.samples, stored)
         assert mu.weights is weights
         assert np.array_equal(mu.sample_mean, np.add.reduce(cloud, axis=0) / M)

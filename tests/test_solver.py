@@ -28,9 +28,8 @@ from sheetlab.rng import (
     substream,
 )
 from sheetlab.solver import (
+    _node_measures,
     _replicate_increments,
-    _row_measures,
-    _uniform_weights,
     coefficient_table,
 )
 
@@ -119,7 +118,7 @@ class TestSinglePathSolve:
             solve_goursat(co, 0.0, sample_sheet(square_grid(8), 2, 0), g)  # grid mismatch
         needs_mu = mean_reversion_field(1.0, (0.5, 0.5))
         with pytest.raises(ValueError):
-            solve_goursat(needs_mu, 0.0, sample_sheet(g, 2, 0), g)  # no measure source
+            solve_goursat(needs_mu, 0.0, sample_sheet(g, 2, 0), g)  # one path has no measure
 
     def test_non_finite_state_names_its_first_node(self):
         g = square_grid(8)
@@ -296,17 +295,21 @@ class TestConditionalEnsemble:
         with pytest.raises(ValueError):
             solve_conditional_mkv(constant_field(0.0, [1.0]), 0.0, 2, g, seed=0)
 
-    def test_goursat_with_the_ensemble_measures_reproduces_each_particle(self):
-        # the single-path solver fed the frozen ensemble measures walks each particle's path
+    def test_the_ensemble_advances_each_particle_by_its_node_measure(self):
+        # each particle walks the one-path recursion driven by the mean of the
+        # ensemble's states at every node and by the particle's own cells
         g = square_grid(8)
-        co = mean_reversion_field(1.2, (0.6, 0.4))
-        ens = solve_conditional_mkv(co, 1.0, 5, g, seed=3)
-        source = lambda i, j: EmpiricalMeasure(ens.values[:, i, j])  # noqa: E731
+        rate, sigma = 1.2, np.array([[0.6, 0.4]])
+        ens = solve_conditional_mkv(mean_reversion_field(rate, sigma), 1.0, 5, g, seed=3)
         for p in range(ens.particles):
-            increments = np.stack([ens.common_increments, ens.idio_increments[p, 0]])
-            sheet = sheet_from_increments(g, increments, ens.seed)
-            field = solve_goursat(co, 1.0, sheet, g, measure_source=source)
-            np.testing.assert_allclose(field.values, ens.values[p], rtol=0, atol=1e-12)
+            cells = np.stack([ens.common_increments, ens.idio_increments[p, 0]], axis=-1)
+            y = np.ones((g.nt + 1, g.nx + 1, 1))
+            for i in range(g.nt):
+                for j in range(g.nx):
+                    alpha = rate * (ens.values[:, i, j].mean(0) - y[i, j])
+                    source = alpha * g.dt * g.dx + sigma @ cells[i, j]
+                    y[i + 1, j + 1] = y[i + 1, j] + y[i, j + 1] - y[i, j] + source
+            np.testing.assert_allclose(ens.values[p], y, rtol=0, atol=1e-12)
 
     def test_non_finite_state_names_its_first_node(self):
         g = square_grid(8)
@@ -380,8 +383,11 @@ class TestStockField:
         co = mean_reversion_field(rate, sigma, n=n)
         s = rng.normal(size=(M, n)) * 3.0
         y = rng.normal(size=(M, n))
-        # a measure as a user builds it, and one as the solver's row pass builds it
-        row = _row_measures(np.stack([s, -2.0 * s]), _uniform_weights(M))
+        # a measure as a user builds it, and one as the solver's node pass
+        # builds it on node-major states (1, 2, M, n)
+        values = np.stack([s, -2.0 * s])[None].transpose(2, 0, 1, 3)
+        (nodes,) = _node_measures(values, square_grid(2), 1, 2)
+        row = [mu for _, mu in nodes]
         z = Point(0.25, 0.5)
         for mu in (EmpiricalMeasure(s), row[0]):
             assert np.array_equal(co.drift(z, y, mu), rate * (s.mean(0) - y))
