@@ -1,6 +1,7 @@
 """Bit goldens: the exact doubles (``float.hex``) of the comparison series f and
 f', the cell-pair sums, the limit field, the weak-residual table, a Picard solve
-of the conditional OU field and the two control cost routes.
+of the conditional OU field, the two control cost routes and the M-norm of
+empirical measures.
 
 They pin the last bit, not a tolerance, so a refactor of these routines that
 claims to keep behaviour must keep every value.  The file was recorded with
@@ -16,18 +17,24 @@ import pytest
 
 from sheetlab import (
     CoefficientField,
+    EmpiricalMeasure,
     FrequencyGrid,
     Grid,
+    MQuadrature,
     Point,
     controlled_linear_field,
     double_ito_integral,
     double_rect_integral,
+    est_inequality_check,
     f_series,
     f_series_derivative,
     find_r0,
+    fourier_batch,
     grid_search,
     limit_solution,
     lq_cost,
+    m_dist_sq,
+    m_inner,
     mean_feedback_policy,
     mean_reversion_field,
     performance_direct,
@@ -138,6 +145,23 @@ def _grid_search():
     return out
 
 
+def _measure_metric():
+    """Fourier transforms, M-distance and M-inner product of seeded clouds at
+    n = 1 (order 40) and n = 2 (order 12), and the comparison estimate"""
+    rng = np.random.default_rng(17)
+    out = []
+    for shape, order in (((8, 1), 40), ((6, 2), 12)):
+        mu = EmpiricalMeasure(rng.normal(size=shape))
+        eta = EmpiricalMeasure(0.5 + 1.5 * rng.normal(size=shape))
+        quad = MQuadrature(dim=shape[1], order=order)
+        mu_hat = fourier_batch(mu, quad.nodes)
+        out += [*mu_hat.real, *mu_hat.imag, m_dist_sq(mu, eta, quad), m_inner(mu, eta, quad)]
+    y1 = rng.normal(size=(4, 10))
+    pairs = [(a, a + 0.3 * rng.normal(size=a.shape)) for a in y1]
+    report = est_inequality_check(pairs, MQuadrature(dim=1, order=40))
+    return [*out, report.lhs, report.rhs]
+
+
 CASES = {
     "f_series_wide": lambda: f_series(WIDE),
     "f_series_narrow": lambda: f_series(NARROW),
@@ -160,6 +184,7 @@ CASES = {
     # one particle: each particle's cost sum is a column of length nt * nx
     "performance_direct_m1": lambda: _performance(performance_direct, 1),
     "grid_search": _grid_search,
+    "measure_metric": _measure_metric,
 }
 
 
