@@ -325,9 +325,8 @@ def grid_search(
 def mean_feedback_policy(theta: float) -> ControlPolicy:
     """u = theta * mean of the conditional measure (componentwise).
 
-    The mean is ``mu.sample_mean``, the unweighted mean of ``mu.samples``: the
-    solver and the cost pass hand the policy uniform weights, and their
-    measures carry that mean from one reduction per grid row.
+    The mean is ``mu.sample_mean``, which the measures of the solver and the
+    cost pass carry from one reduction per grid row.
     """
 
     def rule(z, common, mu):

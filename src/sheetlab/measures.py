@@ -46,55 +46,36 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Weighted sample cloud in R^n; samples shape (M, n), weights sum to 1."""
+    """Uniformly weighted sample cloud (1/M) sum_p delta_{x_p} in R^n; samples shape (M, n)."""
 
     samples: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError(f"samples must be a nonempty (M, n) array, got shape {samples.shape}")
-        if self.weights is None:
-            weights = np.full(samples.shape[0], 1.0 / samples.shape[0])
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (samples.shape[0],):
-                raise ValueError(
-                    f"weights shape {weights.shape} does not match {samples.shape[0]} samples"
-                )
-            if np.any(weights < 0):
-                raise ValueError("weights must be nonnegative")
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def _unchecked(
-        cls, samples: np.ndarray, weights: np.ndarray, sample_mean: np.ndarray
-    ) -> EmpiricalMeasure:
+    def _unchecked(cls, samples: np.ndarray, sample_mean: np.ndarray) -> EmpiricalMeasure:
         """A measure with no validation or copy: the caller guarantees float64
-        samples of shape (M, n), M >= 1, valid (M,) weights, and that the
-        read-only ``sample_mean`` (n,) is the value of :attr:`sample_mean`."""
+        samples of shape (M, n), M >= 1, and that the read-only
+        ``sample_mean`` (n,) is the value of :attr:`sample_mean`."""
         mu = object.__new__(cls)
         # the instance dict directly: the fields are plain attributes, and this
         # runs once per grid node of a coefficient pass
         attrs = mu.__dict__
         attrs["samples"] = samples
-        attrs["weights"] = weights
         attrs["sample_mean"] = sample_mean
         return mu
 
     @cached_property
     def sample_mean(self) -> np.ndarray:
-        """The unweighted mean of ``samples``, shape (n,), computed once.
+        """The mean of the measure, shape (n,), computed once.
 
         It is ``np.add.reduce(samples, axis=0) / M``, the expression of
-        ``samples.mean(axis=0)``, and ignores ``weights``: it is the mean of
-        the measure only under uniform weights, which every measure a solver
-        builds carries.  It is computed on first read and kept, so the samples
-        must not change after that.  The array is read-only.
+        ``samples.mean(axis=0)``.  It is computed on first read and kept, so
+        the samples must not change after that.  The array is read-only.
         """
         mean = np.add.reduce(self.samples, axis=0) / self.samples.shape[0]
         mean.setflags(write=False)
@@ -133,7 +114,8 @@ class MQuadrature:
 def fourier_batch(mu: EmpiricalMeasure, freqs: np.ndarray) -> np.ndarray:
     """mu_hat at a (Q, n) batch of frequencies, shape (Q,) complex."""
     phases = freqs @ mu.samples.T  # (Q, M)
-    return np.exp(-1j * phases) @ mu.weights
+    # a product with the uniform weights, not .mean: the two round differently
+    return np.exp(-1j * phases) @ np.full(mu.size, 1.0 / mu.size)
 
 
 def m_dist_sq(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, quad: MQuadrature) -> float:

@@ -3,16 +3,16 @@
 A stream is ``substream``: a Philox generator keyed by the user seed and
 positioned by (domain, stream, channel) counter words.  Streams built this way
 are statistically independent, cheap to construct, and do not care in which
-order they are consumed — the property that makes particle loops, worker
-pools, and nested common/idiosyncratic noise hierarchies reproducible
-bit-for-bit for any execution schedule.
+order they are consumed — the property that makes particle loops and nested
+common/idiosyncratic noise hierarchies reproducible bit-for-bit for any
+execution schedule.
 
 Building a Generator costs more than drawing a small sheet from it, so the
 one cell-noise sampler, ``noise._draw_cells``, reads its streams through
 ``_substreams``: one Philox bit generator, built at the first stream and reset
 to each later stream's fresh state.  It draws exactly what ``substream``
-draws, which stays the definition of a stream; other draws (random weights,
-the est-check couplings) take a ``substream`` each.
+draws, which stays the definition of a stream.  The one other draw, the
+est-check experiment's couplings, takes a ``substream`` of its own.
 """
 
 from __future__ import annotations

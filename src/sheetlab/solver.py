@@ -53,11 +53,10 @@ Every return is shape-checked.
 The node measures and Points come from one node pass, :func:`_node_measures`,
 which the control's cost pass reads too.  Its measures skip validation, since
 the grid and the solver guarantee it: a measure's ``samples`` is a view of the
-solver's states at the node (the same array as y), its ``weights`` is one
-read-only uniform array shared by every node of the pass, and its
-``sample_mean`` is a read-only row of one reduction over the grid row's
-clouds, so a field that reads only the mean (``mean_reversion_field``, the
-control's ``mean_feedback_policy``) reduces no cloud of its own.  A field must
+solver's states at the node (the same array as y), and its ``sample_mean``
+is a read-only row of one reduction over the grid row's clouds, so a field
+that reads only the mean (``mean_reversion_field``, the control's
+``mean_feedback_policy``) reduces no cloud of its own.  A field must
 not write to any of them.  Node Points are likewise built unchecked, because
 grid coordinates i*dt and j*dx are nonnegative.
 
@@ -168,7 +167,6 @@ class ParticleEnsemble:
     grid: Grid
     common_increments: np.ndarray
     idio_increments: np.ndarray
-    seed: int
     coeffs: CoefficientField | None = None
     y0: np.ndarray | None = None
 
@@ -202,18 +200,15 @@ def _node_measures(values: np.ndarray, grid: Grid, rows: int, cols: int):
     rows, >= cols, n) only when the row is requested.
 
     ``z`` is the node's unchecked Point and ``mu`` the unchecked empirical
-    measure of its M states: ``mu.samples`` is a view of ``values``, every
-    ``mu.weights`` is one read-only uniform array of the pass, and the nodes'
-    read-only ``sample_mean`` come from one reduction over the row's particle
-    axis: on node-major states (module docstring), the layout of every library
-    caller, each equals its cloud's own mean bit for bit, and on other layouts
-    to rounding.
+    measure of its M states: ``mu.samples`` is a view of ``values``, and the
+    nodes' read-only ``sample_mean`` come from one reduction over the row's
+    particle axis: on node-major states (module docstring), the layout of
+    every library caller, each equals its cloud's own mean bit for bit, and on
+    other layouts to rounding.
     """
     M = values.shape[0]
     if M < 1:
         raise ValueError(f"an empirical measure needs at least one sample, got M={M}")
-    weights = np.full(M, 1.0 / M)
-    weights.setflags(write=False)
     xs = [j * grid.dx for j in range(cols)]
     point, measure = Point._unchecked, EmpiricalMeasure._unchecked
     for i in range(rows):
@@ -221,7 +216,7 @@ def _node_measures(values: np.ndarray, grid: Grid, rows: int, cols: int):
         clouds = values[:, i, :cols].swapaxes(0, 1)
         means = np.add.reduce(clouds, axis=1) / M
         means.setflags(write=False)
-        yield [(point(t, x), measure(c, weights, mean)) for x, c, mean in zip(xs, clouds, means)]
+        yield [(point(t, x), measure(c, mean)) for x, c, mean in zip(xs, clouds, means)]
 
 
 def coefficient_rows(
@@ -396,11 +391,10 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
 def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     """Conditional OU dynamics: drift = rate * (mean of mu - y), constant beta.
 
-    The mean is ``mu.sample_mean``, the unweighted mean of ``mu.samples``: the
-    solvers hand every field uniform weights, and the measures they build
-    carry that mean from one reduction per grid row.  The drift is
-    rate-Lipschitz in the state and rate-Lipschitz in the measure (through the
-    mean), so the declared joint constant is 2 * rate.
+    The mean is ``mu.sample_mean``, which the measures the solvers build
+    carry from one reduction per grid row.  The drift is rate-Lipschitz in
+    the state and rate-Lipschitz in the measure (through the mean), so the
+    declared joint constant is 2 * rate.
     """
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
@@ -474,7 +468,6 @@ def solve_conditional_mkv(
         grid=grid,
         common_increments=common,
         idio_increments=idio,
-        seed=seed,
         coeffs=coeffs,
         y0=y0,
     )
@@ -538,7 +531,6 @@ def picard_solve(
         grid=grid,
         common_increments=common,
         idio_increments=idio,
-        seed=seed,
         coeffs=coeffs,
         y0=y0,
     )

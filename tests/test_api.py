@@ -93,7 +93,6 @@ ARRAY_HOLDERS = {
         grid=_grid(),
         common_increments=np.zeros((2, 2)),
         idio_increments=np.zeros((2, 0, 2, 2)),
-        seed=0,
     ),
     "PicardResult": lambda: PicardResult(
         ensemble=ARRAY_HOLDERS["ParticleEnsemble"](),

@@ -18,18 +18,14 @@ def delta(point):
 
 
 class TestEmpiricalMeasure:
-    def test_default_weights_uniform(self):
+    def test_dim_and_size(self):
         mu = EmpiricalMeasure(samples=np.zeros((4, 2)))
-        np.testing.assert_allclose(mu.weights, 0.25)
         assert mu.dim == 2 and mu.size == 4
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(samples=np.zeros((2, 1)), weights=np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(samples=np.zeros((2, 1)), weights=np.array([1.5, -0.5]))
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(samples=np.zeros((2, 1)), weights=np.array([1.0]))
+    @pytest.mark.parametrize("shape", [(), (2,), (0, 1), (2, 1, 1)])
+    def test_rejects_samples_that_are_not_a_nonempty_cloud(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            EmpiricalMeasure(samples=np.zeros(shape))
 
     def test_fourier_hand_value(self):
         mu = EmpiricalMeasure(samples=np.array([[0.0], [2.0]]))
@@ -42,7 +38,7 @@ class TestEmpiricalMeasure:
         mu = EmpiricalMeasure(samples=rng.normal(size=(6, 2)))
         freqs = rng.normal(size=(5, 2))
         batch = fourier_batch(mu, freqs)
-        loop = np.array([mu.weights @ np.exp(-1j * (mu.samples @ w)) for w in freqs])
+        loop = np.array([np.mean(np.exp(-1j * (mu.samples @ w))) for w in freqs])
         np.testing.assert_allclose(batch, loop, atol=1e-13)
 
     def test_fourier_at_zero_is_total_mass(self):
