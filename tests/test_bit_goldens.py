@@ -1,5 +1,5 @@
 """Bit goldens: the exact doubles (``float.hex``) of the comparison series f and
-f', the cell-pair sums, the limit field, the weak-residual table, a Picard solve
+f', the cell-pair sums, the limit field, the rank-one closed form, the weak-residual table, a Picard solve
 of the conditional OU field, the two control cost routes and the M-norm of
 empirical measures.
 
@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from sheetlab import (
+    ChaosConfig,
     CoefficientField,
     EmpiricalMeasure,
     FrequencyGrid,
     Grid,
     MQuadrature,
     Point,
+    closed_form_solution,
     controlled_linear_field,
     double_ito_integral,
     double_rect_integral,
@@ -79,6 +81,15 @@ def _coupled_field(n, m):
         return S[None] * (1.0 + 0.2 * np.sin(y))[:, :, None]
 
     return CoefficientField(n=n, m=m, drift=drift, diffusion=diffusion)
+
+
+def _closed_form():
+    """equal weights at N = 4 and unequal weights at N = 3"""
+    out = []
+    for N, a, seed in ((4, 1.0, 6), (3, (0.5, 1.0, 2.5), 7)):
+        sheet = sample_sheet(LIMIT_GRID, N, seed=seed)
+        out += list(closed_form_solution(ChaosConfig(N, a, 0.7, LIMIT_GRID), sheet).values.ravel())
+    return out
 
 
 def _residual_table(n, m):
@@ -175,6 +186,7 @@ CASES = {
         1.5, 0.7, sample_sheet(LIMIT_GRID, 1, seed=4, stream=2)
     ).values,
     "verify_limit_spde": _limit_spde,
+    "closed_form_solution": _closed_form,
     "residual_table_n1": lambda: _residual_table(1, 2),
     "residual_table_n2": lambda: _residual_table(2, 3),
     "residual_table_n3": lambda: _residual_table(3, 2),
