@@ -29,7 +29,6 @@ from .control import (
     GridSearchResult,
     PerformanceEstimate,
     controlled_linear_field,
-    curry_policy,
     grid_search,
     lq_cost,
     mean_feedback_policy,

@@ -31,7 +31,9 @@ converges to the decoupled limit field
     Y*(z) = f((a - 1) t x) y + iint f(-(t-u)(x-v)) B*(du, dv)
 
 (constant weights a_j = a), which solves the linear transport equation
-Y* = y + int (a E[Y*] - Y*) dzeta + B*.  The convolution kernels are
+Y* = y + int (a E[Y*] - Y*) dzeta + B*.  As kappa = lam/N - 1, the closed
+form is the limit field at the mean weight lam/N, driven by B_i, plus the
+coupling I_{i,N} that all particles share.  The convolution kernels are
 Toeplitz in the index offsets, so all closed-form fields are assembled with
 FFT convolutions.
 
@@ -180,27 +182,20 @@ def _theta_table(grid: Grid) -> np.ndarray:
 
 
 def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
-    """Exact solution field via the rank-one power decomposition and FFT kernels."""
+    """Exact solution field: each particle's limit field at the mean weight
+    sum(a)/N, driven by its own channel, plus the shared coupling I_{i,N}."""
     if sheet.channels != cfg.N:
         raise ValueError(f"sheet has {sheet.channels} channels, system needs N={cfg.N}")
     grid = cfg.grid
     A = cfg.matrix()
-    kappa = A.kappa()
     theta = _theta_table(grid)
-    K1 = f_series(-theta)
-    K2 = f_series(kappa * theta)
-
     dB = sheet.increments
     shared = _convolve_cells(
-        np.einsum("j,jab->ab", A.a_values / A.total, dB), K2 - K1
+        np.einsum("j,jab->ab", A.a_values / A.total, dB),
+        f_series(A.kappa() * theta) - f_series(-theta),
     )
-    tx = np.outer(grid.t_nodes(), grid.x_nodes())
-    det = f_series(kappa * tx) * cfg.y0
-
-    values = np.empty((grid.nt + 1, grid.nx + 1, cfg.N))
-    for i in range(cfg.N):
-        values[:, :, i] = det + _convolve_cells(dB[i], K1) + shared
-    return StateField(values=values, grid=grid)
+    fields = _limit_fields(A.total / A.size, cfg.y0, grid, dB) + shared
+    return StateField(values=np.ascontiguousarray(np.moveaxis(fields, 0, -1)), grid=grid)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ Two routes to the same performance number:
   measure-based J~ = E[ int <mu_z, ell(z, ., u)> dz + <mu_horizon, k> ]
 
 Both integrate the running cost over cells at lower corners — the same nodes
-where the dynamics evaluated their coefficients, so the cost sees exactly the
-controls that drove the particles.  On a single ensemble the two routes are
-the same sum in a different order; their equality across *independent*
-ensembles (each route gets its own seed) is the substantive check that the
-control problem is well-posed on the measure: the verdict compares the gap
-against combined Monte Carlo error.
+where the dynamics evaluated their coefficients — and ``_control``, the one
+reader of the rule, hands the dynamics and the cost the same u, so the cost
+sees exactly the controls that drove the particles.  On a single ensemble the
+two routes are the same sum in a different order; their equality across
+*independent* ensembles (each route gets its own seed) is the substantive
+check that the control problem is well-posed on the measure: the verdict
+compares the gap against combined Monte Carlo error.
 
 Replicate noise lives in its own substream domain, keyed by replicate index,
 so scanning policies at a fixed seed reuses common random numbers — policy
@@ -48,7 +49,6 @@ __all__ = [
     "ControlPolicy",
     "ControlledCoefficients",
     "CostSpec",
-    "curry_policy",
     "PerformanceEstimate",
     "performance_direct",
     "performance_measure_based",
@@ -80,16 +80,12 @@ class ControlledCoefficients:
 
     n: int
     m: int
-    d: int
     drift: object
     diffusion: object
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 2 or self.d < 1:
-            raise ValueError(
-                f"need n >= 1, m >= 2 (one common channel), d >= 1; "
-                f"got n={self.n}, m={self.m}, d={self.d}"
-            )
+        if self.n < 1 or self.m < 2:
+            raise ValueError(f"need n >= 1, m >= 2 (one common channel), got n={self.n}, m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -114,36 +110,25 @@ def _observation_views(common_values: np.ndarray, grid: Grid) -> dict:
     }
 
 
-def curry_policy(
-    controlled: ControlledCoefficients,
-    policy: ControlPolicy,
-    common_values: np.ndarray,
-    grid: Grid,
-) -> CoefficientField:
-    """Close the control slot: an ordinary coefficient field driven by the policy."""
-    return _curry(controlled, policy, _observation_views(common_values, grid), grid)
-
-
-def _curry(controlled: ControlledCoefficients, policy: ControlPolicy, views: dict, grid: Grid):
-    """:func:`curry_policy` on prebuilt :func:`_observation_views`.
-
-    A node Point built from the grid finds its view by its coordinates; any
-    other z goes through ``grid.node_index``, which rejects off-node points.
-    """
+def _control(policy: ControlPolicy, views: dict):
+    """control(z, mu): the policy's control vector at node z, read from the
+    node's :func:`_observation_views` entry.  The one caller of the rule."""
     rule = policy.rule
 
-    def observe(z, mu):
-        view = views.get((z.t, z.x))
-        if view is None:
-            i, j = grid.node_index(z)
-            view = views[i * grid.dt, j * grid.dx]
-        return np.atleast_1d(np.asarray(rule(z, view, mu), dtype=float))
+    def control(z, mu):
+        return np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
+
+    return control
+
+
+def _curry(controlled: ControlledCoefficients, control) -> CoefficientField:
+    """Close the control slot: an ordinary coefficient field driven by ``control``."""
 
     def drift(z, y, mu):
-        return controlled.drift(z, y, mu, observe(z, mu))
+        return controlled.drift(z, y, mu, control(z, mu))
 
     def diffusion(z, y, mu):
-        return controlled.diffusion(z, y, mu, observe(z, mu))
+        return controlled.diffusion(z, y, mu, control(z, mu))
 
     return CoefficientField(
         n=controlled.n, m=controlled.m, drift=drift, diffusion=diffusion, depends_on_measure=True
@@ -161,14 +146,13 @@ class PerformanceEstimate:
 
 def _replicate_cost(
     ensemble: ParticleEnsemble,
-    policy: ControlPolicy,
+    control,
     cost: CostSpec,
-    views: dict,
     route: str,
 ) -> float:
     """One replicate's cost on the solved ensemble, read along the solver's one
     node pass (:func:`solver._node_measures`): the same node measures and
-    Points its coefficient pass builds, with the observation ``views``.
+    Points its coefficient pass builds, with the ``control`` that drove it.
 
     The running costs fill an (nt, nx, M) table, reduced once per route:
     direct sums each particle's column over the nodes in row-major order,
@@ -180,12 +164,10 @@ def _replicate_cost(
     grid = ensemble.grid
     dtdx = grid.dt * grid.dx
     M = ensemble.particles
-    rule, running = policy.rule, cost.running
     ell = np.empty((grid.nt, grid.nx, M))
     for i, nodes in enumerate(_node_measures(ensemble.values, grid, grid.nt, grid.nx)):
         for j, (z, mu) in enumerate(nodes):
-            u = np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
-            ell[i, j] = running(z, mu.samples, u)
+            ell[i, j] = cost.running(z, mu.samples, control(z, mu))
     terminal = np.asarray(cost.terminal(ensemble.values[:, -1, -1, :]), dtype=float)
     if route == "direct":
         per_particle = np.cumsum((ell * dtdx).reshape(-1, M), axis=0)[-1]
@@ -227,11 +209,11 @@ def _replicate_values(
         common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
         views = _observation_views(_node_values(common), grid)
         for policy, policy_values in zip(policies, values):
-            coeffs = _curry(controlled, policy, views, grid)
+            control = _control(policy, views)
             ensemble = solve_conditional_mkv(
-                coeffs, y0, M, grid, seed, common_increments=common, idio_increments=idio
+                _curry(controlled, control), y0, M, grid, seed, common_increments=common, idio_increments=idio
             )
-            policy_values[rep] = _replicate_cost(ensemble, policy, cost, views, route)
+            policy_values[rep] = _replicate_cost(ensemble, control, cost, route)
     return values
 
 
@@ -353,9 +335,7 @@ def controlled_linear_field(
             beta = betas[y.shape[0]] = np.broadcast_to(sigma_arr, (y.shape[0], 1, sigma_arr.shape[-1]))
         return beta
 
-    return ControlledCoefficients(
-        n=1, m=sigma_arr.shape[-1], d=1, drift=drift, diffusion=diffusion
-    )
+    return ControlledCoefficients(n=1, m=sigma_arr.shape[-1], drift=drift, diffusion=diffusion)
 
 
 def lq_cost(

@@ -55,7 +55,7 @@ import numpy as np
 from .noise import SheetPath, _draw_cells
 from .plane import Grid, Point
 from .rng import DOMAIN_SHEET
-from .solver import CoefficientField, StateField, _check_finite, _sweep, coefficient_table
+from .solver import CoefficientField, StateField, _check_finite, _start_state, _sweep, coefficient_table
 
 __all__ = [
     "TestFunction",
@@ -203,7 +203,7 @@ def ito_refinement_study(
         raise ValueError(f"need at least two replications, got {replications}")
     if coeffs.depends_on_measure:
         raise ValueError("ito_refinement_study solves single paths: the field must be measure-free")
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
+    y0 = _start_state(y0, coeffs.n)
     rows = []
     for grid in grids:
         shape, chunk = (coeffs.m, grid.nt, grid.nx), max(1, _REPLICATE_CELLS // (grid.nt * grid.nx))

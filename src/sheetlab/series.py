@@ -72,7 +72,7 @@ def find_r0(tol: float) -> float:
     The bracket is re-verified on every call (f(-1) > 0 > f(-2)); its failure
     would mean a broken series evaluation, not a property of the root.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     lo, hi = 1.0, 2.0
     flo, fhi = f_series(-lo), f_series(-hi)

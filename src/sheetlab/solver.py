@@ -322,6 +322,13 @@ def _sweep(coeffs, y0, grid, noise, frozen=None) -> np.ndarray:
     return states
 
 
+def _start_state(y0, n: int) -> np.ndarray:
+    """y0 as the (n,) start state: a scalar, a length-1 or a length-n vector."""
+    if np.shape(y0) not in ((), (1,), (n,)):
+        raise ValueError(f"y0 of shape {np.shape(y0)} does not fit the state dimension n={n}")
+    return np.broadcast_to(np.asarray(y0, dtype=float), (n,))
+
+
 def _check_finite(Y: np.ndarray) -> np.ndarray:
     """Return the solved states Y (M, nt+1, nx+1, n), or raise naming the first
     node (i, j), in row-major order, where some state is not finite."""
@@ -343,7 +350,7 @@ def solve_goursat(coeffs: CoefficientField, y0, sheet: SheetPath, grid: Grid) ->
         raise ValueError("sheet was sampled on a different grid")
     if coeffs.depends_on_measure:
         raise ValueError("solve_goursat solves one path: the field must be measure-free")
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
+    y0 = _start_state(y0, coeffs.n)
     noise = sheet.increments[:, None]  # one path: m channels of shape (1, nt, nx), read in place
     Y = _check_finite(_sweep(coeffs, y0, grid, noise))
     return StateField(values=Y[0], grid=grid)
@@ -399,6 +406,8 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
         sigma_arr = np.broadcast_to(sigma_arr[None, :], (n, sigma_arr.shape[0]))
+    if sigma_arr.ndim != 2 or sigma_arr.shape[0] != n:
+        raise ValueError(f"sigma must have shape (m,) or (n, m) with n={n}, got {np.shape(sigma)}")
     m = sigma_arr.shape[1]
     betas = {}  # batch size -> read-only broadcast view of sigma
 
@@ -462,7 +471,7 @@ def solve_conditional_mkv(
     ValueError naming the first node (i, j) where a state is not finite.
     """
     common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
+    y0 = _start_state(y0, coeffs.n)
     return ParticleEnsemble(
         values=_check_finite(_sweep(coeffs, y0, grid, [common[None], *idio.swapaxes(0, 1)])),
         grid=grid,
@@ -504,8 +513,10 @@ def picard_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     common, idio = _ensemble_noise(coeffs, M, grid, seed)
-    y0 = np.broadcast_to(np.asarray(y0, dtype=float), (coeffs.n,))
+    y0 = _start_state(y0, coeffs.n)
     # node-major like every iterate _sweep returns
     prev = np.broadcast_to(y0, (grid.nt + 1, grid.nx + 1, M, coeffs.n)).copy().transpose(2, 0, 1, 3)
     gaps = []

@@ -35,7 +35,7 @@ PUBLIC_NAMES = [
     "remainder_variance", "simulate_particle_system", "verify_limit_spde",
     # control
     "ControlPolicy", "ControlledCoefficients", "CostSpec", "GridSearchResult",
-    "PerformanceEstimate", "controlled_linear_field", "curry_policy", "grid_search",
+    "PerformanceEstimate", "controlled_linear_field", "grid_search",
     "lq_cost", "mean_feedback_policy", "performance_direct", "performance_measure_based",
     # fokker_planck
     "FrequencyGrid", "KernelContext", "Lemma61Report", "kernel_a",
@@ -66,7 +66,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 91
+    assert len(PUBLIC_NAMES) == 90
     assert sorted(sheetlab.__all__) == sorted(PUBLIC_NAMES)
 
 

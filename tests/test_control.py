@@ -12,13 +12,13 @@ from sheetlab import (
     Grid,
     Point,
     controlled_linear_field,
-    curry_policy,
     grid_search,
     lq_cost,
     mean_feedback_policy,
     performance_direct,
     performance_measure_based,
 )
+from sheetlab.control import _control, _curry, _observation_views
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
 from sheetlab.solver import _node_measures, _replicate_increments
@@ -41,9 +41,14 @@ def instance(k=8):
 class TestBuildingBlocks:
     def test_controlled_field_shape_validation(self):
         with pytest.raises(ValueError):
-            ControlledCoefficients(n=1, m=1, d=1, drift=None, diffusion=None)
+            ControlledCoefficients(n=1, m=1, drift=None, diffusion=None)
         with pytest.raises(ValueError):
-            ControlledCoefficients(n=0, m=2, d=1, drift=None, diffusion=None)
+            ControlledCoefficients(n=0, m=2, drift=None, diffusion=None)
+
+    def test_controlled_field_has_no_control_dimension(self):
+        # the control's length is whatever the policy returns; nothing declares it
+        with pytest.raises(TypeError):
+            ControlledCoefficients(n=1, m=2, d=5, drift=None, diffusion=None)
 
     def test_linear_field_drift_and_diffusion(self):
         field = controlled_linear_field(drift_gain=-2.0, control_gain=3.0, sigma=(0.4, 0.1))
@@ -103,42 +108,6 @@ class TestStockCallbacks:
 
 
 class TestCurriedObservation:
-    def test_policy_sees_only_the_past_rectangle_read_only(self):
-        g, controlled, _ = instance(4)
-        seen = {}
-
-        def probe_rule(z, common, mu):
-            seen[(float(z.t), float(z.x))] = common
-            return np.zeros(1)
-
-        common_values = np.arange(25.0).reshape(5, 5)
-        coeffs = curry_policy(controlled, ControlPolicy(theta=0.0, rule=probe_rule), common_values, g)
-        mu = EmpiricalMeasure(samples=np.zeros((2, 1)))
-        coeffs.drift(Point(0.5, 0.25), np.zeros((2, 1)), mu)
-        view = seen[(0.5, 0.25)]
-        assert view.shape == (3, 2)  # nodes up to and including (i, j) = (2, 1)
-        np.testing.assert_array_equal(view, common_values[:3, :2])
-        with pytest.raises((ValueError, RuntimeError)):
-            view[0, 0] = 99.0
-
-    def test_off_grid_point_is_rejected(self):
-        g, controlled, _ = instance(4)
-        coeffs = curry_policy(controlled, ZERO_POLICY, np.zeros((5, 5)), g)
-        mu = EmpiricalMeasure(samples=np.zeros((2, 1)))
-        for z in (Point(0.3, 0.25), Point(0.5, 0.26), Point(1.25, 0.0)):
-            with pytest.raises(ValueError, match="not a node"):
-                coeffs.drift(z, np.zeros((2, 1)), mu)
-
-    def test_a_node_within_rounding_still_finds_its_view(self):
-        g, controlled, _ = instance(3)
-        seen = []
-        rule = lambda z, common, mu: seen.append(common) or np.zeros(1)  # noqa: E731
-        common_values = np.arange(16.0).reshape(4, 4)
-        coeffs = curry_policy(controlled, ControlPolicy(theta=0.0, rule=rule), common_values, g)
-        z = Point(1.0 / 3.0 + 1e-13, 2.0 / 3.0 - 1e-13)  # node (1, 2), off its exact coordinates
-        coeffs.drift(z, np.zeros((2, 1)), EmpiricalMeasure(samples=np.zeros((2, 1))))
-        np.testing.assert_array_equal(seen[0], common_values[:2, :3])
-
     def test_performance_policy_sees_exactly_its_read_only_rectangle(self):
         g, controlled, cost = instance(4)
         seen = []
@@ -161,7 +130,7 @@ class TestCurriedObservation:
 
     def test_curried_field_declares_measure_dependence(self):
         g, controlled, _ = instance(4)
-        coeffs = curry_policy(controlled, ZERO_POLICY, np.zeros((5, 5)), g)
+        coeffs = _curry(controlled, _control(ZERO_POLICY, _observation_views(np.zeros((5, 5)), g)))
         assert coeffs.depends_on_measure
         assert coeffs.n == controlled.n and coeffs.m == controlled.m
 

@@ -235,6 +235,13 @@ class TestRefinement:
         assert peak_mb(200) <= 12.0
         assert peak_mb(400) <= peak_mb(100) + 0.5
 
+    def test_start_value_that_does_not_fit_the_state_is_named(self):
+        with pytest.raises(ValueError, match="y0"):
+            ito_refinement_study(
+                quartic(), constant_field(0.0, [1.0]), [0.0, 1.0], Point(1.0, 1.0),
+                [square_grid(4), square_grid(8)], 3, 0,
+            )
+
     def test_needs_two_grids(self):
         f = quartic()
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ the telescoping identity and, for ensembles, against each particle's own
 single-path solve.  The ensemble noise is pinned to nest across particle
 counts, a replicate's value not to depend on which other replicates ran or
 in what order, the batched Ito study to be the public chain per replicate, the
-Picard fixed point inside K|z| < sqrt(r0) to be the direct conditional solve,
-and a grid row's batched node means to be each cloud's own mean, bit for bit.
+two control cost routes to agree on one seed, the Picard fixed point inside
+K|z| < sqrt(r0) to be the direct conditional solve, and a grid row's batched
+node means to be each cloud's own mean, bit for bit.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ from sheetlab import (
     mean_feedback_policy,
     mean_reversion_field,
     performance_direct,
+    performance_measure_based,
     picard_solve,
     rect_integral,
     sample_ensemble_increments,
@@ -268,6 +270,27 @@ def test_performance_replicates_are_a_prefix_of_more_replicates(seed, R, extra, 
         for reps in (R, R + extra)
     )
     assert np.array_equal(few, more[:R])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(2, 64),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**64 - 1),
+)
+def test_cost_routes_agree_on_one_seed(k, M, theta, seed):
+    # on one ensemble the mean over particles of each particle's cost sum is the
+    # sum over nodes of the particle means: the same sum in a different order
+    grid = Grid(horizon=Point(1.0, 1.0), nt=k, nx=k)
+    controlled = controlled_linear_field(drift_gain=-1.0, control_gain=1.0, sigma=(0.5, 0.5))
+    cost = lq_cost(grid.horizon, state_weight=1.0, control_weight=0.25, terminal_weight=1.0)
+    policy = mean_feedback_policy(theta)
+    direct, measure = (
+        route(policy, controlled, cost, 2.0, M, grid, 2, seed).replicate_values
+        for route in (performance_direct, performance_measure_based)
+    )
+    np.testing.assert_allclose(direct, measure, rtol=0, atol=1e-12)
 
 
 @PROPERTY

@@ -59,9 +59,10 @@ class TestRootFinder:
         # first zero of J0 is 2.404825557695773; r0 = (that/2)^2
         assert find_r0(1e-12) == pytest.approx((2.404825557695773 / 2.0) ** 2, abs=1e-9)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            find_r0(0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_r0(tol)
 
 
 class TestMajorantSeries:

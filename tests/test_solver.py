@@ -461,6 +461,38 @@ class TestPicardIteration:
             picard_solve(co, 0.0, M, g, 0, max_iter=3, tol=1e-6)
 
 
+class TestInputsFailAtTheDoor:
+    """Bad arguments raise a ValueError that names them, where they come in."""
+
+    @pytest.mark.parametrize("y0", [[0.0, 1.0], [[1.0]], np.zeros((2, 1))])
+    def test_start_value_that_does_not_fit_the_state_is_named(self, y0):
+        g = square_grid(4)
+        co = mean_reversion_field(1.0, (0.5, 0.5))
+        with pytest.raises(ValueError, match="y0"):
+            solve_goursat(constant_field(0.0, [1.0]), y0, sample_sheet(g, 1, 0), g)
+        with pytest.raises(ValueError, match="y0"):
+            solve_conditional_mkv(co, y0, 2, g, seed=0)
+        with pytest.raises(ValueError, match="y0"):
+            picard_solve(co, y0, 2, g, 0, max_iter=3, tol=1e-6)
+
+    @pytest.mark.parametrize("y0", [0.5, [0.5], (0.5, -0.5)])
+    def test_scalar_length_one_and_length_n_start_values_are_accepted(self, y0):
+        ens = solve_conditional_mkv(mean_reversion_field(1.0, (0.5, 0.5), n=2), y0, 2, square_grid(2), 0)
+        assert np.array_equal(ens.values[:, 0, 0], np.broadcast_to(y0, (2, 2)))
+
+    @pytest.mark.parametrize(
+        "sigma, n", [(0.5, 1), (np.ones((1, 2, 2)), 1), (np.ones((2, 2)), 1), (np.ones((1, 2)), 3)]
+    )
+    def test_mean_reversion_names_a_sigma_of_the_wrong_shape(self, sigma, n):
+        with pytest.raises(ValueError, match="sigma"):
+            mean_reversion_field(0.5, sigma, n=n)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-6])
+    def test_picard_rejects_a_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            picard_solve(mean_reversion_field(1.0, (0.5, 0.5)), 0.0, 2, square_grid(4), 0, 3, tol)
+
+
 class TestRadiusReport:
     def test_thresholds_scale_with_the_constant(self):
         g = square_grid(4)  # horizon area 1
