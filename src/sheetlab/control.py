@@ -15,7 +15,7 @@ Two routes to the same performance number:
 
 Both integrate the running cost over cells at lower corners — the same nodes
 where the dynamics evaluated their coefficients — and ``_control``, the one
-reader of the rule, hands the dynamics and the cost the same u, so the cost
+reader of the rule, reads u for both from the same node views, so the cost
 sees exactly the controls that drove the particles.  On a single ensemble the
 two routes are the same sum in a different order; their equality across
 *independent* ensembles (each route gets its own seed) is the substantive
