@@ -7,8 +7,10 @@ single-path solve.  The ensemble noise is pinned to nest across particle
 counts, a replicate's value not to depend on which other replicates ran or
 in what order, the batched Ito study to be the public chain per replicate, the
 two control cost routes to agree on one seed, the Picard fixed point inside
-K|z| < sqrt(r0) to be the direct conditional solve, and a grid row's batched
-node means to be each cloud's own mean, bit for bit.
+K|z| < sqrt(r0) to be the direct conditional solve, a grid row's batched
+node means to be each cloud's own mean, bit for bit, and the cloud means of
+the conditional OU solves and of the controlled linear field to be the exact
+oracles of ``oracles.py``.
 """
 
 import dataclasses
@@ -47,7 +49,11 @@ from sheetlab import (
     solve_goursat,
 )
 from sheetlab import ito_check
+from sheetlab.control import _control, _curry, _observation_views
+from sheetlab.noise import _node_values
 from sheetlab.solver import _node_measures
+
+from oracles import drift_free_cloud_mean, goursat_mean, sheet_average
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -341,3 +347,55 @@ def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
         assert np.array_equal(mu.sample_mean, np.add.reduce(cloud, axis=0) / M)
         assert not mu.sample_mean.flags.writeable
         assert np.array_equal(EmpiricalMeasure(cloud).sample_mean, cloud.mean(axis=0))
+
+
+@st.composite
+def ou_problems(draw):
+    """(field, y0, M, grid, seed): mean_reversion_field at a drawn rate, n in
+    {1, 2}, m in {2, 3}, sigma of shape (m,) or (n, m), M >= 2."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    sigma_shape = draw(st.sampled_from([(m,), (n, m)]))
+    sigma = draw(hnp.arrays(float, sigma_shape, elements=COEFFICIENT))
+    field = mean_reversion_field(draw(COEFFICIENT), sigma, n=n)
+    y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
+    t, x = draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0))
+    grid = Grid(horizon=Point(t, x), nt=draw(st.integers(1, 8)), nx=draw(st.integers(1, 8)))
+    return field, sigma, y0, draw(st.integers(2, 40)), grid, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(ou_problems(), st.integers(1, 4))
+def test_ou_cloud_mean_is_the_drift_free_sheet_average(problem, iterates):
+    # the drift rate * (mean - y) sums to zero over the cloud, in the direct
+    # solve and in every Picard iterate, whatever the rate
+    field, sigma, y0, M, grid, seed = problem
+    direct = solve_conditional_mkv(field, y0, M, grid, seed)
+    picard = picard_solve(field, y0, M, grid, seed, max_iter=iterates, tol=1e-300).ensemble
+    for ens in (direct, picard):
+        want = drift_free_cloud_mean(y0, sigma, ens.common_increments, ens.idio_increments)
+        np.testing.assert_allclose(ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(2, 64),
+    st.floats(-1.0, 1.0),
+    COEFFICIENT,
+    st.integers(0, 2**32 - 1),
+)
+def test_controlled_cloud_mean_is_the_scalar_recursion(nt, nx, M, theta, y0, seed):
+    # under u = theta * mean the drift -y + u averages to (theta - 1) * mean, so
+    # the cloud mean is the scalar recursion at that rate, pathwise; the field
+    # reads the rule through the control's own reader
+    grid = Grid(horizon=Point(1.0, 1.0), nt=nt, nx=nx)
+    controlled = controlled_linear_field(drift_gain=-1.0, control_gain=1.0, sigma=(0.5, 0.5))
+    common, idio = sample_ensemble_increments(grid, controlled.m, M, seed)
+    control = _control(mean_feedback_policy(theta), _observation_views(_node_values(common), grid))
+    ens = solve_conditional_mkv(
+        _curry(controlled, control), y0, M, grid, seed, common_increments=common, idio_increments=idio
+    )
+    driver = sheet_average((0.5, 0.5), common, idio)[..., 0]
+    want = goursat_mean(theta - 1.0, y0, driver, grid.dt * grid.dx)
+    np.testing.assert_allclose(ens.values.mean(axis=0)[..., 0], want, rtol=0, atol=1e-12)
