@@ -69,6 +69,13 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-8  # lowest admissible mean interaction weight
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class RankOneMatrix:
     """Interaction matrix A = ones (x) a, stored by its weight row a."""
@@ -134,7 +141,7 @@ class ChaosConfig:
         if a.mean() < _WEIGHT_FLOOR:
             raise ValueError(f"mean weight {a.mean()} below the floor {_WEIGHT_FLOOR:g}")
         object.__setattr__(self, "a_values", a)
-        object.__setattr__(self, "y0", float(self.y0))
+        object.__setattr__(self, "y0", _finite("y0", self.y0))
 
     def matrix(self) -> RankOneMatrix:
         return RankOneMatrix(a_values=self.a_values)
@@ -249,6 +256,7 @@ def limit_solution(a: float, y0: float, sheet_star: SheetPath) -> StateField:
     """Decoupled limit field on a single-channel sheet, constant weight a."""
     if sheet_star.channels != 1:
         raise ValueError(f"limit field uses one channel, sheet has {sheet_star.channels}")
+    a, y0 = _finite("a", a), _finite("y0", y0)
     values = _limit_fields(a, y0, sheet_star.grid, sheet_star.increments)
     return StateField(values=values[0, :, :, None], grid=sheet_star.grid)
 
@@ -285,6 +293,7 @@ def verify_limit_spde(
     """
     if replicates < 2:
         raise ValueError(f"need at least two replicates, got {replicates}")
+    a, y0 = _finite("a", a), _finite("y0", y0)
     c = a - 1.0
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
     f = f_series(c * tx)

@@ -15,12 +15,14 @@ Two routes to the same performance number:
 
 Both integrate the running cost over cells at lower corners — the same nodes
 where the dynamics evaluated their coefficients — and ``_control``, the one
-reader of the rule, reads u for both from the same node views, so the cost
-sees exactly the controls that drove the particles.  On a single ensemble the
-two routes are the same sum in a different order; their equality across
-*independent* ensembles (each route gets its own seed) is the substantive
-check that the control problem is well-posed on the measure: the verdict
-compares the gap against combined Monte Carlo error.
+reader of the rule, reads u for both on the same node measures and windows
+common_values[: i + 1, : j + 1], sliced from one read-only array when the rule
+is called, so the cost sees exactly the controls that drove the particles.  A
+row's running costs are checked at once.  On a single ensemble the two routes
+are the same sum in a different order; their equality across *independent*
+ensembles (each route gets its own seed) is the substantive check that the
+control problem is well-posed on the measure: the verdict compares the gap
+against combined Monte Carlo error.
 
 Replicate noise lives in its own substream domain, keyed by replicate index,
 so scanning policies at a fixed seed reuses common random numbers — policy
@@ -40,6 +42,7 @@ from .rng import DOMAIN_CONTROL
 from .solver import (
     CoefficientField,
     ParticleEnsemble,
+    _check_shapes,
     _node_measures,
     _replicate_increments,
     solve_conditional_mkv,
@@ -97,26 +100,18 @@ class CostSpec:
     horizon: Point
 
 
-def _observation_views(common_values: np.ndarray, grid: Grid) -> dict:
-    """The read-only views common_values[: i + 1, : j + 1] of every node (i, j),
-    keyed by the node's coordinates (i * dt, j * dx)."""
-    observed = common_values.view()
+def _control(policy: ControlPolicy, observed: np.ndarray, grid: Grid):
+    """control(z, mu): the policy's control vector at node z.  The one caller
+    of the rule, which it hands the read-only window of the common channel's
+    node values ``observed`` (nt+1, nx+1) on R_z, sliced where it is read."""
+    rule = policy.rule
+    observed = observed.view()
     observed.setflags(write=False)
     dt, dx = grid.dt, grid.dx
-    return {
-        (i * dt, j * dx): observed[: i + 1, : j + 1]
-        for i in range(grid.nt + 1)
-        for j in range(grid.nx + 1)
-    }
-
-
-def _control(policy: ControlPolicy, views: dict):
-    """control(z, mu): the policy's control vector at node z, read from the
-    node's :func:`_observation_views` entry.  The one caller of the rule."""
-    rule = policy.rule
 
     def control(z, mu):
-        return np.atleast_1d(np.asarray(rule(z, views[z.t, z.x], mu), dtype=float))
+        window = observed[: round(z.t / dt) + 1, : round(z.x / dx) + 1]
+        return np.atleast_1d(np.asarray(rule(z, window, mu), dtype=float))
 
     return control
 
@@ -154,7 +149,8 @@ def _replicate_cost(
     node pass (:func:`solver._node_measures`): the same node measures and
     Points its coefficient pass builds, with the ``control`` that drove it.
 
-    The running costs fill an (nt, nx, M) table, reduced once per route:
+    The running costs fill an (nt, nx, M) table, one checked row per grid
+    row, reduced once per route:
     direct sums each particle's column over the nodes in row-major order,
     measure-based sums the nodes' particle means in the same order.  Both
     sums run in order through ``np.cumsum`` (``np.add.reduce`` sums a lone
@@ -166,8 +162,8 @@ def _replicate_cost(
     M = ensemble.particles
     ell = np.empty((grid.nt, grid.nx, M))
     for i, nodes in enumerate(_node_measures(ensemble.values, grid, grid.nt, grid.nx)):
-        for j, (z, mu) in enumerate(nodes):
-            ell[i, j] = cost.running(z, mu.samples, control(z, mu))
+        costs = [cost.running(z, mu.samples, control(z, mu)) for z, mu in nodes]
+        ell[i] = _check_shapes("running", costs, (grid.nx, M))
     terminal = np.asarray(cost.terminal(ensemble.values[:, -1, -1, :]), dtype=float)
     if route == "direct":
         per_particle = np.cumsum((ell * dtdx).reshape(-1, M), axis=0)[-1]
@@ -189,8 +185,8 @@ def _replicate_values(
 ) -> list:
     """Each policy's (replicates,) values on common random numbers.
 
-    Replicates run on the outside: each replicate's noise, node values and
-    observation views are built once and shared by every policy, and only one
+    Replicates run on the outside: each replicate's noise and common-channel
+    node values are built once and shared by every policy, and only one
     replicate's noise is held at a time.
     """
     if route not in ("direct", "measure"):
@@ -207,9 +203,9 @@ def _replicate_values(
     values = [np.empty(replicates) for _ in policies]
     for rep in range(replicates):
         common, idio = _replicate_increments(DOMAIN_CONTROL, grid, controlled.m, M, seed, rep)
-        views = _observation_views(_node_values(common), grid)
+        observed = _node_values(common)
         for policy, policy_values in zip(policies, values):
-            control = _control(policy, views)
+            control = _control(policy, observed, grid)
             ensemble = solve_conditional_mkv(
                 _curry(controlled, control), y0, M, grid, seed, common_increments=common, idio_increments=idio
             )
@@ -227,21 +223,6 @@ def _estimate(policy: ControlPolicy, values: np.ndarray, route: str) -> Performa
     )
 
 
-def _performance(
-    policy: ControlPolicy,
-    controlled: ControlledCoefficients,
-    cost: CostSpec,
-    y0,
-    M: int,
-    grid: Grid,
-    replicates: int,
-    seed: int,
-    route: str,
-) -> PerformanceEstimate:
-    (values,) = _replicate_values([policy], controlled, cost, y0, M, grid, replicates, seed, route)
-    return _estimate(policy, values, route)
-
-
 def performance_direct(
     policy: ControlPolicy,
     controlled: ControlledCoefficients,
@@ -253,7 +234,8 @@ def performance_direct(
     seed: int,
 ) -> PerformanceEstimate:
     """J: average over particles of pathwise running-plus-terminal cost."""
-    return _performance(policy, controlled, cost, y0, M, grid, replicates, seed, "direct")
+    (values,) = _replicate_values([policy], controlled, cost, y0, M, grid, replicates, seed, "direct")
+    return _estimate(policy, values, "direct")
 
 
 def performance_measure_based(
@@ -267,7 +249,8 @@ def performance_measure_based(
     seed: int,
 ) -> PerformanceEstimate:
     """J~: cost integrated against the conditional empirical measures."""
-    return _performance(policy, controlled, cost, y0, M, grid, replicates, seed, "measure")
+    (values,) = _replicate_values([policy], controlled, cost, y0, M, grid, replicates, seed, "measure")
+    return _estimate(policy, values, "measure")
 
 
 @dataclass(frozen=True, eq=False)

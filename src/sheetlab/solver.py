@@ -40,15 +40,15 @@ node's coefficients are each one contiguous block.  Solvers hand out the
 (M, nt+1, nx+1, n) view of that storage, never a particle-major copy.
 
 Coefficient callables are vectorized over a batch axis: drift(z, y, mu) takes
-y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers
-and validators all read them through one row-wise pass,
-:func:`coefficient_rows`, under one contract.  A measure-dependent field is
-called once per node: y is the (M, n) cloud of the M paths' states there, z a
-scalar Point, mu their EmpiricalMeasure.  A measure-free field is called once
-per grid row with mu = None: y is the (M*nx, n) batch of the row's states,
-particle-major, and z holds arrays of the matching node coordinates, built
-once per pass and shared by its rows, so a field must not write to them.
-Every return is shape-checked.
+y of shape (B, n) and returns (B, n); diffusion returns (B, n, m).  Solvers and
+validators all read them through one row-wise pass, :func:`coefficient_rows`,
+under one contract.  A measure-dependent field is called once per node: y is
+the (M, n) cloud of the M paths' states there, z a scalar Point, mu their
+EmpiricalMeasure.  A measure-free field is called once per grid row with mu =
+None: y is the (M*nx, n) batch of the row's states, particle-major, and z holds
+arrays of the matching node coordinates, built once per pass and shared by its
+rows, so a field must not write to them.  A row's returns are shape-checked at
+once, and a ragged row raises a ValueError naming the callable.
 
 The node measures and Points come from one node pass, :func:`_node_measures`,
 which the control's cost pass reads too.  Its measures skip validation, since
@@ -187,8 +187,11 @@ class ParticleEnsemble:
         return EmpiricalMeasure(samples=self.values[:, i, j, :])
 
 
-def _check_shapes(tag: str, arr: np.ndarray, expected: tuple) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
+def _check_shapes(tag: str, arr, expected: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except ValueError as err:  # a row of ragged node returns, say
+        raise ValueError(f"{tag} returned no float array of shape {expected}: {err}") from None
     if arr.shape != expected:
         raise ValueError(f"{tag} returned shape {arr.shape}, expected {expected}")
     return arr
@@ -228,22 +231,18 @@ def coefficient_rows(
     nodes j < cols of each row.  Row i is read only when its pair is requested,
     so a solver may fill values[:, i] between two steps.  A measure-dependent
     field is called per node with the (z, mu) of :func:`_node_measures`, the
-    one node pass, and its returns are written to node-major (cols, M, ...)
-    buffers, of which the yielded pair are views; a measure-free field is
-    called per row on the (M*cols, n) batch.
+    one node pass, and a row's returns are stacked node-major, (cols, M, ...),
+    and checked at once; the yielded pair are views of them.  A measure-free
+    field is called per row on the (M*cols, n) batch.
     """
     values = np.asarray(values, dtype=float)
     M, n, m = values.shape[0], coeffs.n, coeffs.m
     drift, diffusion = coeffs.drift, coeffs.diffusion
     if coeffs.depends_on_measure:
-        alpha_shape, beta_shape = (M, n), (M, n, m)
+        alpha_shape, beta_shape = (cols, M, n), (cols, M, n, m)
         for nodes in _node_measures(values, grid, rows, cols):
-            # node-major buffers: node j's coefficients are one contiguous write
-            alpha = np.empty((cols, M, n))
-            beta = np.empty((cols, M, n, m))
-            for j, (z, mu) in enumerate(nodes):
-                alpha[j] = _check_shapes("drift", drift(z, mu.samples, mu), alpha_shape)
-                beta[j] = _check_shapes("diffusion", diffusion(z, mu.samples, mu), beta_shape)
+            alpha = _check_shapes("drift", [drift(z, mu.samples, mu) for z, mu in nodes], alpha_shape)
+            beta = _check_shapes("diffusion", [diffusion(z, mu.samples, mu) for z, mu in nodes], beta_shape)
             yield alpha.swapaxes(0, 1), beta.swapaxes(0, 1)
         return
     batch = M * cols

@@ -63,6 +63,11 @@ class TestChaosConfig:
         with pytest.raises(ValueError):
             ChaosConfig(N=2, a_values=1e-12, y0=0.0, grid=square_grid(4))
 
+    @pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_start_value(self, y0):
+        with pytest.raises(ValueError, match="y0"):
+            ChaosConfig(N=4, a_values=1.0, y0=y0, grid=square_grid(3))
+
     def test_matrix_carries_the_weights(self):
         cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4))
         assert cfg.matrix().total == pytest.approx(4.0)
@@ -142,6 +147,16 @@ class TestLimitEquation:
         g = square_grid(8)
         with pytest.raises(ValueError):
             limit_solution(1.0, 0.0, sample_sheet(g, 2, 0))
+
+    @pytest.mark.parametrize("name", ["a", "y0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_weight_or_start_value(self, name, bad):
+        g = square_grid(3)
+        args = {"a": 1.0, "y0": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            limit_solution(args["a"], args["y0"], sample_sheet(g, 1, seed=0))
+        with pytest.raises(ValueError, match=f"^{name} "):
+            verify_limit_spde(args["a"], args["y0"], g, 2, 0)
 
     def test_deterministic_part_solves_its_integral_equation_exactly(self):
         rep = verify_limit_spde(1.3, 1.0, square_grid(16), replicates=2, seed=0)

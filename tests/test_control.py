@@ -8,6 +8,7 @@ import pytest
 from sheetlab import (
     ControlledCoefficients,
     ControlPolicy,
+    CostSpec,
     EmpiricalMeasure,
     Grid,
     Point,
@@ -18,7 +19,7 @@ from sheetlab import (
     performance_direct,
     performance_measure_based,
 )
-from sheetlab.control import _control, _curry, _observation_views
+from sheetlab.control import _control, _curry
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
 from sheetlab.solver import _node_measures, _replicate_increments
@@ -130,7 +131,7 @@ class TestCurriedObservation:
 
     def test_curried_field_declares_measure_dependence(self):
         g, controlled, _ = instance(4)
-        coeffs = _curry(controlled, _control(ZERO_POLICY, _observation_views(np.zeros((5, 5)), g)))
+        coeffs = _curry(controlled, _control(ZERO_POLICY, np.zeros((5, 5)), g))
         assert coeffs.depends_on_measure
         assert coeffs.n == controlled.n and coeffs.m == controlled.m
 
@@ -167,6 +168,18 @@ class TestTwoRoutes:
         bad_cost = lq_cost(Point(0.5, 1.0))
         with pytest.raises(ValueError):
             performance_direct(mean_feedback_policy(0.0), controlled, bad_cost, 1.0, 2, g, 2, 0)
+
+    @pytest.mark.parametrize("returns", ["a scalar", "one cost too many"])
+    def test_a_bad_row_of_running_costs_names_running(self, returns):
+        g, controlled, cost = instance(4)
+
+        def running(z, y, u):
+            out = cost.running(z, y, u)
+            return float(out[0]) if returns == "a scalar" else np.append(out, 0.0)
+
+        bad = CostSpec(running=running, terminal=cost.terminal, horizon=cost.horizon)
+        with pytest.raises(ValueError, match="running"):
+            performance_direct(mean_feedback_policy(0.0), controlled, bad, 1.0, 2, g, 2, 0)
 
     def test_needs_two_replicates(self):
         g, controlled, cost = instance(4)

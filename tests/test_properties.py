@@ -49,7 +49,7 @@ from sheetlab import (
     solve_goursat,
 )
 from sheetlab import ito_check
-from sheetlab.control import _control, _curry, _observation_views
+from sheetlab.control import _control, _curry
 from sheetlab.noise import _node_values
 from sheetlab.solver import _node_measures
 
@@ -392,7 +392,7 @@ def test_controlled_cloud_mean_is_the_scalar_recursion(nt, nx, M, theta, y0, see
     grid = Grid(horizon=Point(1.0, 1.0), nt=nt, nx=nx)
     controlled = controlled_linear_field(drift_gain=-1.0, control_gain=1.0, sigma=(0.5, 0.5))
     common, idio = sample_ensemble_increments(grid, controlled.m, M, seed)
-    control = _control(mean_feedback_policy(theta), _observation_views(_node_values(common), grid))
+    control = _control(mean_feedback_policy(theta), _node_values(common), grid)
     ens = solve_conditional_mkv(
         _curry(controlled, control), y0, M, grid, seed, common_increments=common, idio_increments=idio
     )

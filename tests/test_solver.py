@@ -1,5 +1,7 @@
 """Hyperbolic-recursion solvers: single path, interacting ensemble, iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,22 @@ class TestConditionalEnsemble:
         g = square_grid(4)
         with pytest.raises(ValueError):
             solve_conditional_mkv(constant_field(0.0, [1.0]), 0.0, 2, g, seed=0)
+
+    @pytest.mark.parametrize("tag", ["drift", "diffusion"])
+    @pytest.mark.parametrize("ragged", [True, False])
+    def test_a_bad_row_of_node_returns_names_the_callable(self, tag, ragged):
+        # ragged: the nodes past the first of a row drop a particle; otherwise
+        # every node does, so the row stacks but has the wrong shape
+        good = mean_reversion_field(1.0, (0.5, 0.5))
+        inner = getattr(good, tag)
+
+        def bad(z, y, mu):
+            out = inner(z, y, mu)
+            return out[1:] if z.x > 0 or not ragged else out
+
+        field = dataclasses.replace(good, **{tag: bad})
+        with pytest.raises(ValueError, match=tag):
+            solve_conditional_mkv(field, 0.0, 3, square_grid(4), seed=0)
 
     def test_the_ensemble_advances_each_particle_by_its_node_measure(self):
         # each particle walks the one-path recursion driven by the mean of the
