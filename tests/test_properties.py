@@ -351,8 +351,8 @@ def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
 
 @st.composite
 def ou_problems(draw):
-    """(field, y0, M, grid, seed): mean_reversion_field at a drawn rate, n in
-    {1, 2}, m in {2, 3}, sigma of shape (m,) or (n, m), M >= 2."""
+    """(field, sigma, y0, M, grid, seed): mean_reversion_field at a drawn
+    rate, n in {1, 2}, m in {2, 3}, sigma of shape (m,) or (n, m), M >= 2."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     sigma_shape = draw(st.sampled_from([(m,), (n, m)]))
     sigma = draw(hnp.arrays(float, sigma_shape, elements=COEFFICIENT))
@@ -370,6 +370,7 @@ def test_ou_cloud_mean_is_the_drift_free_sheet_average(problem, iterates):
     # solve and in every Picard iterate, whatever the rate
     field, sigma, y0, M, grid, seed = problem
     direct = solve_conditional_mkv(field, y0, M, grid, seed)
+    # a tolerance only an exact fixed point meets: the iteration runs on
     picard = picard_solve(field, y0, M, grid, seed, max_iter=iterates, tol=1e-300).ensemble
     for ens in (direct, picard):
         want = drift_free_cloud_mean(y0, sigma, ens.common_increments, ens.idio_increments)
