@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import SheetPath, _draw_cells, _node_values
+from .noise import SheetPath, _draw_cells, _node_values, _sheet_cells
 from .plane import Grid
-from .rng import DOMAIN_CHAOS, DOMAIN_SHEET
+from .rng import DOMAIN_CHAOS
 from .series import f_series
 from .solver import CoefficientField, StateField, solve_goursat
 
@@ -303,7 +303,7 @@ def verify_limit_spde(
 
     shape = (replicates, grid.nt, grid.nx)
     if increments is None:  # the draws of sample_sheet(grid, 1, seed, stream=rep)
-        dB = _draw_cells(grid, seed, DOMAIN_SHEET, ((rep, 0) for rep in range(replicates)))
+        dB = _sheet_cells(grid, 1, seed, range(replicates))[:, 0]
     elif np.shape(increments) == shape:
         dB = np.asarray(increments, dtype=float)
     else:

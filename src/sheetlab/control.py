@@ -43,6 +43,7 @@ from .solver import (
     CoefficientField,
     ParticleEnsemble,
     _check_shapes,
+    _constant_diffusion,
     _node_measures,
     _replicate_increments,
     solve_conditional_mkv,
@@ -306,19 +307,14 @@ def controlled_linear_field(
     sigma: tuple = (0.5, 0.5),
 ) -> ControlledCoefficients:
     """Scalar controlled dynamics alpha = gain*y + control, beta constant."""
-    sigma_arr = np.asarray(sigma, dtype=float).reshape(1, 1, -1)
-    betas = {}  # batch size -> read-only broadcast view of sigma
+    sigma_arr = np.asarray(sigma, dtype=float).reshape(1, -1)
 
     def drift(z, y, mu, u):
         return drift_gain * y + control_gain * u[None, :]
 
-    def diffusion(z, y, mu, u):
-        beta = betas.get(y.shape[0])
-        if beta is None:
-            beta = betas[y.shape[0]] = np.broadcast_to(sigma_arr, (y.shape[0], 1, sigma_arr.shape[-1]))
-        return beta
-
-    return ControlledCoefficients(n=1, m=sigma_arr.shape[-1], drift=drift, diffusion=diffusion)
+    return ControlledCoefficients(
+        n=1, m=sigma_arr.shape[1], drift=drift, diffusion=_constant_diffusion(sigma_arr)
+    )
 
 
 def lq_cost(

@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import SheetPath, _draw_cells
+from .noise import SheetPath, _sheet_cells
 from .plane import Grid, Point
-from .rng import DOMAIN_SHEET
 from .solver import CoefficientField, StateField, _check_finite, _start_state, _sweep, coefficient_table
 
 __all__ = [
@@ -206,12 +205,11 @@ def ito_refinement_study(
     y0 = _start_state(y0, coeffs.n)
     rows = []
     for grid in grids:
-        shape, chunk = (coeffs.m, grid.nt, grid.nx), max(1, _REPLICATE_CELLS // (grid.nt * grid.nx))
+        chunk = max(1, _REPLICATE_CELLS // (grid.nt * grid.nx))
         residuals = np.empty(replications)
         for lo in range(0, replications, chunk):
             reps = range(lo, min(lo + chunk, replications))
-            words = ((r, c) for r in reps for c in range(coeffs.m))  # sample_sheet's, stream = r
-            dB = _draw_cells(grid, seed, DOMAIN_SHEET, words).reshape(len(reps), *shape)
+            dB = _sheet_cells(grid, coeffs.m, seed, reps)
             Y = np.ascontiguousarray(_check_finite(_sweep(coeffs, y0, grid, dB.swapaxes(0, 1))))
             alpha, beta = coefficient_table(coeffs, Y, grid, *grid.node_index(z))
             residuals[lo : lo + len(reps)] = _batched_terms(f, alpha, beta, dB, Y, grid)[3]

@@ -83,6 +83,13 @@ def _draw_cells(grid: Grid, seed: int, domain: int, coordinates) -> np.ndarray:
     return cells
 
 
+def _sheet_cells(grid: Grid, m: int, seed: int, streams) -> np.ndarray:
+    """The cells (len(streams), m, nt, nx) that ``sample_sheet(grid, m, seed,
+    stream)`` draws, for each stream of the sequence ``streams``."""
+    words = ((stream, c) for stream in streams for c in range(m))
+    return _draw_cells(grid, seed, DOMAIN_SHEET, words).reshape(len(streams), m, grid.nt, grid.nx)
+
+
 def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     """Sample an m-channel sheet; deterministic in (grid, m, seed, stream).
 
@@ -92,7 +99,7 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     """
     if m < 1:
         raise ValueError(f"need at least one channel, got m={m}")
-    cells = _draw_cells(grid, seed, DOMAIN_SHEET, ((stream, c) for c in range(m)))
+    cells = _sheet_cells(grid, m, seed, [stream])[0]
     cells.setflags(write=False)
     return SheetPath(increments=cells, grid=grid, seed=seed)
 

@@ -14,18 +14,20 @@ is discretized by the explicit lower-corner recursion
 which telescopes exactly to the discrete integrals: on-grid, the solved field
 *is* y0 + rect_integral(drift) + ito_integral(each diffusion column), an
 algebraic identity the test suite pins at 1e-10.  The recursion runs in one of
-two forms:
+two forms, by one rule: a solve whose coefficients do not read the states
+being solved takes the closed form.
 
-* the row loop.  Advancing a row only needs row-i data, so each row is one
-  vectorized cumulative sum: the boundary column stays at y0, so row i+1 is
-  row i plus the running sum of row i's sources.  Fields whose coefficients
-  read the states or the measure, and every Picard step, take this form.
-* the closed form.  A field declaring depends_on_state=False and
-  depends_on_measure=False cannot see the states being solved, so all rows'
-  coefficients are read first (on states held at y0), the sources of the
-  whole grid are formed at once, and the field is y0 plus one cumulative sum
-  along x followed by one along t.  The additions happen in the row loop's
-  order, so both forms give the same bits.
+* the closed form.  The coefficients are known first (a state- and
+  measure-free field's, read on states held at y0; a Picard iterate's, read
+  on the previous iterate), the whole grid's sources are formed at once, and
+  the field is y0 plus one cumulative sum along x followed by one along t.
+* the row loop.  A direct solve of a field that reads the states or the
+  measure reads row i's coefficients once row i is filled.  The boundary
+  column stays at y0, so row i+1 is row i plus the running sum of row i's
+  sources, one vectorized cumulative sum.
+
+The closed form adds in the row loop's order, so on the same coefficients
+both forms give the same bits.
 
 The recursion takes its noise in one form, m channel arrays of shape (1 or M,
 nt, nx): a channel of length 1 is shared by the M paths (a sheet's one path, an
@@ -68,10 +70,10 @@ conditional law of Y given the channel-1 history, and it is rebuilt
 node-by-node before the particles advance — bulk-synchronous, so the result
 is independent of any particle execution order.
 
-Picard iteration re-solves the recursion with coefficients frozen at the
-previous iterate's states and measures, reusing identical noise arrays across
-iterates (the contraction being probed lives on one probability space; fresh
-noise would destroy it).  Iterate gaps are reported as sup-over-grid
+Picard iteration re-solves the recursion in closed form, on coefficients
+frozen at the previous iterate's states and measures, reusing identical noise
+arrays across iterates (the contraction being probed lives on one probability
+space; fresh noise would destroy it).  Iterate gaps are reported as sup-over-grid
 mean-square differences; the convergence threshold for horizon area |z| = T*X
 and Lipschitz constant K is K|z| < sqrt(r0) ~ 1.2024, with the companion
 Gronwall regime K|z| <= r0.
@@ -79,6 +81,7 @@ Gronwall regime K|z| <= r0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,8 +263,8 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
     """alpha (M, rows, cols, n) and beta (M, rows, cols, n, m): every row of
     :func:`coefficient_rows` at once, with no call on an empty rectangle.
 
-    Its library users are the closed-form solve of a state-free field and the
-    Ito validation (``ito_terms`` and the study's batches); the weak
+    Its library users are the closed form (module docstring) and the Ito
+    validation (``ito_terms`` and the study's batches); the weak
     Fokker-Planck residual streams :func:`coefficient_rows` instead.
     """
     M, n, m = values.shape[0], coeffs.n, coeffs.m
@@ -284,38 +287,44 @@ def _noise_source(beta: np.ndarray, cells: list) -> np.ndarray:
     return out
 
 
-def _sweep(coeffs, y0, grid, noise, frozen=None) -> np.ndarray:
+def _held_at(y0: np.ndarray, grid: Grid, M: int) -> np.ndarray:
+    """Node-major storage (nt+1, nx+1, M, n) with every state at y0: the
+    boundary of the recursion, and finite states for a field's maps."""
+    Y = np.empty((grid.nt + 1, grid.nx + 1, M, len(y0)))
+    Y[...] = y0
+    return Y
+
+
+def _closed_form(alpha, beta, y0, grid, noise) -> np.ndarray:
+    """The closed form (module docstring) on the tables ``alpha`` (M, nt, nx, n)
+    and ``beta`` (M, nt, nx, n, m) of :func:`coefficient_table`, driven by the
+    channel arrays ``noise``; returns states (M, nt+1, nx+1, n)."""
+    Y = _held_at(y0, grid, alpha.shape[0])
+    alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
+    src = alpha * (grid.dt * grid.dx) + _noise_source(beta, [dB.transpose(1, 2, 0) for dB in noise])
+    # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
+    run = np.cumsum(src, axis=1)
+    run[0] += y0
+    np.cumsum(run, axis=0, out=Y[1:, 1:])
+    return Y.transpose(2, 0, 1, 3)
+
+
+def _sweep(coeffs, y0, grid, noise) -> np.ndarray:
     """The Euler-Goursat recursion for M paths; returns states (M, nt+1, nx+1, n).
 
     The states are stored node-major, (nt+1, nx+1, M, n), and returned as the
     (M, nt+1, nx+1, n) view, so a node's cloud and a row's update are
     contiguous.  ``noise`` is the m channel arrays (1 or M, nt, nx) of the module
-    docstring.  Coefficients are read along the states being solved (row i once
-    it is filled) or, for a Picard step, along the ``frozen`` previous iterate.
-    A state- and measure-free field solved directly takes the closed form
-    (module docstring).
+    docstring.  A state- and measure-free field takes the closed form on its
+    coefficients read at y0, any other the row loop (module docstring).
     """
-    nt, nx = grid.nt, grid.nx
-    M = max(len(dB) for dB in noise)
-    cells = [dB.transpose(1, 2, 0) for dB in noise]  # (nt, nx, 1 or M) views
-    Y = np.empty((nt + 1, nx + 1, M, coeffs.n))
+    Y = _held_at(y0, grid, max(len(dB) for dB in noise))
     states = Y.transpose(2, 0, 1, 3)
+    if not (coeffs.depends_on_state or coeffs.depends_on_measure):
+        return _closed_form(*coefficient_table(coeffs, states, grid, grid.nt, grid.nx), y0, grid, noise)
     dtdx = grid.dt * grid.dx
-    if frozen is None and not (coeffs.depends_on_state or coeffs.depends_on_measure):
-        Y[...] = y0  # the maps see finite states, never uninitialised memory
-        alpha, beta = coefficient_table(coeffs, states, grid, nt, nx)
-        alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
-        src = alpha * dtdx + _noise_source(beta, cells)
-        # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
-        run = np.cumsum(src, axis=1)
-        run[0] += y0
-        np.cumsum(run, axis=0, out=Y[1:, 1:])
-        return states
-    Y[0] = y0
-    Y[:, 0] = y0
-    rows = coefficient_rows(coeffs, states if frozen is None else frozen, grid, nt, nx)
-    for i, (alpha, beta) in enumerate(rows):
-        beta_dB = _noise_source(beta.swapaxes(0, 1), [dB[i] for dB in cells])
+    for i, (alpha, beta) in enumerate(coefficient_rows(coeffs, states, grid, grid.nt, grid.nx)):
+        beta_dB = _noise_source(beta.swapaxes(0, 1), [dB[:, i].T for dB in noise])  # (nx, 1 or M)
         src = alpha.swapaxes(0, 1) * dtdx + beta_dB
         np.add(Y[i, 1:], np.cumsum(src, axis=0), out=Y[i + 1, 1:])
     return states
@@ -394,6 +403,17 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
     return _replicate_increments(DOMAIN_REPLICATE, grid, m, M, seed, rep)
 
 
+def _constant_diffusion(sigma: np.ndarray):
+    """diffusion(z, y, mu[, u]) -> sigma (n, m) as a read-only (B, n, m)
+    broadcast view for y of B rows, made once per batch size B."""
+    view = functools.cache(lambda B: np.broadcast_to(sigma, (B, *sigma.shape)))
+
+    def diffusion(z, y, mu, u=None):
+        return view(len(y))
+
+    return diffusion
+
+
 def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     """Conditional OU dynamics: drift = rate * (mean of mu - y), constant beta.
 
@@ -407,23 +427,15 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
         sigma_arr = np.broadcast_to(sigma_arr[None, :], (n, sigma_arr.shape[0]))
     if sigma_arr.ndim != 2 or sigma_arr.shape[0] != n:
         raise ValueError(f"sigma must have shape (m,) or (n, m) with n={n}, got {np.shape(sigma)}")
-    m = sigma_arr.shape[1]
-    betas = {}  # batch size -> read-only broadcast view of sigma
 
     def drift(z, y, mu):
         return rate * (mu.sample_mean - y)
 
-    def diffusion(z, y, mu):
-        beta = betas.get(y.shape[0])
-        if beta is None:
-            beta = betas[y.shape[0]] = np.broadcast_to(sigma_arr, (y.shape[0], n, m))
-        return beta
-
     return CoefficientField(
         n=n,
-        m=m,
+        m=sigma_arr.shape[1],
         drift=drift,
-        diffusion=diffusion,
+        diffusion=_constant_diffusion(sigma_arr),
         depends_on_measure=True,
         lipschitz_hint=2.0 * abs(rate),
     )
@@ -471,13 +483,9 @@ def solve_conditional_mkv(
     """
     common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
     y0 = _start_state(y0, coeffs.n)
+    Y = _check_finite(_sweep(coeffs, y0, grid, [common[None], *idio.swapaxes(0, 1)]))
     return ParticleEnsemble(
-        values=_check_finite(_sweep(coeffs, y0, grid, [common[None], *idio.swapaxes(0, 1)])),
-        grid=grid,
-        common_increments=common,
-        idio_increments=idio,
-        coeffs=coeffs,
-        y0=y0,
+        values=Y, grid=grid, common_increments=common, idio_increments=idio, coeffs=coeffs, y0=y0
     )
 
 
@@ -502,8 +510,8 @@ def picard_solve(
 ) -> PicardResult:
     """Picard iteration for the conditional mean-field system.
 
-    Iterate 0 is the constant field y0.  Iterate k+1 solves the recursion
-    with drift/diffusion evaluated along iterate k (states and empirical
+    Iterate 0 is the constant field y0.  Iterate k+1 is the closed form on
+    the coefficients read along iterate k (its states and empirical
     measures), on one fixed set of noise arrays.  Gaps are sup-over-nodes
     mean-square iterate differences; the divergence flag trips after three
     consecutive gap increases, or at once on a non-finite gap (an iterate that
@@ -516,14 +524,11 @@ def picard_solve(
         raise ValueError(f"tol must be positive, got {tol}")
     common, idio = _ensemble_noise(coeffs, M, grid, seed)
     y0 = _start_state(y0, coeffs.n)
-    # node-major like every iterate _sweep returns
-    prev = np.broadcast_to(y0, (grid.nt + 1, grid.nx + 1, M, coeffs.n)).copy().transpose(2, 0, 1, 3)
-    gaps = []
-    converged = False
-    divergence = None
+    prev = _held_at(y0, grid, M).transpose(2, 0, 1, 3)  # node-major like every iterate
+    gaps, divergence = [], None
     noise = [common[None], *idio.swapaxes(0, 1)]  # shared, then each particle's own
     for _ in range(max_iter):
-        cur = _sweep(coeffs, y0, grid, noise, frozen=prev)
+        cur = _closed_form(*coefficient_table(coeffs, prev, grid, grid.nt, grid.nx), y0, grid, noise)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur
@@ -531,24 +536,18 @@ def picard_solve(
             divergence = "non-finite gap"
             break
         if gap < tol:
-            converged = True
             break
         if len(gaps) >= 4 and all(gaps[-k] > gaps[-k - 1] for k in (1, 2, 3)):
             divergence = "rising gaps"
             break
     ensemble = ParticleEnsemble(
-        values=prev,
-        grid=grid,
-        common_increments=common,
-        idio_increments=idio,
-        coeffs=coeffs,
-        y0=y0,
+        values=prev, grid=grid, common_increments=common, idio_increments=idio, coeffs=coeffs, y0=y0
     )
     return PicardResult(
         ensemble=ensemble,
         gaps=np.asarray(gaps),
         iterations=len(gaps),
-        converged=converged,
+        converged=gaps[-1] < tol,  # a gap below tol stops the loop
         diverged=divergence is not None,
         divergence=divergence,
     )

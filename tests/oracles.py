@@ -9,7 +9,10 @@ Both instances are linear, and their cloud mean closes up on its own:
 * in ``controlled_linear_field(-1, 1, sigma)`` under ``mean_feedback_policy``
   at theta, the drift -y + theta * mean averages to (theta - 1) * mean, so the
   cloud mean is the scalar Goursat recursion at rate theta - 1 driven by the
-  same sheet average.
+  same sheet average.  Its value E[J(theta)] in the LQ problem of
+  ``cli._control_instance`` is exact too: the mean and each particle's
+  deviation from it are independent constant-coefficient recursions, whose
+  variance fields are prefix sums of one squared impulse response.
 
 Noise is the ensemble's (common (nt, nx), idio (M, m-1, nt, nx)) cells.
 """
@@ -42,3 +45,42 @@ def goursat_mean(rate: float, y0: float, driver: np.ndarray, dtdx: float) -> np.
         for j in range(nx):
             m[i + 1, j + 1] = m[i + 1, j] + m[i, j + 1] - m[i, j] + rate * m[i, j] * dtdx + driver[i, j]
     return m
+
+
+def impulse_response(rate: float, nt: int, nx: int, dtdx: float) -> np.ndarray:
+    """The scalar recursion at ``rate`` from zero boundaries, driven by a unit
+    source in cell (0, 0) alone, (nt+1, nx+1).  The recursion's coefficients
+    are constant, so a unit source in cell (a, b) reaches node (i, j) as
+    h[i - a, j - b]."""
+    driver = np.zeros((nt, nx))
+    driver[0, 0] = 1.0
+    return goursat_mean(rate, 0.0, driver, dtdx)
+
+
+def recursion_variance(rate: float, cell_variance: float, nt: int, nx: int, dtdx: float) -> np.ndarray:
+    """Variance (nt+1, nx+1) of the scalar recursion at ``rate`` from a fixed
+    start, driven by independent cells of variance ``cell_variance``: node
+    (i, j) sums h[i - a, j - b]^2 over the cells a < i, b < j, which is the
+    2-D prefix sum of h^2, h = :func:`impulse_response`."""
+    h = impulse_response(rate, nt, nx, dtdx)
+    return cell_variance * (h**2).cumsum(axis=0).cumsum(axis=1)
+
+
+def lq_value(theta: float, y0: float, M: int, nt: int, nx: int, dtdx: float) -> float:
+    """Exact E[J(theta)] of the LQ problem of ``cli._control_instance`` under
+    ``mean_feedback_policy(theta)``, for M particles on an nt x nx grid.
+
+    The instance is controlled_linear_field(-1, 1, (0.5, 0.5)) with reward
+    -(y^2 + u^2 / 4) per cell and -y^2 at the horizon.  Each particle splits
+    as Y_p = mean + D_p.  The cloud mean follows the recursion at rate
+    theta - 1, driven by cells of variance (1 + 1/M) dtdx / 4; each deviation
+    D_p follows it at rate -1 from 0, driven by cells of variance
+    (1 - 1/M) dtdx / 4, independent of the mean's.  With u = theta * mean,
+    E[mean_p Y_p^2] = E[mean^2] + Var D_p, and E[mean^2] is the squared
+    noise-free mean plus the mean's variance.
+    """
+    noise_free = goursat_mean(theta - 1.0, y0, np.zeros((nt, nx)), dtdx)
+    mean_sq = noise_free**2 + recursion_variance(theta - 1.0, (1.0 + 1.0 / M) * dtdx / 4, nt, nx, dtdx)
+    spread = recursion_variance(-1.0, (1.0 - 1.0 / M) * dtdx / 4, nt, nx, dtdx)
+    running = (mean_sq + spread + 0.25 * theta**2 * mean_sq)[:-1, :-1].sum() * dtdx
+    return float(-(running + mean_sq[-1, -1] + spread[-1, -1]))

@@ -19,10 +19,13 @@ from sheetlab import (
     performance_direct,
     performance_measure_based,
 )
+from sheetlab.cli import EXPERIMENTS, _control_instance
 from sheetlab.control import _control, _curry
 from sheetlab.noise import _node_values
 from sheetlab.rng import DOMAIN_CONTROL
 from sheetlab.solver import _node_measures, _replicate_increments
+
+from oracles import goursat_mean, lq_value, recursion_variance
 
 
 ZERO_POLICY = ControlPolicy(theta=0.0, rule=lambda z, common, mu: np.zeros(1))
@@ -228,3 +231,38 @@ class TestGridSearch:
         )
         assert result.best_policy.theta == -0.5
         assert result.table[0].value > result.table[1].value
+
+
+class TestExactValue:
+    """The exact E[J(theta)] of the CLI's LQ instance (``oracles.lq_value``)."""
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.5])
+    def test_impulse_response_variance_is_the_sum_over_cells(self, rate):
+        # the shifted impulse response against one solve per source cell
+        nt, nx, dtdx, cell_variance = 4, 3, 0.3, 0.7
+        brute = np.zeros((nt + 1, nx + 1))
+        for a in range(nt):
+            for b in range(nx):
+                driver = np.zeros((nt, nx))
+                driver[a, b] = 1.0
+                brute += goursat_mean(rate, 0.0, driver, dtdx) ** 2
+        got = recursion_variance(rate, cell_variance, nt, nx, dtdx)
+        np.testing.assert_allclose(got, cell_variance * brute, rtol=1e-14, atol=0)
+
+    def test_values_on_the_policy_scan(self):
+        got = [lq_value(theta, 2.0, 64, 16, 16, 1.0 / 256) for theta in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        np.testing.assert_allclose(got, [-3.1342, -2.8347, -3.2716, -5.1352, -9.5347], rtol=0, atol=5e-5)
+
+    @pytest.mark.parametrize(
+        "name, overrides", [("control-equiv", {}), ("control-search", {"reps": 4})]
+    )
+    def test_cli_estimates_lie_within_four_standard_errors(self, name, overrides):
+        # the runs the CLI goldens record, at their fixed seeds; each row holds
+        # (theta, estimate, stderr, estimate, stderr, ...)
+        run, defaults = EXPERIMENTS[name]
+        params = {**defaults, **overrides}
+        grid = _control_instance(params)[0]
+        for theta, *estimates in run(params)[1]:
+            exact = lq_value(theta, params["y0"], params["M"], grid.nt, grid.nx, grid.dt * grid.dx)
+            for value, stderr in zip(estimates[0:4:2], estimates[1:4:2]):
+                assert abs(value - exact) <= 4.0 * stderr

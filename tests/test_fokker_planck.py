@@ -28,6 +28,8 @@ from sheetlab import (
 )
 from sheetlab import fokker_planck
 from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _trig_plan, _wa_wb_wq
+from sheetlab.ito_check import TestFunction as ItoTestFunction  # aliased so pytest does not collect it
+from sheetlab.ito_check import _batched_terms
 from sheetlab.solver import coefficient_table
 
 
@@ -380,11 +382,45 @@ class TestRowStream:
         np.testing.assert_allclose(got, lhs, rtol=0, atol=1e-15)
 
 
+def fourier_mode(w) -> ItoTestFunction:
+    """psi_w(y) = exp(-i w.y): its k-th derivative is psi_w times the k-th
+    tensor power of -i w."""
+
+    def derivative(order):
+        def evaluate(y):
+            out = np.exp(-1j * (y @ w))
+            for _ in range(order):
+                out = out[..., None] * (-1j * w)
+            return out
+
+        return evaluate
+
+    return ItoTestFunction(*(derivative(order) for order in range(5)))
+
+
 class TestAgainstChangeOfVariables:
     """With the idiosyncratic channel silenced, the five-term sum must equal
     the seven-term pathwise expansion of exp(-i w y) applied particle-wise;
     both residuals then agree to rounding.  A live idiosyncratic channel
-    breaks the match by design: those integrals are the finite-size error."""
+    breaks the match by design: those integrals are the finite-size error.
+    Silencing only the idiosyncratic cells fed to the expansion, the five-term
+    sums are the particle mean of the seven terms for any ensemble."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_five_term_sums_are_the_particle_mean_of_the_ito_terms(self, n, m, M, seed, data):
+        nt, nx = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        grid = Grid(horizon=Point(1.0, 0.75), nt=nt, nx=nx)
+        y0 = data.draw(hnp.arrays(float, (n,), elements=st.floats(-1.0, 1.0)))
+        w = data.draw(hnp.arrays(float, (n,), elements=st.floats(-3.0, 3.0)))
+        i, j = data.draw(st.integers(0, nt)), data.draw(st.integers(0, nx))
+        ens = solve_conditional_mkv(coupled_field(n, m), y0, M, grid, seed)
+        alpha, beta = coefficient_table(ens.coeffs, ens.values, grid, i, j)
+        common_only = np.zeros((M, m, nt, nx))
+        common_only[:, 0] = ens.common_increments
+        Y = np.ascontiguousarray(ens.values)
+        terms = _batched_terms(fourier_mode(w), alpha, beta, common_only, Y, grid)[0]
+        assert abs(_five_term_sums(ens, w[None], i, j)[0] - np.mean(sum(terms))) <= 1e-12
 
     def build(self, sigma):
         g = square_grid(8)

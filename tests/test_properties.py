@@ -3,8 +3,10 @@
 A field whose coefficients ignore the states (and the measure) is solved in
 closed form; these properties pin that form against the row loop, against
 the telescoping identity and, for ensembles, against each particle's own
-single-path solve.  The ensemble noise is pinned to nest across particle
-counts, a replicate's value not to depend on which other replicates ran or
+single-path solve.  A Picard iterate, the closed form on the previous
+iterate's coefficients, is pinned against the row loop on the same
+coefficients, bit for bit.  The ensemble noise is pinned to nest across
+particle counts, a replicate's value not to depend on which other replicates ran or
 in what order, the batched Ito study to be the public chain per replicate, the
 two control cost routes to agree on one seed, the Picard fixed point inside
 K|z| < sqrt(r0) to be the direct conditional solve, a grid row's batched
@@ -51,7 +53,7 @@ from sheetlab import (
 from sheetlab import ito_check
 from sheetlab.control import _control, _curry
 from sheetlab.noise import _node_values
-from sheetlab.solver import _node_measures
+from sheetlab.solver import _node_measures, coefficient_table
 
 from oracles import drift_free_cloud_mean, goursat_mean, sheet_average
 
@@ -103,6 +105,63 @@ def test_closed_form_is_the_row_loop_bit_for_bit(problem):
     # the same maps declared state-dependent take the row loop
     rows = solve_goursat(dataclasses.replace(field, depends_on_state=True), y0, sheet, grid).values
     assert np.array_equal(closed, rows)
+
+
+def coupled_field(K, S) -> CoefficientField:
+    """drift y K^T + (mean - y) / 2, diffusion S (1 + sin(y) / 5): the maps
+    read the states and the measure."""
+
+    def drift(z, y, mu):
+        return y @ K.T + 0.5 * (mu.sample_mean - y)
+
+    def diffusion(z, y, mu):
+        return S * (1.0 + 0.2 * np.sin(y))[:, :, None]
+
+    return CoefficientField(n=K.shape[0], m=S.shape[1], drift=drift, diffusion=diffusion)
+
+
+def tabled_field(alpha, beta, grid) -> CoefficientField:
+    """A field that returns the tables alpha (M, nt, nx, n) and beta (M, nt,
+    nx, n, m) at each node, whatever the states; declared state- and
+    measure-dependent, so a direct solve takes the row loop."""
+
+    def drift(z, y, mu):
+        return alpha[(slice(None), *grid.node_index(z))]
+
+    def diffusion(z, y, mu):
+        return beta[(slice(None), *grid.node_index(z))]
+
+    return CoefficientField(n=alpha.shape[-1], m=beta.shape[-1], drift=drift, diffusion=diffusion)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 2),
+    st.integers(2, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_picard_iterate_is_the_row_loop_on_its_frozen_coefficients(n, m, nt, nx, M, k, seed, data):
+    # iterate k is the closed form on the coefficients of iterate k - 1; the
+    # row loop, handed the same coefficients node by node, must add the same bits
+    field = coupled_field(
+        data.draw(hnp.arrays(float, (n, n), elements=COEFFICIENT)),
+        data.draw(hnp.arrays(float, (n, m), elements=COEFFICIENT)),
+    )
+    y0 = data.draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
+    horizon = Point(data.draw(st.floats(0.25, 2.0)), data.draw(st.floats(0.25, 2.0)))
+    grid = Grid(horizon=horizon, nt=nt, nx=nx)
+    if k == 1:  # iterate 0, node-major as the solver holds it
+        frozen = np.broadcast_to(y0, (nt + 1, nx + 1, M, n)).copy().transpose(2, 0, 1, 3)
+    else:
+        frozen = picard_solve(field, y0, M, grid, seed, max_iter=k - 1, tol=1e-300).ensemble.values
+    iterate = picard_solve(field, y0, M, grid, seed, max_iter=k, tol=1e-300).ensemble.values
+    tabled = tabled_field(*coefficient_table(field, frozen, grid, nt, nx), grid)
+    assert np.array_equal(iterate, solve_conditional_mkv(tabled, y0, M, grid, seed).values)
 
 
 @PROPERTY
