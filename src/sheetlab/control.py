@@ -46,6 +46,8 @@ from .solver import (
     _constant_diffusion,
     _node_measures,
     _replicate_increments,
+    _require_finite,
+    _require_number,
     solve_conditional_mkv,
 )
 
@@ -294,6 +296,7 @@ def mean_feedback_policy(theta: float) -> ControlPolicy:
     The mean is ``mu.sample_mean``, which the measures of the solver and the
     cost pass carry from one reduction per grid row.
     """
+    _require_number(theta=theta)
 
     def rule(z, common, mu):
         return theta * mu.sample_mean
@@ -308,6 +311,10 @@ def controlled_linear_field(
 ) -> ControlledCoefficients:
     """Scalar controlled dynamics alpha = gain*y + control, beta constant."""
     sigma_arr = np.asarray(sigma, dtype=float).reshape(1, -1)
+    if sigma_arr.shape[1] < 2:
+        raise ValueError(f"sigma needs a common and an own channel, got m={sigma_arr.shape[1]}")
+    _require_number(drift_gain=drift_gain, control_gain=control_gain)
+    _require_finite(sigma=sigma_arr)
 
     def drift(z, y, mu, u):
         return drift_gain * y + control_gain * u[None, :]
@@ -325,6 +332,8 @@ def lq_cost(
     target: float = 0.0,
 ) -> CostSpec:
     """Reward form of the quadratic tracking cost (maximized, hence negated)."""
+    _require_number(state_weight=state_weight, control_weight=control_weight, terminal_weight=terminal_weight)
+    _require_finite(target=target)
 
     def running(z, y, u):
         return -(

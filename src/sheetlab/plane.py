@@ -17,6 +17,7 @@ lives here; :mod:`sheetlab.noise`'s second-type integral sums through it too.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,9 @@ class Grid:
     nx: int
 
     def __post_init__(self):
-        if self.nt < 1 or self.nx < 1:
-            raise ValueError(f"grid needs at least one cell per axis, got {self.nt} x {self.nx}")
+        for name, cells in (("nt", self.nt), ("nx", self.nx)):
+            if not isinstance(cells, numbers.Integral) or cells < 1:
+                raise ValueError(f"grid {name} must be an integer count of cells >= 1, got {name}={cells!r}")
         if not (0.0 < self.horizon.t < np.inf and 0.0 < self.horizon.x < np.inf):
             raise ValueError(f"grid horizon needs positive finite sides, got {self.horizon}")
 

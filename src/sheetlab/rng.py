@@ -17,6 +17,8 @@ est-check experiment's couplings, takes a ``substream`` of its own.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -32,6 +34,8 @@ DOMAIN_COUPLINGS = 6  # the est-check experiment's Gaussian couplings
 
 
 def _key(seed: int) -> np.ndarray:
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return np.array([seed & _MASK64, _SALT], dtype=np.uint64)
 
 

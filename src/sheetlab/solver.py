@@ -21,6 +21,9 @@ being solved takes the closed form.
   measure-free field's, read on states held at y0; a Picard iterate's, read
   on the previous iterate), the whole grid's sources are formed at once, and
   the field is y0 plus one cumulative sum along x followed by one along t.
+  It spends the two coefficient tables it reads: the sources are formed and
+  summed in their buffers, which are fresh arrays, never one a field
+  returned.
 * the row loop.  A direct solve of a field that reads the states or the
   measure reads row i's coefficients once row i is filled.  The boundary
   column stays at y0, so row i+1 is row i plus the running sum of row i's
@@ -70,6 +73,11 @@ conditional law of Y given the channel-1 history, and it is rebuilt
 node-by-node before the particles advance — bulk-synchronous, so the result
 is independent of any particle execution order.
 
+The direct particle solve and the Picard iteration, two routes to one
+system, share one set-up, :func:`_ensemble_setup`: it checks M, y0 and the
+noise by name, draws the noise, builds the channel arrays and wraps the
+solved states, so both reject the same bad input with the same ValueError.
+
 Picard iteration re-solves the recursion in closed form, on coefficients
 frozen at the previous iterate's states and measures, reusing identical noise
 arrays across iterates (the contraction being probed lives on one probability
@@ -82,6 +90,7 @@ Gronwall regime K|z| <= r0.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,9 +287,9 @@ def coefficient_table(coeffs: CoefficientField, values: np.ndarray, grid: Grid, 
 
 def _noise_source(beta: np.ndarray, cells: list) -> np.ndarray:
     """beta . dB for node-major beta (..., M, n, m), as an explicit sum over the
-    m channel arrays ``cells`` (..., 1 or M), read in place.  Both forms of the
-    recursion contract through here, a row or the whole grid at a time, so they
-    add the same products in the same order."""
+    m channel arrays ``cells`` (..., 1 or M), read in place, for the row loop.
+    The closed form adds the same products in the same order, in the buffer
+    of its beta table."""
     out = beta[..., 0] * cells[0][..., None]
     for c in range(1, len(cells)):
         out += beta[..., c] * cells[c][..., None]
@@ -295,17 +304,26 @@ def _held_at(y0: np.ndarray, grid: Grid, M: int) -> np.ndarray:
     return Y
 
 
-def _closed_form(alpha, beta, y0, grid, noise) -> np.ndarray:
-    """The closed form (module docstring) on the tables ``alpha`` (M, nt, nx, n)
-    and ``beta`` (M, nt, nx, n, m) of :func:`coefficient_table`, driven by the
-    channel arrays ``noise``; returns states (M, nt+1, nx+1, n)."""
-    Y = _held_at(y0, grid, alpha.shape[0])
+def _closed_form(coeffs, states, y0, grid, noise) -> np.ndarray:
+    """The closed form (module docstring) of ``coeffs`` read on ``states`` (M,
+    nt+1, nx+1, n), driven by the channel arrays ``noise``; returns new states.
+    The sources are built in the fresh tables of :func:`coefficient_table`,
+    never in an array a field returned, and beta's is let go first."""
+    alpha, beta = coefficient_table(coeffs, states, grid, grid.nt, grid.nx)
     alpha, beta = alpha.transpose(1, 2, 0, 3), beta.transpose(1, 2, 0, 3, 4)  # node-major
-    src = alpha * (grid.dt * grid.dx) + _noise_source(beta, [dB.transpose(1, 2, 0) for dB in noise])
+    for c, dB in enumerate(noise):
+        np.multiply(beta[..., c], dB.transpose(1, 2, 0)[..., None], out=beta[..., c])
+    for c in range(1, len(noise)):
+        beta[..., 0] += beta[..., c]
+    # alpha dt dx + beta . dB: the row loop's sum, as addition commutes
+    src = np.multiply(alpha, grid.dt * grid.dx, out=alpha)
+    src += beta[..., 0]
+    del beta
     # row i+1 is y0 + the x-running sums of rows 0..i, added in the row loop's order
-    run = np.cumsum(src, axis=1)
-    run[0] += y0
-    np.cumsum(run, axis=0, out=Y[1:, 1:])
+    np.cumsum(src, axis=1, out=src)
+    src[0] += y0
+    Y = _held_at(y0, grid, src.shape[2])
+    np.cumsum(src, axis=0, out=Y[1:, 1:])
     return Y.transpose(2, 0, 1, 3)
 
 
@@ -321,7 +339,7 @@ def _sweep(coeffs, y0, grid, noise) -> np.ndarray:
     Y = _held_at(y0, grid, max(len(dB) for dB in noise))
     states = Y.transpose(2, 0, 1, 3)
     if not (coeffs.depends_on_state or coeffs.depends_on_measure):
-        return _closed_form(*coefficient_table(coeffs, states, grid, grid.nt, grid.nx), y0, grid, noise)
+        return _closed_form(coeffs, states, y0, grid, noise)
     dtdx = grid.dt * grid.dx
     for i, (alpha, beta) in enumerate(coefficient_rows(coeffs, states, grid, grid.nt, grid.nx)):
         beta_dB = _noise_source(beta.swapaxes(0, 1), [dB[:, i].T for dB in noise])  # (nx, 1 or M)
@@ -330,10 +348,27 @@ def _sweep(coeffs, y0, grid, noise) -> np.ndarray:
     return states
 
 
+def _require_finite(**args) -> None:
+    """Raise a ValueError naming the first of ``args`` that is not all finite."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            got = f", got {value}" if np.ndim(value) == 0 else ""
+            raise ValueError(f"{name} must be finite{got}")
+
+
+def _require_number(**args) -> None:
+    """Raise a ValueError naming the first of ``args`` that is not one finite number."""
+    for name, value in args.items():
+        if np.ndim(value) != 0:
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    _require_finite(**args)
+
+
 def _start_state(y0, n: int) -> np.ndarray:
-    """y0 as the (n,) start state: a scalar, a length-1 or a length-n vector."""
+    """y0 as the (n,) start state: a finite scalar, length-1 or length-n vector."""
     if np.shape(y0) not in ((), (1,), (n,)):
         raise ValueError(f"y0 of shape {np.shape(y0)} does not fit the state dimension n={n}")
+    _require_finite(y0=y0)
     return np.broadcast_to(np.asarray(y0, dtype=float), (n,))
 
 
@@ -404,12 +439,19 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
 
 
 def _constant_diffusion(sigma: np.ndarray):
-    """diffusion(z, y, mu[, u]) -> sigma (n, m) as a read-only (B, n, m)
-    broadcast view for y of B rows, made once per batch size B."""
-    view = functools.cache(lambda B: np.broadcast_to(sigma, (B, *sigma.shape)))
+    """diffusion(z, y, mu[, u]) -> sigma (n, m) as a read-only (B, n, m) table
+    for y of B rows, made once per batch size B, contiguous: a row of node
+    returns stacks several times faster than from broadcast views."""
+
+    @functools.cache
+    def table(B: int) -> np.ndarray:
+        out = np.empty((B, *sigma.shape))
+        out[...] = sigma
+        out.setflags(write=False)
+        return out
 
     def diffusion(z, y, mu, u=None):
-        return view(len(y))
+        return table(len(y))
 
     return diffusion
 
@@ -425,8 +467,10 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
         sigma_arr = np.broadcast_to(sigma_arr[None, :], (n, sigma_arr.shape[0]))
-    if sigma_arr.ndim != 2 or sigma_arr.shape[0] != n:
-        raise ValueError(f"sigma must have shape (m,) or (n, m) with n={n}, got {np.shape(sigma)}")
+    if sigma_arr.ndim != 2 or sigma_arr.shape[0] != n or sigma_arr.shape[1] < 1:
+        raise ValueError(f"sigma must have shape (m,) or (n, m), n={n}, m >= 1, got {np.shape(sigma)}")
+    _require_number(rate=rate)
+    _require_finite(sigma=sigma_arr)
 
     def drift(z, y, mu):
         return rate * (mu.sample_mean - y)
@@ -441,26 +485,41 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     )
 
 
-def _ensemble_noise(coeffs: CoefficientField, M: int, grid: Grid, seed: int, common=None, idio=None):
-    """Validated (common, idio) noise of an M-particle ensemble; either array
-    may be given, the other is drawn from the standard streams of ``seed``."""
-    if M < 1:
-        raise ValueError(f"need at least one particle, got M={M}")
+def _ensemble_setup(coeffs: CoefficientField, y0, M: int, grid: Grid, seed: int, common=None, idio=None):
+    """The one set-up of the ensemble solves, which checks their arguments by
+    name: M an integer >= 1, y0 finite and fitting the field, and given noise,
+    common (nt, nx) or idio (M, m-1, nt, nx), finite and of its shape; noise
+    not given is then drawn from the standard streams of ``seed``.  Returns
+    the (n,) start state, the m channel arrays (the common one, then each
+    particle's own) and ``ensemble(values)``, the solved states' ensemble."""
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise ValueError(f"need at least one particle, an integer M >= 1, got M={M!r}")
     if coeffs.m < 2:
         raise ValueError("conditional dynamics need m >= 2: one common plus idiosyncratic channels")
+    y0 = _start_state(y0, coeffs.n)
+    given = []
+    for name, arr, shape in (
+        ("common_increments", common, (grid.nt, grid.nx)),
+        ("idio_increments", idio, (M, coeffs.m - 1, grid.nt, grid.nx)),
+    ):
+        if arr is not None:
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} of shape {arr.shape} != {shape}")
+            _require_finite(**{name: arr})
+        given.append(arr)
+    common, idio = given
     if common is None or idio is None:
         sampled = sample_ensemble_increments(grid, coeffs.m, M, seed)
         common = sampled[0] if common is None else common
         idio = sampled[1] if idio is None else idio
-    common = np.asarray(common, dtype=float)
-    idio = np.asarray(idio, dtype=float)
-    if common.shape != (grid.nt, grid.nx):
-        raise ValueError(f"common increments shape {common.shape} != {(grid.nt, grid.nx)}")
-    if idio.shape != (M, coeffs.m - 1, grid.nt, grid.nx):
-        raise ValueError(
-            f"idiosyncratic increments shape {idio.shape} != {(M, coeffs.m - 1, grid.nt, grid.nx)}"
+
+    def ensemble(values: np.ndarray) -> ParticleEnsemble:
+        return ParticleEnsemble(
+            values=values, grid=grid, common_increments=common, idio_increments=idio, coeffs=coeffs, y0=y0
         )
-    return common, idio
+
+    return y0, [common[None], *idio.swapaxes(0, 1)], ensemble
 
 
 def solve_conditional_mkv(
@@ -479,14 +538,11 @@ def solve_conditional_mkv(
     are identical across particles; channels 2..m are per-particle.  Optional
     increment arrays override the seed-derived noise — the hook used for
     common-random-number and refinement-coupled experiments.  Raises
-    ValueError naming the first node (i, j) where a state is not finite.
+    ValueError naming a bad argument, or the first node (i, j) where a state
+    is not finite.
     """
-    common, idio = _ensemble_noise(coeffs, M, grid, seed, common_increments, idio_increments)
-    y0 = _start_state(y0, coeffs.n)
-    Y = _check_finite(_sweep(coeffs, y0, grid, [common[None], *idio.swapaxes(0, 1)]))
-    return ParticleEnsemble(
-        values=Y, grid=grid, common_increments=common, idio_increments=idio, coeffs=coeffs, y0=y0
-    )
+    y0, noise, ensemble = _ensemble_setup(coeffs, y0, M, grid, seed, common_increments, idio_increments)
+    return ensemble(_check_finite(_sweep(coeffs, y0, grid, noise)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,18 +573,18 @@ def picard_solve(
     consecutive gap increases, or at once on a non-finite gap (an iterate that
     overflowed), which also stops the iteration; ``divergence`` names the rule
     that tripped, "rising gaps" or "non-finite gap", and is None otherwise.
+    Bad arguments raise the ValueError that names them, the same as in
+    :func:`solve_conditional_mkv` for the arguments the two share.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    common, idio = _ensemble_noise(coeffs, M, grid, seed)
-    y0 = _start_state(y0, coeffs.n)
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if np.ndim(tol) != 0 or not tol > 0:
+        raise ValueError(f"tol must be a positive number, got {tol!r}")
+    y0, noise, ensemble = _ensemble_setup(coeffs, y0, M, grid, seed)
     prev = _held_at(y0, grid, M).transpose(2, 0, 1, 3)  # node-major like every iterate
     gaps, divergence = [], None
-    noise = [common[None], *idio.swapaxes(0, 1)]  # shared, then each particle's own
     for _ in range(max_iter):
-        cur = _closed_form(*coefficient_table(coeffs, prev, grid, grid.nt, grid.nx), y0, grid, noise)
+        cur = _closed_form(coeffs, prev, y0, grid, noise)
         gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
         gaps.append(gap)
         prev = cur
@@ -540,11 +596,8 @@ def picard_solve(
         if len(gaps) >= 4 and all(gaps[-k] > gaps[-k - 1] for k in (1, 2, 3)):
             divergence = "rising gaps"
             break
-    ensemble = ParticleEnsemble(
-        values=prev, grid=grid, common_increments=common, idio_increments=idio, coeffs=coeffs, y0=y0
-    )
     return PicardResult(
-        ensemble=ensemble,
+        ensemble=ensemble(prev),
         gaps=np.asarray(gaps),
         iterations=len(gaps),
         converged=gaps[-1] < tol,  # a gap below tol stops the loop

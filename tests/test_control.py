@@ -49,6 +49,29 @@ class TestBuildingBlocks:
         with pytest.raises(ValueError):
             ControlledCoefficients(n=0, m=2, drift=None, diffusion=None)
 
+    @pytest.mark.parametrize(
+        "factory, name",
+        [
+            (lambda v: controlled_linear_field(drift_gain=v), "drift_gain"),
+            (lambda v: controlled_linear_field(control_gain=v), "control_gain"),
+            (lambda v: controlled_linear_field(sigma=(0.5, v)), "sigma"),
+            (lambda v: mean_feedback_policy(v), "theta"),
+            (lambda v: lq_cost(Point(1.0, 1.0), state_weight=v), "state_weight"),
+            (lambda v: lq_cost(Point(1.0, 1.0), control_weight=v), "control_weight"),
+            (lambda v: lq_cost(Point(1.0, 1.0), terminal_weight=v), "terminal_weight"),
+            (lambda v: lq_cost(Point(1.0, 1.0), target=v), "target"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stock_factories_name_an_argument_that_is_not_finite(self, factory, name, value):
+        with pytest.raises(ValueError, match=name):
+            factory(value)
+
+    @pytest.mark.parametrize("sigma", [(0.5,), ()])
+    def test_linear_field_names_a_sigma_without_an_own_channel(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            controlled_linear_field(sigma=sigma)
+
     def test_controlled_field_has_no_control_dimension(self):
         # the control's length is whatever the policy returns; nothing declares it
         with pytest.raises(TypeError):

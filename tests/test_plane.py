@@ -52,6 +52,16 @@ class TestGrid:
         np.testing.assert_allclose(g.t_nodes(), np.linspace(0, 1, 5))
         np.testing.assert_allclose(g.x_nodes(), np.linspace(0, 2, 9))
 
+    @pytest.mark.parametrize("cells", [2.5, 4.0, np.nan, np.inf, 0, -3])
+    @pytest.mark.parametrize("name", ["nt", "nx"])
+    def test_names_a_cell_count_that_is_no_positive_integer(self, name, cells):
+        counts = {"nt": 4, "nx": 4, name: cells}
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            Grid(Point(1.0, 1.0), **counts)
+
+    def test_accepts_numpy_integer_cell_counts(self):
+        assert Grid(Point(1.0, 1.0), np.int64(3), np.int32(2)).dx == 0.5
+
     @pytest.mark.parametrize(
         "horizon", [(0.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.nan), (np.nan, np.nan)]
     )

@@ -12,10 +12,14 @@ two control cost routes to agree on one seed, the Picard fixed point inside
 K|z| < sqrt(r0) to be the direct conditional solve, a grid row's batched
 node means to be each cloud's own mean, bit for bit, and the cloud means of
 the conditional OU solves and of the controlled linear field to be the exact
-oracles of ``oracles.py``.
+oracles of ``oracles.py``.  A fuzz over the arguments of the solvers and the
+stock factories pins that each call returns or raises a ValueError naming
+the argument it got wrong.
 """
 
 import dataclasses
+import functools
+import re
 from unittest import mock
 
 import numpy as np
@@ -459,3 +463,92 @@ def test_controlled_cloud_mean_is_the_scalar_recursion(nt, nx, M, theta, y0, see
     driver = sheet_average((0.5, 0.5), common, idio)[..., 0]
     want = goursat_mean(theta - 1.0, y0, driver, grid.dt * grid.dx)
     np.testing.assert_allclose(ens.values.mean(axis=0)[..., 0], want, rtol=0, atol=1e-12)
+
+
+# what a caller can get wrong about a number: NaN, infinities, zero,
+# negatives, non-integers; and values that are fine
+ARGUMENT_SCALARS = [np.nan, np.inf, -np.inf, 0, 0.0, -1, -2.5, 1, 2, np.int64(2), 2.5, 1e3]
+_scalar = st.sampled_from(ARGUMENT_SCALARS)
+# ... of a length or ndim that may be wrong
+ARGUMENT = st.one_of(
+    _scalar,
+    st.lists(_scalar, max_size=3),
+    st.lists(st.lists(_scalar, min_size=2, max_size=2), min_size=1, max_size=2),
+)
+FUZZ_GRID = Grid(horizon=Point(1.0, 1.0), nt=2, nx=2)
+FUZZ_FIELD = mean_reversion_field(1.0, (0.5, 0.5))
+FUZZ_PATH_FIELD = affine_field(np.zeros((3, 1)), np.ones((3, 1, 1)))
+
+
+def _both_ensemble_solves(**args):
+    """The direct and the Picard solve on the same (possibly bad) arguments;
+    they must agree: both return, or both raise the same ValueError."""
+    args = {"y0": 0.5, "M": 2, **args}
+    outcomes = []
+    for solve in (
+        lambda: solve_conditional_mkv(FUZZ_FIELD, args["y0"], args["M"], FUZZ_GRID, 0),
+        lambda: picard_solve(FUZZ_FIELD, args["y0"], args["M"], FUZZ_GRID, 0, max_iter=2, tol=1e-6),
+    ):
+        try:
+            solve()
+            outcomes.append(None)
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is not None:
+        raise ValueError(outcomes[0])
+
+
+def _noise(name, shape, fill):
+    """The direct solve on one given noise array of ``shape`` filled with ``fill``."""
+    solve_conditional_mkv(FUZZ_FIELD, 0.5, 2, FUZZ_GRID, 0, **{name: np.full(shape, fill)})
+
+
+DOORS = [
+    ("nt", lambda v: Grid(Point(1.0, 1.0), v, 2)),
+    ("nx", lambda v: Grid(Point(1.0, 1.0), 2, v)),
+    ("seed", lambda v: sample_sheet(FUZZ_GRID, 1, v)),
+    ("rate", lambda v: mean_reversion_field(v, (0.5, 0.5))),
+    ("sigma", lambda v: mean_reversion_field(0.5, v)),
+    ("drift_gain", lambda v: controlled_linear_field(drift_gain=v)),
+    ("control_gain", lambda v: controlled_linear_field(control_gain=v)),
+    ("sigma", lambda v: controlled_linear_field(sigma=v)),
+    ("theta", mean_feedback_policy),
+    ("state_weight", lambda v: lq_cost(Point(1.0, 1.0), state_weight=v)),
+    ("control_weight", lambda v: lq_cost(Point(1.0, 1.0), control_weight=v)),
+    ("terminal_weight", lambda v: lq_cost(Point(1.0, 1.0), terminal_weight=v)),
+    ("target", lambda v: lq_cost(Point(1.0, 1.0), target=v)),
+    ("y0", lambda v: _both_ensemble_solves(y0=v)),
+    ("y0", lambda v: solve_goursat(FUZZ_PATH_FIELD, v, sample_sheet(FUZZ_GRID, 1, 0), FUZZ_GRID)),
+    ("M", lambda v: _both_ensemble_solves(M=v)),
+    ("max_iter", lambda v: picard_solve(FUZZ_FIELD, 0.5, 2, FUZZ_GRID, 0, max_iter=v, tol=1e-6)),
+    ("tol", lambda v: picard_solve(FUZZ_FIELD, 0.5, 2, FUZZ_GRID, 0, max_iter=2, tol=v)),
+]
+NOISE_SHAPES = {
+    "common_increments": [(2, 2), (2, 3), (2,), (), (1, 2, 2)],
+    "idio_increments": [(2, 1, 2, 2), (2, 2, 2), (3, 1, 2, 2), (2, 1, 2, 3), (2, 1, 1, 2, 2)],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_door_returns_or_names_the_argument_it_rejects(data):
+    # each call returns a result, or raises a ValueError whose message names
+    # the argument; no TypeError, IndexError or quiet NaN gets through
+    if data.draw(st.booleans(), label="noise"):
+        name = data.draw(st.sampled_from(sorted(NOISE_SHAPES)), label="name")
+        shape = data.draw(st.sampled_from(NOISE_SHAPES[name]), label="shape")
+        call = functools.partial(_noise, name, shape)
+        value = data.draw(_scalar, label="fill")
+    else:
+        name, door = data.draw(st.sampled_from(DOORS), label="door")
+        call, value = door, data.draw(ARGUMENT, label="value")
+    # a NaN is bad wherever it is drawn, and so is an infinity but for tol
+    flat = np.ravel(np.asarray(value, dtype=float))
+    bad = bool(np.isnan(flat).any() or (np.isinf(flat).any() and name != "tol"))
+    try:
+        call(value)
+    except ValueError as err:
+        assert re.search(rf"\b{name}\b", str(err)), f"{name}={value!r}: {err}"
+    else:
+        assert not bad, f"{name}={value!r} was accepted"

@@ -30,6 +30,19 @@ class TestFSeries:
         want = scipy.special.j0(2.0 * np.sqrt(t))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
+    def test_whole_guarded_domain_is_bessel(self):
+        # f(-t) = J0(2 sqrt t), f'(-t) = J1(2 sqrt t) / sqrt t, f(t) = I0(2 sqrt t) and
+        # f'(t) = I1(2 sqrt t) / sqrt t, on every |y| <= 700 the evaluation accepts
+        t = np.linspace(0.0, 700.0, 2801)[1:]
+        s = np.sqrt(t)
+        np.testing.assert_allclose(f_series(-t), scipy.special.j0(2.0 * s), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f_series_derivative(-t), scipy.special.j1(2.0 * s) / s, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f_series(t), scipy.special.i0(2.0 * s), rtol=1e-13)
+        np.testing.assert_allclose(f_series_derivative(t), scipy.special.i1(2.0 * s) / s, rtol=1e-13)
+        for y in (-700.0, -300.0, -25.5, 700.0):
+            assert f_series(y) == pytest.approx(float(f_series(np.array([y]))[0]), abs=1e-13, rel=1e-13)
+        assert f_series(0.0) == 1.0 and f_series_derivative(0.0) == 1.0
+
     def test_vectorized_matches_scalar(self):
         ys = np.array([-2.0, -0.5, 0.0, 0.3, 1.7])
         np.testing.assert_allclose(f_series(ys), [f_series(v) for v in ys], atol=1e-14)

@@ -1,6 +1,7 @@
 """Hyperbolic-recursion solvers: single path, interacting ensemble, iteration."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,46 @@ class TestSinglePathSolve:
         )
         with pytest.raises(ValueError, match=r"non-finite state at node \(i, j\) = \(3, 4\)"):
             solve_goursat(co, 0.0, sample_sheet(g, 1, 0), g)
+
+    @pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "writeable"])
+    @pytest.mark.parametrize("M", [None, 3], ids=["single path", "ensemble"])
+    def test_state_free_field_may_return_its_own_cached_arrays(self, writeable, M):
+        # the closed form builds its sources in its coefficient tables, never
+        # in the arrays the maps return, which here are the same two every row
+        g = Grid(horizon=Point(1.0, 0.5), nt=6, nx=4)
+        B = g.nx * (M or 1)
+        a = np.full((B, 1), 0.7)
+        b = np.empty((B, 1, 2))
+        b[...] = (0.4, -0.3)
+        a.setflags(write=writeable)
+        b.setflags(write=writeable)
+        kept = a.copy(), b.copy()
+        co = CoefficientField(
+            n=1,
+            m=2,
+            drift=lambda z, y, mu: a,
+            diffusion=lambda z, y, mu: b,
+            depends_on_state=False,
+            depends_on_measure=False,
+        )
+        t, x = np.meshgrid(g.t_nodes(), g.x_nodes(), indexing="ij")
+        if M is None:
+            sheet = sample_sheet(g, 2, 3)
+            got = solve_goursat(co, 0.25, sheet, g).values[None]
+            sheets = sheet.values[None]
+        else:
+            ens = solve_conditional_mkv(co, 0.25, M, g, seed=3)
+            got = ens.values
+            sheets = np.stack(
+                [
+                    sheet_from_increments(g, np.stack([ens.common_increments, idio[0]])).values
+                    for idio in ens.idio_increments
+                ]
+            )
+        # constant coefficients: Y = y0 + alpha t x + beta . B at every node
+        want = 0.25 + 0.7 * t * x + 0.4 * sheets[:, 0] - 0.3 * sheets[:, 1]
+        np.testing.assert_allclose(got[..., 0], want, rtol=0, atol=1e-12)
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
 
 
 class TestEnsembleNoise:
@@ -413,6 +454,14 @@ class TestStockField:
             assert np.array_equal(beta, np.broadcast_to(sigma, (batch.shape[0], n, 2)))
             assert not beta.flags.writeable
 
+    def test_constant_diffusion_is_one_cached_contiguous_read_only_table_per_batch_size(self):
+        co = mean_reversion_field(0.5, (0.7, 0.5))
+        z, mu = Point(0.0, 0.0), None
+        beta = co.diffusion(z, np.zeros((5, 1)), mu)
+        assert beta.flags.c_contiguous and not beta.flags.writeable
+        assert co.diffusion(z, np.ones((5, 1)), mu) is beta
+        assert np.array_equal(beta, np.broadcast_to([[[0.7, 0.5]]], (5, 1, 2)))
+
 
 class TestPicardIteration:
     def test_converges_to_the_direct_solution(self):
@@ -459,6 +508,21 @@ class TestPicardIteration:
         assert result.iterations == 2
         assert np.isfinite(result.gaps[0]) and result.gaps[1] == np.inf
 
+    def test_an_iterate_spends_its_coefficient_tables(self):
+        # the closed form builds its sources in the tables it reads, and lets
+        # beta's go before it allocates the iterate: the peak is the previous
+        # iterate, the noise and one iterate's tables, 20.7 MB here, and not
+        # the 36 MB of sources, running sums and tables built side by side
+        M, g = 500, square_grid(32)
+        co = mean_reversion_field(0.5, (0.7, 0.5))
+        tracemalloc.start()
+        try:
+            picard_solve(co, 1.0, M, g, 0, max_iter=2, tol=1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26e6
+
     def test_rejects_zero_iterations(self):
         g = square_grid(4)
         with pytest.raises(ValueError):
@@ -499,16 +563,81 @@ class TestInputsFailAtTheDoor:
         assert np.array_equal(ens.values[:, 0, 0], np.broadcast_to(y0, (2, 2)))
 
     @pytest.mark.parametrize(
-        "sigma, n", [(0.5, 1), (np.ones((1, 2, 2)), 1), (np.ones((2, 2)), 1), (np.ones((1, 2)), 3)]
+        "sigma, n", [(0.5, 1), (np.ones((1, 2, 2)), 1), (np.ones((2, 2)), 1), (np.ones((1, 2)), 3), ((), 1)]
     )
     def test_mean_reversion_names_a_sigma_of_the_wrong_shape(self, sigma, n):
         with pytest.raises(ValueError, match="sigma"):
             mean_reversion_field(0.5, sigma, n=n)
 
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-6, [1e-6]])
     def test_picard_rejects_a_tolerance_that_is_not_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             picard_solve(mean_reversion_field(1.0, (0.5, 0.5)), 0.0, 2, square_grid(4), 0, 3, tol)
+
+    @staticmethod
+    def both_ensemble_solves_raise(name, y0=0.0, M=2, n=1, seed=0):
+        """Both ensemble solves reject the input with one ValueError naming it."""
+        co, g = mean_reversion_field(1.0, (0.5, 0.5), n=n), square_grid(4)
+        messages = set()
+        for solve in (
+            lambda: solve_conditional_mkv(co, y0, M, g, seed),
+            lambda: picard_solve(co, y0, M, g, seed, max_iter=3, tol=1e-6),
+        ):
+            with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
+                solve()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize(
+        "y0, n", [(np.nan, 1), (np.inf, 1), (-np.inf, 1), ([np.nan], 1), ((0.5, np.inf), 2)]
+    )
+    def test_both_ensemble_solves_name_a_start_value_that_is_not_finite(self, y0, n):
+        self.both_ensemble_solves_raise("y0", y0=y0, n=n)
+        g = square_grid(4)
+        with pytest.raises(ValueError, match="y0"):
+            solve_goursat(constant_field(0.0, [1.0] * n), y0, sample_sheet(g, n, 0), g)
+
+    @pytest.mark.parametrize("M", [2.5, 1.0, np.nan, np.inf, 0, -1])
+    def test_both_ensemble_solves_name_a_particle_count_that_is_no_positive_integer(self, M):
+        self.both_ensemble_solves_raise("M", M=M)
+
+    def test_a_numpy_integer_particle_count_is_accepted(self):
+        co = mean_reversion_field(1.0, (0.5, 0.5))
+        assert solve_conditional_mkv(co, 0.0, np.int64(3), square_grid(2), 0).particles == 3
+
+    @pytest.mark.parametrize("seed", [1.5, np.nan, "0"])
+    def test_both_ensemble_solves_name_a_seed_that_is_no_integer(self, seed):
+        self.both_ensemble_solves_raise("seed", seed=seed)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, np.nan, 0, -2])
+    def test_picard_names_an_iteration_count_that_is_no_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(mean_reversion_field(1.0, (0.5, 0.5)), 0.0, 2, square_grid(4), 0, max_iter, 1e-6)
+
+    @pytest.mark.parametrize(
+        "name, shape, fill",
+        [
+            ("common_increments", (4, 5), 0.1),
+            ("common_increments", (4,), 0.1),
+            ("common_increments", (4, 4), np.nan),
+            ("idio_increments", (3, 1, 4, 4), 0.1),
+            ("idio_increments", (2, 4, 4), 0.1),
+            ("idio_increments", (2, 1, 4, 4), -np.inf),
+        ],
+    )
+    def test_given_noise_of_the_wrong_shape_or_not_finite_is_named(self, name, shape, fill):
+        g = square_grid(4)
+        co = mean_reversion_field(1.0, (0.5, 0.5))
+        with pytest.raises(ValueError, match=name):
+            solve_conditional_mkv(co, 0.0, 2, g, 0, **{name: np.full(shape, fill)})
+
+    @pytest.mark.parametrize(
+        "rate, sigma, name",
+        [(np.nan, (0.5, 0.5), "rate"), ([0.5], (0.5, 0.5), "rate"), (0.5, (np.inf, 0.5), "sigma")],
+    )
+    def test_mean_reversion_names_a_rate_that_is_no_finite_number_or_a_sigma_not_finite(self, rate, sigma, name):
+        with pytest.raises(ValueError, match=name):
+            mean_reversion_field(rate, sigma)
 
 
 class TestRadiusReport:
