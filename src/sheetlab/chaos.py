@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import SheetPath, _draw_cells, _node_values, _sheet_cells
-from .plane import Grid
+from .plane import Grid, _require_count
 from .rng import DOMAIN_CHAOS
-from .series import f_series
-from .solver import CoefficientField, StateField, solve_goursat
+from .series import _Y_GUARD, f_series
+from .solver import CoefficientField, StateField, _require_finite, _require_number, solve_goursat
 
 __all__ = [
     "RankOneMatrix",
@@ -70,10 +70,8 @@ _WEIGHT_FLOOR = 1e-8  # lowest admissible mean interaction weight
 
 
 def _finite(name: str, value) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+    _require_number(**{name: value})
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +131,14 @@ class ChaosConfig:
     grid: Grid
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"need at least one particle, got N={self.N}")
-        a = np.broadcast_to(np.asarray(self.a_values, dtype=float), (self.N,)).copy()
-        if not np.all(np.isfinite(a)):
-            raise ValueError("weights must be finite")
+        _require_count(1, N=self.N)
+        a = np.asarray(self.a_values, dtype=float)
+        if a.shape not in ((), (1,), (self.N,)):
+            raise ValueError(f"a_values of shape {a.shape} do not fit N={self.N}")
+        a = np.broadcast_to(a, (self.N,)).copy()
+        _require_finite(a_values=a)
         if a.mean() < _WEIGHT_FLOOR:
-            raise ValueError(f"mean weight {a.mean()} below the floor {_WEIGHT_FLOOR:g}")
+            raise ValueError(f"a_values have mean {a.mean()}, below the floor {_WEIGHT_FLOOR:g}")
         object.__setattr__(self, "a_values", a)
         object.__setattr__(self, "y0", _finite("y0", self.y0))
 
@@ -222,8 +221,7 @@ def remainder_variance(cfg: ChaosConfig, replicates: int, seed: int) -> Remainde
     particle counts at the same seed share their first channels: the rate
     ratio est(N)/est(2N) is then a paired comparison.
     """
-    if replicates < 2:
-        raise ValueError(f"need at least two replicates, got {replicates}")
+    _require_count(2, replicates=replicates)
     grid = cfg.grid
     theta = _theta_table(grid)
     A = cfg.matrix()
@@ -252,11 +250,20 @@ def _limit_fields(a: float, y0: float, grid: Grid, cells: np.ndarray) -> np.ndar
     return np.array([det + _convolve_cells(slab, K1) for slab in cells])
 
 
+def _limit_weight(a, grid: Grid) -> float:
+    """The limit weight a as a finite number whose (a - 1) T X, the largest
+    argument of the limit field's series, is inside the series' guard."""
+    a = _finite("a", a)
+    if abs(a - 1.0) * grid.horizon.area > _Y_GUARD:
+        raise ValueError(f"a={a} puts (a - 1) T X outside the series' |y| <= {_Y_GUARD:g}")
+    return a
+
+
 def limit_solution(a: float, y0: float, sheet_star: SheetPath) -> StateField:
     """Decoupled limit field on a single-channel sheet, constant weight a."""
     if sheet_star.channels != 1:
         raise ValueError(f"limit field uses one channel, sheet has {sheet_star.channels}")
-    a, y0 = _finite("a", a), _finite("y0", y0)
+    a, y0 = _limit_weight(a, sheet_star.grid), _finite("y0", y0)
     values = _limit_fields(a, y0, sheet_star.grid, sheet_star.increments)
     return StateField(values=values[0, :, :, None], grid=sheet_star.grid)
 
@@ -291,9 +298,8 @@ def verify_limit_spde(
     both grid refinement and replicate growth.  ``increments`` of shape
     (replicates, nt, nx) overrides the per-replicate sheet noise.
     """
-    if replicates < 2:
-        raise ValueError(f"need at least two replicates, got {replicates}")
-    a, y0 = _finite("a", a), _finite("y0", y0)
+    _require_count(2, replicates=replicates)
+    a, y0 = _limit_weight(a, grid), _finite("y0", y0)
     c = a - 1.0
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
     f = f_series(c * tx)

@@ -302,7 +302,6 @@ def _run_picard(p):
         "area": radius.area,
         "picard_threshold": radius.picard_threshold,
         "gronwall_threshold": radius.gronwall_threshold,
-        "divergence": result.divergence,
     }
     return ["row", "value", "ratio", "passed"], rows, checks, derived
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import _node_values
-from .plane import Grid, Point
+from .plane import Grid, Point, _require_count
 from .rng import DOMAIN_CONTROL
 from .solver import (
     CoefficientField,
@@ -194,8 +194,8 @@ def _replicate_values(
     """
     if route not in ("direct", "measure"):
         raise ValueError(f"route must be 'direct' or 'measure', got {route!r}")
-    if replicates < 2:
-        raise ValueError(f"need at least two replicates, got {replicates}")
+    _require_count(2, replicates=replicates)
+    _require_count(1, M=M)
     if not (
         np.isclose(float(cost.horizon.t), float(grid.horizon.t))
         and np.isclose(float(cost.horizon.x), float(grid.horizon.x))

@@ -48,6 +48,7 @@ algebra); residuals are complex moduli.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +199,8 @@ def ito_refinement_study(
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids, coarse to fine")
-    if replications < 2:
-        raise ValueError(f"need at least two replications, got {replications}")
+    if not isinstance(replications, numbers.Integral) or replications < 2:
+        raise ValueError(f"need at least two replications, an integer, got replications={replications!r}")
     if coeffs.depends_on_measure:
         raise ValueError("ito_refinement_study solves single paths: the field must be measure-free")
     y0 = _start_state(y0, coeffs.n)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import Grid, Point, _cell_pair_sum, _field_on_corners
+from .plane import Grid, Point, _cell_pair_sum, _field_on_corners, _require_count
 from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
@@ -97,8 +97,7 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     distinct streams — use the stream index for replicates or particles) may
     be generated in any order or in parallel without changing the result.
     """
-    if m < 1:
-        raise ValueError(f"need at least one channel, got m={m}")
+    _require_count(1, m=m)
     cells = _sheet_cells(grid, m, seed, [stream])[0]
     cells.setflags(write=False)
     return SheetPath(increments=cells, grid=grid, seed=seed)

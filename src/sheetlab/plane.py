@@ -69,6 +69,14 @@ class Point:
         return self.t * self.x
 
 
+def _require_count(least: int, **counts) -> None:
+    """Raise a ValueError naming the first of ``counts`` that is not an
+    integer >= ``least`` (a Python or numpy integer, not a whole float)."""
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral) or count < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {name}={count!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [0, T] x [0, X], T and X positive and finite, nt x nx cells."""
@@ -78,9 +86,7 @@ class Grid:
     nx: int
 
     def __post_init__(self):
-        for name, cells in (("nt", self.nt), ("nx", self.nx)):
-            if not isinstance(cells, numbers.Integral) or cells < 1:
-                raise ValueError(f"grid {name} must be an integer count of cells >= 1, got {name}={cells!r}")
+        _require_count(1, nt=self.nt, nx=self.nx)
         if not (0.0 < self.horizon.t < np.inf and 0.0 < self.horizon.x < np.inf):
             raise ValueError(f"grid horizon needs positive finite sides, got {self.horizon}")
 

@@ -18,6 +18,7 @@ est-check experiment's couplings, takes a ``substream`` of its own.
 from __future__ import annotations
 
 import numbers
+from operator import index
 
 import numpy as np
 
@@ -36,11 +37,13 @@ DOMAIN_COUPLINGS = 6  # the est-check experiment's Gaussian couplings
 def _key(seed: int) -> np.ndarray:
     if not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    return np.array([seed & _MASK64, _SALT], dtype=np.uint64)
+    # index(): a numpy integer's & with the 64-bit mask overflows its own dtype
+    return np.array([index(seed) & _MASK64, _SALT], dtype=np.uint64)
 
 
 def _counter(domain: int, stream: int, channel: int) -> np.ndarray:
-    return np.array([0, channel & _MASK64, stream & _MASK64, domain & _MASK64], dtype=np.uint64)
+    words = index(channel) & _MASK64, index(stream) & _MASK64, index(domain) & _MASK64
+    return np.array([0, *words], dtype=np.uint64)
 
 
 def substream(seed: int, domain: int, stream: int = 0, channel: int = 0) -> np.random.Generator:

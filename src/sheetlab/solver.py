@@ -82,9 +82,13 @@ Picard iteration re-solves the recursion in closed form, on coefficients
 frozen at the previous iterate's states and measures, reusing identical noise
 arrays across iterates (the contraction being probed lives on one probability
 space; fresh noise would destroy it).  Iterate gaps are reported as sup-over-grid
-mean-square differences; the convergence threshold for horizon area |z| = T*X
-and Lipschitz constant K is K|z| < sqrt(r0) ~ 1.2024, with the companion
-Gronwall regime K|z| <= r0.
+mean-square differences.  The paper's convergence threshold for the continuum
+map, horizon area |z| = T*X and Lipschitz constant K, is K|z| < sqrt(r0) ~
+1.2024, with the companion Gronwall regime K|z| <= r0.  On the grid the
+iteration is finite, for any field: a node's update reads only cells strictly
+below and to the left of it, so iterate k is exact wherever min(i, j) <= k,
+iterate min(nt, nx) is the direct solve, and, barring overflow, the next gap
+is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure
 from .noise import SheetPath, _draw_cells
-from .plane import Grid, Point
+from .plane import Grid, Point, _require_count
 from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE
 from .series import find_r0
 
@@ -143,8 +147,7 @@ class CoefficientField:
     lipschitz_hint: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"state dim and channel count must be >= 1, got n={self.n}, m={self.m}")
+        _require_count(1, n=self.n, m=self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,6 +425,7 @@ def sample_ensemble_increments(grid: Grid, m: int, M: int, seed: int):
     is the common channel, particle p draws idiosyncratic channels from
     stream p+1 — hence ensembles are nested across M for a fixed seed.
     """
+    _require_count(1, m=m, M=M)
     own = [(p + 1, c + 1) for p in range(M) for c in range(m - 1)]
     return _increments(grid, m, M, seed, DOMAIN_ENSEMBLE, [(0, 0), *own])
 
@@ -435,6 +439,7 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
     across ensemble sizes and the common sheet does not depend on M at all —
     which is what pairs an M-refinement comparison replicate by replicate.
     """
+    _require_count(1, m=m, M=M)
     return _replicate_increments(DOMAIN_REPLICATE, grid, m, M, seed, rep)
 
 
@@ -464,6 +469,7 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
     the state and rate-Lipschitz in the measure (through the mean), so the
     declared joint constant is 2 * rate.
     """
+    _require_count(1, n=n)
     sigma_arr = np.asarray(sigma, dtype=float)
     if sigma_arr.ndim == 1:
         sigma_arr = np.broadcast_to(sigma_arr[None, :], (n, sigma_arr.shape[0]))
@@ -552,7 +558,6 @@ class PicardResult:
     iterations: int
     converged: bool
     diverged: bool
-    divergence: str | None = None  # "rising gaps" or "non-finite gap" when diverged
 
 
 def picard_solve(
@@ -569,40 +574,33 @@ def picard_solve(
     Iterate 0 is the constant field y0.  Iterate k+1 is the closed form on
     the coefficients read along iterate k (its states and empirical
     measures), on one fixed set of noise arrays.  Gaps are sup-over-nodes
-    mean-square iterate differences; the divergence flag trips after three
-    consecutive gap increases, or at once on a non-finite gap (an iterate that
-    overflowed), which also stops the iteration; ``divergence`` names the rule
-    that tripped, "rising gaps" or "non-finite gap", and is None otherwise.
+    mean-square iterate differences.  The iteration stops at a gap below
+    ``tol`` (``converged``), at a non-finite gap, an iterate that overflowed
+    (``diverged``), or after ``max_iter`` iterates.  On the grid it is finite
+    (module docstring): barring overflow, iterate min(nt, nx) is the direct
+    solve and the gap of iterate min(nt, nx) + 1 is exactly 0.0, so the loop
+    ends there at the latest, whatever the field.
     Bad arguments raise the ValueError that names them, the same as in
     :func:`solve_conditional_mkv` for the arguments the two share.
     """
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _require_count(1, max_iter=max_iter)
     if np.ndim(tol) != 0 or not tol > 0:
         raise ValueError(f"tol must be a positive number, got {tol!r}")
     y0, noise, ensemble = _ensemble_setup(coeffs, y0, M, grid, seed)
     prev = _held_at(y0, grid, M).transpose(2, 0, 1, 3)  # node-major like every iterate
-    gaps, divergence = [], None
+    gaps = []
     for _ in range(max_iter):
         cur = _closed_form(coeffs, prev, y0, grid, noise)
-        gap = float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0)))
-        gaps.append(gap)
+        gaps.append(float(np.max(np.mean(np.sum((cur - prev) ** 2, axis=-1), axis=0))))
         prev = cur
-        if not np.isfinite(gap):
-            divergence = "non-finite gap"
-            break
-        if gap < tol:
-            break
-        if len(gaps) >= 4 and all(gaps[-k] > gaps[-k - 1] for k in (1, 2, 3)):
-            divergence = "rising gaps"
+        if gaps[-1] < tol or not np.isfinite(gaps[-1]):
             break
     return PicardResult(
         ensemble=ensemble(prev),
         gaps=np.asarray(gaps),
         iterations=len(gaps),
-        converged=gaps[-1] < tol,  # a gap below tol stops the loop
-        diverged=divergence is not None,
-        divergence=divergence,
+        converged=gaps[-1] < tol,
+        diverged=not np.isfinite(gaps[-1]),
     )
 
 

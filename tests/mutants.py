@@ -1,0 +1,152 @@
+"""Seeded mutants: each is a small wrong change to the library, and each must
+make the tests named for it fail.
+
+    python tests/mutants.py            # run every mutant
+    python tests/mutants.py NAME ...   # run the named ones
+
+An entry names a file under ``src/``, an anchor that must occur in it exactly
+once, the text that replaces it and the pytest node ids that must catch it.
+Every anchor is checked before anything runs.  The node ids are then run on
+the unmutated tree, where they must pass; each mutant is written into a
+temporary copy of ``src/`` and its node ids are run against that copy, where
+they must fail.  The script exits 1 on an anchor that does not match exactly
+once, node ids that fail unmutated, or a mutant that survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    anchor: str
+    replacement: str
+    tests: tuple
+
+
+PICARD_STOP = """\
+        if gaps[-1] < tol or not np.isfinite(gaps[-1]):
+            break
+"""
+CLOSED_FORM_SUMS = """\
+    np.cumsum(src, axis=1, out=src)
+    src[0] += y0
+    Y = _held_at(y0, grid, src.shape[2])
+    np.cumsum(src, axis=0, out=Y[1:, 1:])
+"""
+
+MUTANTS = [
+    Mutant(
+        "rising-gaps-rule",
+        "sheetlab/solver.py",
+        PICARD_STOP,
+        PICARD_STOP
+        + """\
+        if len(gaps) >= 4 and all(gaps[-k] > gaps[-k - 1] for k in (1, 2, 3)):
+            break
+""",
+        (
+            "tests/test_solver.py::TestPicardIteration::test_superlinear_drift_reaches_the_direct_solve_through_rising_gaps",
+        ),
+    ),
+    Mutant(
+        "neighbour-drift",
+        "sheetlab/solver.py",
+        "return rate * (mu.sample_mean - y)",
+        "return rate * (mu.sample_mean - np.roll(y, 1, axis=0))",
+        ("tests/test_properties.py::test_ou_deviations_are_the_scalar_recursion_at_minus_rate",),
+    ),
+    Mutant(
+        "picard-reads-a-row-late",
+        "sheetlab/solver.py",
+        "cur = _closed_form(coeffs, prev, y0, grid, noise)",
+        "cur = _closed_form(coeffs, np.concatenate([prev[:, :1], prev[:, :-1]], axis=1), y0, grid, noise)",
+        ("tests/test_properties.py::test_picard_reaches_the_direct_solve_in_min_nt_nx_iterates",),
+    ),
+    Mutant(
+        "gap-on-particle-0",
+        "sheetlab/solver.py",
+        "np.sum((cur - prev) ** 2, axis=-1)",
+        "np.sum((cur - prev)[:1] ** 2, axis=-1)",
+        ("tests/test_properties.py::test_ou_picard_gaps_are_the_exact_iterate_differences",),
+    ),
+    Mutant(
+        "chunk-sums-without-a-squared",
+        "sheetlab/fokker_planck.py",
+        "T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD)",
+        "T2 = Q * -0.5 + _outer(D, D) - _outer(cD, rD)",
+        ("tests/test_fokker_planck.py::TestAgainstChangeOfVariables",),
+    ),
+    Mutant(
+        "closed-form-sums-t-first",
+        "sheetlab/solver.py",
+        CLOSED_FORM_SUMS,
+        """\
+    np.cumsum(src, axis=0, out=src)
+    src[:, 0] += y0
+    Y = _held_at(y0, grid, src.shape[2])
+    np.cumsum(src, axis=1, out=Y[1:, 1:])
+""",
+        ("tests/test_properties.py::test_closed_form_is_the_row_loop_bit_for_bit",),
+    ),
+]
+
+
+def mutated(text: str, mutant: Mutant) -> str:
+    count = text.count(mutant.anchor)
+    if count != 1:
+        sys.exit(f"mutant {mutant.name}: its anchor occurs {count} times in src/{mutant.file}, not once")
+    return text.replace(mutant.anchor, mutant.replacement)
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit status for the node ids ``tests`` with ``src`` on the path:
+    0 all passed, 1 some failed, anything else an error."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        sys.exit(f"no such mutant: {', '.join(sorted(unknown))}")
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    for mutant in mutants:
+        mutated((ROOT / "src" / mutant.file).read_text(), mutant)
+    start = time.perf_counter()
+    tests = sorted({t for m in mutants for t in m.tests})
+    status = run_tests(ROOT / "src", tests)
+    if status != 0:
+        print(f"the unmutated tree fails its mutants' tests (pytest exit {status}): {' '.join(tests)}")
+        return 1
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for mutant in mutants:
+            src = Path(tmp) / mutant.name
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            path = src / mutant.file
+            path.write_text(mutated(path.read_text(), mutant))
+            status = run_tests(src, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"error (pytest exit {status})")
+            print(f"{mutant.name:32s} {verdict}")
+            if status != 1:
+                survivors.append(mutant.name)
+    killed, seconds = len(mutants) - len(survivors), time.perf_counter() - start
+    print(f"{killed} of {len(mutants)} mutants killed in {seconds:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

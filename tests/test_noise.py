@@ -43,6 +43,12 @@ class TestSubstream:
         ):
             assert not np.allclose(base, other.normal(size=8))
 
+    def test_numpy_integer_coordinates_are_their_python_values(self):
+        # a numpy integer's & with the 64-bit mask used to overflow its dtype
+        base = substream(-7, DOMAIN_SHEET, stream=3, channel=2).normal(size=8)
+        same = substream(np.int64(-7), np.int32(DOMAIN_SHEET), stream=np.int64(3), channel=np.uint8(2))
+        np.testing.assert_array_equal(base, same.normal(size=8))
+
 
 class TestSampleSheet:
     def test_shape_and_zero_boundary(self):

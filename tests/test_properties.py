@@ -12,22 +12,30 @@ two control cost routes to agree on one seed, the Picard fixed point inside
 K|z| < sqrt(r0) to be the direct conditional solve, a grid row's batched
 node means to be each cloud's own mean, bit for bit, and the cloud means of
 the conditional OU solves and of the controlled linear field to be the exact
-oracles of ``oracles.py``.  A fuzz over the arguments of the solvers and the
-stock factories pins that each call returns or raises a ValueError naming
-the argument it got wrong.
+oracles of ``oracles.py``, as are each particle's deviation from the mean in
+both and the OU Picard gaps.  Whatever the field and K|z|, Picard iterate
+min(nt, nx) is pinned to be the direct solve bit for bit, with a next gap of
+0.0.  A fuzz over the arguments of the solvers, the sheet and ensemble
+samplers, the stock factories and the chaos, Ito-study and control entry
+points pins that each call returns or raises a ValueError naming the
+argument it got wrong.
 """
 
 import dataclasses
 import functools
+import json
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sheetlab import (
+    ChaosConfig,
     CoefficientField,
     EmpiricalMeasure,
     Grid,
@@ -46,6 +54,7 @@ from sheetlab import (
     performance_measure_based,
     picard_solve,
     rect_integral,
+    remainder_variance,
     sample_ensemble_increments,
     sample_replicate_increments,
     sample_sheet,
@@ -53,13 +62,15 @@ from sheetlab import (
     sheet_from_increments,
     solve_conditional_mkv,
     solve_goursat,
+    verify_limit_spde,
 )
 from sheetlab import ito_check
+from sheetlab.cli import EXPERIMENTS
 from sheetlab.control import _control, _curry
 from sheetlab.noise import _node_values
 from sheetlab.solver import _node_measures, coefficient_table
 
-from oracles import drift_free_cloud_mean, goursat_mean, sheet_average
+from oracles import deviations, drift_free_cloud_mean, goursat_mean, ou_picard_gaps, sheet_average
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -413,17 +424,30 @@ def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
 
 
 @st.composite
-def ou_problems(draw):
-    """(field, sigma, y0, M, grid, seed): mean_reversion_field at a drawn
-    rate, n in {1, 2}, m in {2, 3}, sigma of shape (m,) or (n, m), M >= 2."""
+def ou_cases(draw):
+    """(rate, sigma, y0, M, grid, seed): a rate, n in {1, 2}, m in {2, 3},
+    sigma of shape (m,) or (n, m), M >= 2."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     sigma_shape = draw(st.sampled_from([(m,), (n, m)]))
     sigma = draw(hnp.arrays(float, sigma_shape, elements=COEFFICIENT))
-    field = mean_reversion_field(draw(COEFFICIENT), sigma, n=n)
+    rate = draw(COEFFICIENT)
     y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
     t, x = draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0))
     grid = Grid(horizon=Point(t, x), nt=draw(st.integers(1, 8)), nx=draw(st.integers(1, 8)))
-    return field, sigma, y0, draw(st.integers(2, 40)), grid, draw(st.integers(0, 2**32 - 1))
+    return rate, sigma, y0, draw(st.integers(2, 40)), grid, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def ou_problems(draw):
+    """(field, sigma, y0, M, grid, seed): mean_reversion_field on an
+    :func:`ou_cases` draw."""
+    rate, sigma, y0, *rest = draw(ou_cases())
+    return (mean_reversion_field(rate, sigma, n=len(y0)), sigma, y0, *rest)
+
+
+def full_sigma(sigma, n: int) -> np.ndarray:
+    """sigma (m,) or (n, m) as the (n, m) matrix the field holds."""
+    return np.broadcast_to(sigma, (n, np.shape(sigma)[-1]))
 
 
 @PROPERTY
@@ -438,6 +462,111 @@ def test_ou_cloud_mean_is_the_drift_free_sheet_average(problem, iterates):
     for ens in (direct, picard):
         want = drift_free_cloud_mean(y0, sigma, ens.common_increments, ens.idio_increments)
         np.testing.assert_allclose(ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(ou_cases())
+def test_ou_deviations_are_the_scalar_recursion_at_minus_rate(case):
+    # each particle's deviation from the cloud mean is its own recursion at
+    # -rate, driven by its own noise less the cloud's mean of it
+    rate, sigma, y0, M, grid, seed = case
+    ens = solve_conditional_mkv(mean_reversion_field(rate, sigma, n=len(y0)), y0, M, grid, seed)
+    want = deviations(-rate, full_sigma(sigma, len(y0)), ens.idio_increments, grid.dt * grid.dx)
+    np.testing.assert_allclose(ens.values - ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(ou_cases(), st.integers(1, 6))
+def test_ou_picard_gaps_are_the_exact_iterate_differences(case, iterates):
+    # square roots at an absolute tolerance: a tiny gap keeps few digits of
+    # the difference of two iterates
+    rate, sigma, y0, M, grid, seed = case
+    field = mean_reversion_field(rate, sigma, n=len(y0))
+    result = picard_solve(field, y0, M, grid, seed, max_iter=iterates, tol=1e-300)
+    ens = result.ensemble
+    sigma, dtdx = full_sigma(sigma, len(y0)), grid.dt * grid.dx
+    want = ou_picard_gaps(rate, sigma, ens.common_increments, ens.idio_increments, dtdx, result.iterations)
+    np.testing.assert_allclose(np.sqrt(result.gaps), np.sqrt(want), rtol=0, atol=1e-12)
+
+
+def test_picard_cli_golden_gaps_are_the_exact_iterate_differences():
+    golden = json.loads((Path(__file__).parent / "data" / "cli_picard_golden.json").read_text())
+    assert golden["argv"] == ["picard"]
+    params = EXPERIMENTS["picard"][1]
+    grid = Grid(horizon=Point(1.0, 1.0), nt=params["k"], nx=params["k"])
+    common, idio = sample_ensemble_increments(grid, 2, params["M"], params["seed"])
+    rows = zip(golden["labels"], golden["rows"])
+    recorded = [row[0] for label, row in rows if label.startswith("iteration_")]
+    rate = float(golden["meta"]["rate"])
+    want = ou_picard_gaps(rate, np.array([[0.5, 0.5]]), common, idio, grid.dt * grid.dx, len(recorded))
+    np.testing.assert_allclose(np.sqrt(recorded), np.sqrt(want), rtol=0, atol=1e-12)
+
+
+# a tolerance only a zero gap meets
+EXACT = np.nextafter(0.0, 1.0)
+
+
+@st.composite
+def picard_problems(draw):
+    """(field, y0, M, grid, seed): the OU field at a rate up to 20 in size,
+    or the nonlinear, measure-dependent n = 2, m = 3 :func:`coupled_field`;
+    grids up to 12 x 12; M = 1..7."""
+    if draw(st.booleans(), label="ou"):
+        sigma = draw(hnp.arrays(float, (2,), elements=COEFFICIENT))
+        field = mean_reversion_field(draw(st.floats(-20.0, 20.0)), sigma)
+    else:
+        field = coupled_field(
+            draw(hnp.arrays(float, (2, 2), elements=COEFFICIENT)),
+            draw(hnp.arrays(float, (2, 3), elements=COEFFICIENT)),
+        )
+    y0 = draw(hnp.arrays(float, (field.n,), elements=COEFFICIENT))
+    horizon = Point(draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0)))
+    grid = Grid(horizon, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return field, y0, draw(st.integers(1, 7)), grid, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_picard_reaches_the_direct_solve(field, y0, M, grid, seed):
+    """A node's update reads only cells strictly below and to the left of
+    it, so iterate min(nt, nx) is the direct solve, bit for bit, whatever
+    the field and K|z|, and the next gap is 0.0."""
+    result = picard_solve(field, y0, M, grid, seed, max_iter=min(grid.nt, grid.nx) + 1, tol=EXACT)
+    assert result.converged and not result.diverged and result.gaps[-1] == 0.0
+    assert np.array_equal(result.ensemble.values, solve_conditional_mkv(field, y0, M, grid, seed).values)
+
+
+@PROPERTY
+@given(picard_problems())
+def test_picard_reaches_the_direct_solve_in_min_nt_nx_iterates(problem):
+    assert_picard_reaches_the_direct_solve(*problem)
+
+
+NAMED_PICARD_FIELDS = {
+    "ou-3": (mean_reversion_field(3.0, (0.5, 0.5)), 1.0),
+    "ou-20": (mean_reversion_field(20.0, (0.5, 0.5)), 1.0),
+    "coupled": (
+        coupled_field(np.array([[0.5, -1.0], [1.5, 0.3]]), np.array([[0.4, 0.3, -0.2], [0.1, 0.5, 0.3]])),
+        (0.5, -1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PICARD_FIELDS))
+@pytest.mark.parametrize("M", [1, 4, 7])
+@pytest.mark.parametrize("shape", [(1, 5), (6, 9), (9, 6), (12, 12)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_picard_reaches_the_direct_solve_on_named_grids(name, M, shape):
+    field, y0 = NAMED_PICARD_FIELDS[name]
+    assert_picard_reaches_the_direct_solve(field, y0, M, Grid(Point(1.0, 1.0), *shape), seed=M)
+
+
+def test_picard_far_outside_the_contraction_radius_is_exact_after_16_iterates():
+    # K|z| = 40 against sqrt(r0) ~ 1.2: the gaps rise at first, but the OU
+    # drift vanishes at y0, so iterate 15 is already the direct solve
+    field, grid = mean_reversion_field(20.0, (0.5, 0.5)), Grid(Point(1.0, 1.0), 16, 16)
+    assert not convergence_radius_report(field, grid).picard_ok
+    result = picard_solve(field, 1.0, 8, grid, 0, max_iter=17, tol=EXACT)
+    assert result.converged and not result.diverged
+    assert result.iterations == 16 and result.gaps[-1] == 0.0
+    assert np.array_equal(result.ensemble.values, solve_conditional_mkv(field, 1.0, 8, grid, 0).values)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -465,6 +594,29 @@ def test_controlled_cloud_mean_is_the_scalar_recursion(nt, nx, M, theta, y0, see
     np.testing.assert_allclose(ens.values.mean(axis=0)[..., 0], want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(2, 64),
+    st.floats(-1.0, 1.0),
+    COEFFICIENT,
+    st.integers(0, 2**32 - 1),
+)
+def test_controlled_deviations_are_the_scalar_recursion_at_minus_one(nt, nx, M, theta, y0, seed):
+    # u = theta * mean is the same for the whole cloud, so a deviation from
+    # the mean feels the drift -y alone, whatever theta
+    grid = Grid(horizon=Point(1.0, 1.0), nt=nt, nx=nx)
+    controlled = controlled_linear_field(drift_gain=-1.0, control_gain=1.0, sigma=(0.5, 0.5))
+    common, idio = sample_ensemble_increments(grid, controlled.m, M, seed)
+    control = _control(mean_feedback_policy(theta), _node_values(common), grid)
+    ens = solve_conditional_mkv(
+        _curry(controlled, control), y0, M, grid, seed, common_increments=common, idio_increments=idio
+    )
+    want = deviations(-1.0, np.array([[0.5, 0.5]]), idio, grid.dt * grid.dx)
+    np.testing.assert_allclose(ens.values - ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
+
+
 # what a caller can get wrong about a number: NaN, infinities, zero,
 # negatives, non-integers; and values that are fine
 ARGUMENT_SCALARS = [np.nan, np.inf, -np.inf, 0, 0.0, -1, -2.5, 1, 2, np.int64(2), 2.5, 1e3]
@@ -478,6 +630,8 @@ ARGUMENT = st.one_of(
 FUZZ_GRID = Grid(horizon=Point(1.0, 1.0), nt=2, nx=2)
 FUZZ_FIELD = mean_reversion_field(1.0, (0.5, 0.5))
 FUZZ_PATH_FIELD = affine_field(np.zeros((3, 1)), np.ones((3, 1, 1)))
+FUZZ_CHAOS = ChaosConfig(N=2, a_values=1.0, y0=1.0, grid=FUZZ_GRID)
+FUZZ_CONTROL = (mean_feedback_policy(0.5), controlled_linear_field(), lq_cost(Point(1.0, 1.0)))
 
 
 def _both_ensemble_solves(**args):
@@ -497,6 +651,14 @@ def _both_ensemble_solves(**args):
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is not None:
         raise ValueError(outcomes[0])
+
+
+def _ito_study(y0=0.0, replications=2):
+    """The Ito study of a constant test function on two grids, with one
+    (possibly bad) argument."""
+    grids = [FUZZ_GRID, Grid(Point(1.0, 1.0), 4, 4)]
+    constant = exponential(np.zeros(1))  # f = 1: no overflow at any y0
+    ito_refinement_study(constant, FUZZ_PATH_FIELD, y0, Point(1.0, 1.0), grids, replications, 0)
 
 
 def _noise(name, shape, fill):
@@ -523,6 +685,25 @@ DOORS = [
     ("M", lambda v: _both_ensemble_solves(M=v)),
     ("max_iter", lambda v: picard_solve(FUZZ_FIELD, 0.5, 2, FUZZ_GRID, 0, max_iter=v, tol=1e-6)),
     ("tol", lambda v: picard_solve(FUZZ_FIELD, 0.5, 2, FUZZ_GRID, 0, max_iter=2, tol=v)),
+    ("n", lambda v: CoefficientField(n=v, m=2, drift=None, diffusion=None)),
+    ("m", lambda v: CoefficientField(n=1, m=v, drift=None, diffusion=None)),
+    ("n", lambda v: mean_reversion_field(0.5, (0.5, 0.5), n=v)),
+    ("m", lambda v: sample_sheet(FUZZ_GRID, v, 0)),
+    ("m", lambda v: sample_ensemble_increments(FUZZ_GRID, v, 2, 0)),
+    ("M", lambda v: sample_ensemble_increments(FUZZ_GRID, 2, v, 0)),
+    ("m", lambda v: sample_replicate_increments(FUZZ_GRID, v, 2, 0, 0)),
+    ("M", lambda v: sample_replicate_increments(FUZZ_GRID, 2, v, 0, 0)),
+    ("N", lambda v: ChaosConfig(N=v, a_values=1.0, y0=1.0, grid=FUZZ_GRID)),
+    ("a_values", lambda v: ChaosConfig(N=2, a_values=v, y0=1.0, grid=FUZZ_GRID)),
+    ("y0", lambda v: ChaosConfig(N=2, a_values=1.0, y0=v, grid=FUZZ_GRID)),
+    ("replicates", lambda v: remainder_variance(FUZZ_CHAOS, v, 0)),
+    ("a", lambda v: verify_limit_spde(v, 1.0, FUZZ_GRID, 2, 0)),
+    ("y0", lambda v: verify_limit_spde(1.0, v, FUZZ_GRID, 2, 0)),
+    ("replicates", lambda v: verify_limit_spde(1.0, 1.0, FUZZ_GRID, v, 0)),
+    ("y0", lambda v: _ito_study(y0=v)),
+    ("replications", lambda v: _ito_study(replications=v)),
+    ("replicates", lambda v: performance_direct(*FUZZ_CONTROL, 0.5, 2, FUZZ_GRID, v, 0)),
+    ("M", lambda v: performance_direct(*FUZZ_CONTROL, 0.5, v, FUZZ_GRID, 2, 0)),
 ]
 NOISE_SHAPES = {
     "common_increments": [(2, 2), (2, 3), (2,), (), (1, 2, 2)],
@@ -543,7 +724,20 @@ def test_every_door_returns_or_names_the_argument_it_rejects(data):
     else:
         name, door = data.draw(st.sampled_from(DOORS), label="door")
         call, value = door, data.draw(ARGUMENT, label="value")
-    # a NaN is bad wherever it is drawn, and so is an infinity but for tol
+    assert_returns_or_names(name, call, value)
+
+
+@pytest.mark.parametrize("name, door", DOORS, ids=[f"{k}-{name}" for k, (name, _) in enumerate(DOORS)])
+def test_every_door_returns_or_names_each_scalar(name, door):
+    # the fuzz reaches a door a few times; this takes every door through
+    # every scalar of ARGUMENT_SCALARS
+    for value in ARGUMENT_SCALARS:
+        assert_returns_or_names(name, door, value)
+
+
+def assert_returns_or_names(name, call, value):
+    """``call(value)`` returns, or raises a ValueError naming ``name``; a NaN
+    is bad wherever it is drawn, and so is an infinity but for tol."""
     flat = np.ravel(np.asarray(value, dtype=float))
     bad = bool(np.isnan(flat).any() or (np.isinf(flat).any() and name != "tol"))
     try:
