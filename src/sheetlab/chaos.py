@@ -187,13 +187,30 @@ def _theta_table(grid: Grid) -> np.ndarray:
     return np.outer(dts, dxs)
 
 
+def _require_in_guard(label: str, a: float, grid: Grid) -> None:
+    """Raise a ValueError that opens with ``label`` when the weight a puts
+    (a - 1) T X, the largest argument of the series of the limit field at
+    weight a, outside the series' guard."""
+    if abs(a - 1.0) * grid.horizon.area > _Y_GUARD:
+        raise ValueError(f"{label}={a} puts (a - 1) T X outside the series' |y| <= {_Y_GUARD:g}")
+
+
+def _guarded_matrix(cfg: ChaosConfig) -> RankOneMatrix:
+    """cfg's interaction matrix, whose mean weight sum(a)/N the closed form's
+    series read; ChaosConfig accepts any mean weight above the floor, as the
+    particle solve needs no series, so the guard is checked here."""
+    A = cfg.matrix()
+    _require_in_guard("the mean of a_values", A.total / A.size, cfg.grid)
+    return A
+
+
 def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
     """Exact solution field: each particle's limit field at the mean weight
     sum(a)/N, driven by its own channel, plus the shared coupling I_{i,N}."""
     if sheet.channels != cfg.N:
         raise ValueError(f"sheet has {sheet.channels} channels, system needs N={cfg.N}")
     grid = cfg.grid
-    A = cfg.matrix()
+    A = _guarded_matrix(cfg)
     theta = _theta_table(grid)
     dB = sheet.increments
     shared = _convolve_cells(
@@ -224,7 +241,7 @@ def remainder_variance(cfg: ChaosConfig, replicates: int, seed: int) -> Remainde
     _require_count(2, replicates=replicates)
     grid = cfg.grid
     theta = _theta_table(grid)
-    A = cfg.matrix()
+    A = _guarded_matrix(cfg)
     W = f_series(A.kappa() * theta) - f_series(-theta)
     samples = np.empty(replicates)
     for rep in range(replicates):
@@ -251,11 +268,9 @@ def _limit_fields(a: float, y0: float, grid: Grid, cells: np.ndarray) -> np.ndar
 
 
 def _limit_weight(a, grid: Grid) -> float:
-    """The limit weight a as a finite number whose (a - 1) T X, the largest
-    argument of the limit field's series, is inside the series' guard."""
+    """The limit weight a as a finite number inside the series' guard."""
     a = _finite("a", a)
-    if abs(a - 1.0) * grid.horizon.area > _Y_GUARD:
-        raise ValueError(f"a={a} puts (a - 1) T X outside the series' |y| <= {_Y_GUARD:g}")
+    _require_in_guard("a", a, grid)
     return a
 
 

@@ -104,17 +104,23 @@ class CostSpec:
 
 
 def _control(policy: ControlPolicy, observed: np.ndarray, grid: Grid):
-    """control(z, mu): the policy's control vector at node z.  The one caller
-    of the rule, which it hands the read-only window of the common channel's
-    node values ``observed`` (nt+1, nx+1) on R_z, sliced where it is read."""
+    """control(z, mu): the policy's control vector at node z, a 1-D float64
+    array.  The one caller of the rule, which it hands the read-only window
+    of the common channel's node values ``observed`` (nt+1, nx+1) on R_z,
+    sliced where it is read.  A u that is already a 1-D float64 ndarray is
+    returned as it is, which is what the conversion would return."""
     rule = policy.rule
     observed = observed.view()
     observed.setflags(write=False)
     dt, dx = grid.dt, grid.dx
+    float64 = np.dtype(float)
 
     def control(z, mu):
         window = observed[: round(z.t / dt) + 1, : round(z.x / dx) + 1]
-        return np.atleast_1d(np.asarray(rule(z, window, mu), dtype=float))
+        u = rule(z, window, mu)
+        if type(u) is np.ndarray and u.ndim == 1 and u.dtype is float64:
+            return u
+        return np.atleast_1d(np.asarray(u, dtype=float))
 
     return control
 
@@ -297,9 +303,11 @@ def mean_feedback_policy(theta: float) -> ControlPolicy:
     cost pass carry from one reduction per grid row.
     """
     _require_number(theta=theta)
+    # a 0-d float64 array: a Python float would be converted on every call
+    gain = np.asarray(theta, dtype=float)
 
     def rule(z, common, mu):
-        return theta * mu.sample_mean
+        return gain * mu.sample_mean
 
     return ControlPolicy(theta=theta, rule=rule)
 
@@ -315,9 +323,11 @@ def controlled_linear_field(
         raise ValueError(f"sigma needs a common and an own channel, got m={sigma_arr.shape[1]}")
     _require_number(drift_gain=drift_gain, control_gain=control_gain)
     _require_finite(sigma=sigma_arr)
+    # 0-d float64 arrays: Python floats would be converted on every call
+    gain_y, gain_u = np.asarray(drift_gain, dtype=float), np.asarray(control_gain, dtype=float)
 
     def drift(z, y, mu, u):
-        return drift_gain * y + control_gain * u[None, :]
+        return gain_y * y + gain_u * u[None, :]
 
     return ControlledCoefficients(
         n=1, m=sigma_arr.shape[1], drift=drift, diffusion=_constant_diffusion(sigma_arr)
@@ -334,14 +344,17 @@ def lq_cost(
     """Reward form of the quadratic tracking cost (maximized, hence negated)."""
     _require_number(state_weight=state_weight, control_weight=control_weight, terminal_weight=terminal_weight)
     _require_finite(target=target)
+    # float64 arrays for the constants that meet an array: Python floats
+    # would be converted on every call
+    weight, aim = np.asarray(state_weight, dtype=float), np.asarray(target, dtype=float)
 
     def running(z, y, u):
-        return -(
-            state_weight * np.add.reduce((y - target) ** 2, axis=-1)
-            + control_weight * float(np.add.reduce(u**2, axis=None))
-        )
+        out = np.add.reduce((y - aim) ** 2, axis=-1)
+        out *= weight
+        out += control_weight * float(np.add.reduce(u**2, axis=None))
+        return -out
 
     def terminal(y):
-        return -terminal_weight * np.sum((y - target) ** 2, axis=-1)
+        return -terminal_weight * np.sum((y - aim) ** 2, axis=-1)
 
     return CostSpec(running=running, terminal=terminal, horizon=horizon)

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .plane import Grid, Point, _cell_pair_sum, _field_on_corners, _require_count
-from .rng import DOMAIN_SHEET, _substreams
+from .rng import DOMAIN_SHEET, _require_integer, _substreams
 
 __all__ = [
     "SheetPath",
@@ -98,6 +98,7 @@ def sample_sheet(grid: Grid, m: int, seed: int, stream: int = 0) -> SheetPath:
     be generated in any order or in parallel without changing the result.
     """
     _require_count(1, m=m)
+    _require_integer(stream=stream)
     cells = _sheet_cells(grid, m, seed, [stream])[0]
     cells.setflags(write=False)
     return SheetPath(increments=cells, grid=grid, seed=seed)

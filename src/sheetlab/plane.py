@@ -17,6 +17,7 @@ lives here; :mod:`sheetlab.noise`'s second-type integral sums through it too.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -97,6 +98,14 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.horizon.x / self.nx
+
+    @functools.cached_property
+    def _node_points(self) -> tuple:
+        """The cell-corner node Points: row i holds Point(i*dt, j*dx) for j <
+        nx, for i < nt.  Built once per grid and shared by every node pass
+        over it (``solver._node_measures``), so no caller may mutate them."""
+        dt, dx = self.dt, self.dx
+        return tuple(tuple(Point._unchecked(i * dt, j * dx) for j in range(self.nx)) for i in range(self.nt))
 
     def t_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon.t, self.nt + 1)

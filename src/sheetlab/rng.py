@@ -34,9 +34,16 @@ DOMAIN_REPLICATE = 5  # replicate-keyed ensemble noise (Monte Carlo over ensembl
 DOMAIN_COUPLINGS = 6  # the est-check experiment's Gaussian couplings
 
 
+def _require_integer(**words) -> None:
+    """Raise a ValueError naming the first of ``words`` that is not an integer
+    (a Python or numpy integer, not a whole float)."""
+    for name, word in words.items():
+        if not isinstance(word, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {word!r}")
+
+
 def _key(seed: int) -> np.ndarray:
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _require_integer(seed=seed)
     # index(): a numpy integer's & with the 64-bit mask overflows its own dtype
     return np.array([index(seed) & _MASK64, _SALT], dtype=np.uint64)
 

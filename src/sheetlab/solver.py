@@ -62,8 +62,11 @@ solver's states at the node (the same array as y), and its ``sample_mean``
 is a read-only row of one reduction over the grid row's clouds, so a field
 that reads only the mean (``mean_reversion_field``, the control's
 ``mean_feedback_policy``) reduces no cloud of its own.  A field must
-not write to any of them.  Node Points are likewise built unchecked, because
-grid coordinates i*dt and j*dx are nonnegative.
+not write to any of them.  Node Points are built once per grid, unchecked,
+as grid coordinates i*dt and j*dx are nonnegative, and shared by every pass
+over that grid: the direct solve, each Picard iterate, the weak residual and
+the control's cost pass all hand a field the same Point objects, which must
+not be mutated.
 
 The conditional mean-field system couples M particles through the empirical
 measure of their states at the current node: channel 1 of the sheet is shared
@@ -102,7 +105,7 @@ import numpy as np
 from .measures import EmpiricalMeasure
 from .noise import SheetPath, _draw_cells
 from .plane import Grid, Point, _require_count
-from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE
+from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, _require_integer
 from .series import find_r0
 
 __all__ = [
@@ -213,28 +216,29 @@ def _check_shapes(tag: str, arr, expected: tuple) -> np.ndarray:
 
 
 def _node_measures(values: np.ndarray, grid: Grid, rows: int, cols: int):
-    """The one node pass: for grid rows i = 0..rows-1, yield the list of row
-    i's (z, mu) pairs, nodes j < cols, read on the states ``values`` (M, >=
-    rows, >= cols, n) only when the row is requested.
+    """The one node pass: for grid rows i = 0..rows-1, rows <= nt, yield the
+    list of row i's (z, mu) pairs, nodes j < cols <= nx, read on the states
+    ``values`` (M, >= rows, >= cols, n) only when the row is requested.
 
-    ``z`` is the node's unchecked Point and ``mu`` the unchecked empirical
-    measure of its M states: ``mu.samples`` is a view of ``values``, and the
-    nodes' read-only ``sample_mean`` come from one reduction over the row's
-    particle axis: on node-major states (module docstring), the layout of
-    every library caller, each equals its cloud's own mean bit for bit, and on
-    other layouts to rounding.
+    ``z`` is the node's Point from the grid's own cell-corner Points, built
+    once per grid and shared by every pass, and ``mu`` the unchecked
+    empirical measure of its M states: ``mu.samples`` is a view of
+    ``values``, and the nodes' read-only ``sample_mean`` come from one
+    reduction over the row's particle axis: on node-major states (module
+    docstring), the layout of every library caller, each equals its cloud's
+    own mean bit for bit, and on other layouts to rounding.
     """
     M = values.shape[0]
     if M < 1:
         raise ValueError(f"an empirical measure needs at least one sample, got M={M}")
-    xs = [j * grid.dx for j in range(cols)]
-    point, measure = Point._unchecked, EmpiricalMeasure._unchecked
+    if rows > grid.nt or cols > grid.nx:
+        raise ValueError(f"the node pass covers the {grid.nt}x{grid.nx} cell corners, got {rows}x{cols}")
+    measure = EmpiricalMeasure._unchecked
     for i in range(rows):
-        t = i * grid.dt
         clouds = values[:, i, :cols].swapaxes(0, 1)
         means = np.add.reduce(clouds, axis=1) / M
         means.setflags(write=False)
-        yield [(point(t, x), measure(c, mean)) for x, c, mean in zip(xs, clouds, means)]
+        yield [(z, measure(c, mean)) for z, c, mean in zip(grid._node_points[i], clouds, means)]
 
 
 def coefficient_rows(
@@ -440,6 +444,7 @@ def sample_replicate_increments(grid: Grid, m: int, M: int, seed: int, rep: int)
     which is what pairs an M-refinement comparison replicate by replicate.
     """
     _require_count(1, m=m, M=M)
+    _require_integer(rep=rep)
     return _replicate_increments(DOMAIN_REPLICATE, grid, m, M, seed, rep)
 
 
@@ -477,9 +482,13 @@ def mean_reversion_field(rate: float, sigma, n: int = 1) -> CoefficientField:
         raise ValueError(f"sigma must have shape (m,) or (n, m), n={n}, m >= 1, got {np.shape(sigma)}")
     _require_number(rate=rate)
     _require_finite(sigma=sigma_arr)
+    # a 0-d float64 array: a Python float would be converted on every call
+    scale = np.asarray(rate, dtype=float)
 
     def drift(z, y, mu):
-        return rate * (mu.sample_mean - y)
+        out = mu.sample_mean - y
+        out *= scale
+        return out
 
     return CoefficientField(
         n=n,

@@ -39,6 +39,10 @@ PICARD_STOP = """\
         if gaps[-1] < tol or not np.isfinite(gaps[-1]):
             break
 """
+NODE_POINTS = """\
+    @functools.cached_property
+    def _node_points(self) -> tuple:
+"""
 CLOSED_FORM_SUMS = """\
     np.cumsum(src, axis=1, out=src)
     src[0] += y0
@@ -63,8 +67,8 @@ MUTANTS = [
     Mutant(
         "neighbour-drift",
         "sheetlab/solver.py",
-        "return rate * (mu.sample_mean - y)",
-        "return rate * (mu.sample_mean - np.roll(y, 1, axis=0))",
+        "out = mu.sample_mean - y\n",
+        "out = mu.sample_mean - np.roll(y, 1, axis=0)\n",
         ("tests/test_properties.py::test_ou_deviations_are_the_scalar_recursion_at_minus_rate",),
     ),
     Mutant(
@@ -99,6 +103,38 @@ MUTANTS = [
     np.cumsum(src, axis=1, out=Y[1:, 1:])
 """,
         ("tests/test_properties.py::test_closed_form_is_the_row_loop_bit_for_bit",),
+    ),
+    Mutant(
+        "node-points-a-row-late",
+        "sheetlab/plane.py",
+        "Point._unchecked(i * dt, j * dx)",
+        "Point._unchecked((i + 1) * dt, j * dx)",
+        ("tests/test_solver.py::TestConditionalEnsemble::test_field_sees_the_node_measure_and_point_it_would_build",),
+    ),
+    Mutant(
+        "node-points-keyed-by-shape",
+        "sheetlab/plane.py",
+        NODE_POINTS,
+        """\
+    _points_by_shape = {}  # not a field: the class's one memo
+
+    @property
+    def _node_points(self) -> tuple:
+        key = (self.nt, self.nx)
+        if key not in Grid._points_by_shape:
+            Grid._points_by_shape[key] = self._built_node_points()
+        return Grid._points_by_shape[key]
+
+    def _built_node_points(self) -> tuple:
+""",
+        ("tests/test_solver.py::TestConditionalEnsemble::test_grids_of_one_shape_give_the_drift_their_own_coordinates",),
+    ),
+    Mutant(
+        "raw-control",
+        "sheetlab/control.py",
+        "if type(u) is np.ndarray and u.ndim == 1 and u.dtype is float64:",
+        "if True:",
+        ("tests/test_control.py::TestCurriedObservation::test_a_rule_may_return_a_number_or_a_length_one_sequence",),
     ),
 ]
 

@@ -68,6 +68,21 @@ class TestChaosConfig:
         with pytest.raises(ValueError, match="y0"):
             ChaosConfig(N=4, a_values=1.0, y0=y0, grid=square_grid(3))
 
+    def test_the_series_routes_name_a_mean_weight_outside_the_series_guard(self):
+        # (mean - 1) T X = 702 > 700 with T X = 2; the particle solve needs no
+        # series and takes the weights, the closed form and the remainder name them
+        g = Grid(horizon=Point(2.0, 1.0), nt=3, nx=3)
+        sheet = sample_sheet(g, 2, 0)
+        assert np.isfinite(simulate_particle_system(ChaosConfig(2, (504.0, 200.0), 1.0, g), sheet).values).all()
+        for weights, rejected in (((504.0, 200.0), True), ((501.0, 200.0), False)):
+            cfg = ChaosConfig(N=2, a_values=weights, y0=1.0, grid=g)
+            for route in (lambda: closed_form_solution(cfg, sheet), lambda: remainder_variance(cfg, 2, 0)):
+                if rejected:
+                    with pytest.raises(ValueError, match="a_values"):
+                        route()
+                else:
+                    route()
+
     def test_matrix_carries_the_weights(self):
         cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4))
         assert cfg.matrix().total == pytest.approx(4.0)

@@ -155,6 +155,31 @@ class TestCurriedObservation:
                 assert np.array_equal(view, common_values[: i + 1, : j + 1])
                 assert not view.flags.writeable
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [float, int, lambda v: [v], np.array, lambda v: np.array([v])],
+        ids=["float", "int", "list", "0-d", "int-(1,)"],
+    )
+    def test_a_rule_may_return_a_number_or_a_length_one_sequence(self, wrap):
+        # the control reads u as a 1-D float64 array, whatever the rule returns
+        g, controlled, cost = instance(4)
+        values = [
+            performance_direct(
+                ControlPolicy(theta=0.0, rule=lambda z, common, mu, f=f: f(-2)), controlled, cost, 1.0, 3, g, 2, 4
+            ).replicate_values
+            for f in (wrap, lambda v: np.array([v], float))
+        ]
+        assert np.array_equal(values[0], values[1])
+
+    def test_a_ready_control_is_passed_on_as_it_is(self):
+        g = square_grid(2)
+        for u in (np.array([0.5, -1.0]), np.array([0.5], dtype=np.float32), np.array(0.5)):
+            control = _control(ControlPolicy(theta=0.0, rule=lambda z, common, mu: u), np.zeros((3, 3)), g)
+            got = control(Point(0.0, 0.0), None)
+            ready = u.dtype == np.float64 and u.ndim == 1
+            assert (got is u) == ready
+            assert got.dtype == np.float64 and got.ndim == 1 and np.array_equal(got, u.ravel())
+
     def test_curried_field_declares_measure_dependence(self):
         g, controlled, _ = instance(4)
         coeffs = _curry(controlled, _control(ZERO_POLICY, np.zeros((5, 5)), g))

@@ -30,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -41,6 +41,7 @@ from sheetlab import (
     Grid,
     Point,
     TestFunction as ItoTestFunction,  # aliased so pytest does not collect it
+    closed_form_solution,
     controlled_linear_field,
     convergence_radius_report,
     find_r0,
@@ -534,12 +535,6 @@ def assert_picard_reaches_the_direct_solve(field, y0, M, grid, seed):
     assert np.array_equal(result.ensemble.values, solve_conditional_mkv(field, y0, M, grid, seed).values)
 
 
-@PROPERTY
-@given(picard_problems())
-def test_picard_reaches_the_direct_solve_in_min_nt_nx_iterates(problem):
-    assert_picard_reaches_the_direct_solve(*problem)
-
-
 NAMED_PICARD_FIELDS = {
     "ou-3": (mean_reversion_field(3.0, (0.5, 0.5)), 1.0),
     "ou-20": (mean_reversion_field(20.0, (0.5, 0.5)), 1.0),
@@ -548,6 +543,17 @@ NAMED_PICARD_FIELDS = {
         (0.5, -1.0),
     ),
 }
+
+
+# the derandomized draws sit mostly on 1 x 1 and 1 x 5 grids and on M = 1,
+# where the OU drift vanishes: the examples add the OU field on 12 x 12 at M = 7
+# and coupled_field on 9 x 6 at M = 4
+@PROPERTY
+@given(picard_problems())
+@example((*NAMED_PICARD_FIELDS["ou-3"], 7, Grid(Point(1.5, 0.75), 12, 12), 11))
+@example((*NAMED_PICARD_FIELDS["coupled"], 4, Grid(Point(0.8, 1.25), 9, 6), 12))
+def test_picard_reaches_the_direct_solve_in_min_nt_nx_iterates(problem):
+    assert_picard_reaches_the_direct_solve(*problem)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_PICARD_FIELDS))
@@ -631,6 +637,7 @@ FUZZ_GRID = Grid(horizon=Point(1.0, 1.0), nt=2, nx=2)
 FUZZ_FIELD = mean_reversion_field(1.0, (0.5, 0.5))
 FUZZ_PATH_FIELD = affine_field(np.zeros((3, 1)), np.ones((3, 1, 1)))
 FUZZ_CHAOS = ChaosConfig(N=2, a_values=1.0, y0=1.0, grid=FUZZ_GRID)
+FUZZ_SHEET = sample_sheet(FUZZ_GRID, 2, 0)
 FUZZ_CONTROL = (mean_feedback_policy(0.5), controlled_linear_field(), lq_cost(Point(1.0, 1.0)))
 
 
@@ -704,6 +711,9 @@ DOORS = [
     ("replications", lambda v: _ito_study(replications=v)),
     ("replicates", lambda v: performance_direct(*FUZZ_CONTROL, 0.5, 2, FUZZ_GRID, v, 0)),
     ("M", lambda v: performance_direct(*FUZZ_CONTROL, 0.5, v, FUZZ_GRID, 2, 0)),
+    ("stream", lambda v: sample_sheet(FUZZ_GRID, 1, 0, stream=v)),
+    ("rep", lambda v: sample_replicate_increments(FUZZ_GRID, 2, 2, 0, rep=v)),
+    ("a_values", lambda v: closed_form_solution(ChaosConfig(N=2, a_values=v, y0=1.0, grid=FUZZ_GRID), FUZZ_SHEET)),
 ]
 NOISE_SHAPES = {
     "common_increments": [(2, 2), (2, 3), (2,), (), (1, 2, 2)],

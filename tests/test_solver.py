@@ -402,6 +402,43 @@ class TestConditionalEnsemble:
             assert np.array_equal(mu.sample_mean, reference.samples.mean(axis=0))
             assert not mu.sample_mean.flags.writeable
 
+    @staticmethod
+    def point_spy(seen):
+        """The OU field of rate 0.3 whose drift records each Point it is given."""
+        field = mean_reversion_field(0.3, (0.5, 0.5))
+
+        def drift(z, y, mu):
+            seen.append(z)
+            return field.drift(z, y, mu)
+
+        return dataclasses.replace(field, drift=drift)
+
+    def test_grids_of_one_shape_give_the_drift_their_own_coordinates(self):
+        # the second grid has the first's nt x nx but another horizon; its
+        # Points must not be the first grid's
+        for t, x in ((1.0, 0.7), (2.5, 0.4)):
+            g, seen = square_grid(4, t=t, x=x), []
+            solve_conditional_mkv(self.point_spy(seen), 1.0, 3, g, seed=0)
+            assert [(z.t, z.x) for z in seen] == [(i * g.dt, j * g.dx) for i in range(4) for j in range(4)]
+
+    def test_every_pass_over_one_grid_gives_the_drift_the_same_points(self):
+        g, seen = square_grid(5), []
+        field = self.point_spy(seen)
+        solve_conditional_mkv(field, 1.0, 3, g, seed=0)
+        solve_conditional_mkv(field, 1.0, 3, g, seed=1)
+        assert picard_solve(field, 1.0, 3, g, seed=0, max_iter=2, tol=1e-12).iterations == 2
+        nodes = g.nt * g.nx
+        passes = [seen[k : k + nodes] for k in range(0, len(seen), nodes)]
+        assert len(passes) == 4  # two direct solves and two Picard iterates
+        for later in passes[1:]:
+            assert all(a is b for a, b in zip(passes[0], later))
+
+    def test_a_pass_beyond_the_cell_corners_is_rejected(self):
+        values = np.zeros((2, 4, 4, 1))
+        for rows, cols in ((4, 3), (3, 4)):
+            with pytest.raises(ValueError, match="cell corners"):
+                next(_node_measures(values, square_grid(3), rows, cols))
+
     def test_empty_ensemble_is_still_rejected(self):
         g = square_grid(3)
         with pytest.raises(ValueError, match="at least one sample"):
