@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import SheetPath, _draw_cells, _node_values, _sheet_cells
-from .plane import Grid, _require_count
+from .plane import Grid, _require_count, _require_finite, _require_number
 from .rng import DOMAIN_CHAOS
 from .series import _Y_GUARD, f_series
-from .solver import CoefficientField, StateField, _require_finite, _require_number, solve_goursat
+from .solver import CoefficientField, StateField, solve_goursat
 
 __all__ = [
     "RankOneMatrix",
@@ -69,11 +69,6 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-8  # lowest admissible mean interaction weight
 
 
-def _finite(name: str, value) -> float:
-    _require_number(**{name: value})
-    return float(value)
-
-
 @dataclass(frozen=True, eq=False)
 class RankOneMatrix:
     """Interaction matrix A = ones (x) a, stored by its weight row a."""
@@ -84,8 +79,7 @@ class RankOneMatrix:
         a = np.atleast_1d(np.asarray(self.a_values, dtype=float))
         if a.ndim != 1:
             raise ValueError(f"weights must be a vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("weights must be finite")
+        _require_finite(a_values=a)
         if a.sum() <= 0:
             raise ValueError(f"weight sum must be positive, got {a.sum()}")
         object.__setattr__(self, "a_values", a)
@@ -109,8 +103,7 @@ class RankOneMatrix:
 
 def matrix_power_decomposition(A: RankOneMatrix, n: int) -> np.ndarray:
     """(A/N - I)^n in closed form: (-1)^n (I - P) + kappa^n P, P = A/sum(a)."""
-    if n < 0:
-        raise ValueError(f"power must be >= 0, got {n}")
+    _require_count(0, n=n)
     N = A.size
     P = A.as_array() / A.total
     return ((-1.0) ** n) * (np.eye(N) - P) + (A.kappa() ** n) * P
@@ -140,7 +133,8 @@ class ChaosConfig:
         if a.mean() < _WEIGHT_FLOOR:
             raise ValueError(f"a_values have mean {a.mean()}, below the floor {_WEIGHT_FLOOR:g}")
         object.__setattr__(self, "a_values", a)
-        object.__setattr__(self, "y0", _finite("y0", self.y0))
+        _require_number(y0=self.y0)
+        object.__setattr__(self, "y0", float(self.y0))
 
     def matrix(self) -> RankOneMatrix:
         return RankOneMatrix(a_values=self.a_values)
@@ -187,21 +181,18 @@ def _theta_table(grid: Grid) -> np.ndarray:
     return np.outer(dts, dxs)
 
 
-def _require_in_guard(label: str, a: float, grid: Grid) -> None:
-    """Raise a ValueError that opens with ``label`` when the weight a puts
-    (a - 1) T X, the largest argument of the series of the limit field at
-    weight a, outside the series' guard."""
-    if abs(a - 1.0) * grid.horizon.area > _Y_GUARD:
-        raise ValueError(f"{label}={a} puts (a - 1) T X outside the series' |y| <= {_Y_GUARD:g}")
-
-
-def _guarded_matrix(cfg: ChaosConfig) -> RankOneMatrix:
-    """cfg's interaction matrix, whose mean weight sum(a)/N the closed form's
-    series read; ChaosConfig accepts any mean weight above the floor, as the
-    particle solve needs no series, so the guard is checked here."""
-    A = cfg.matrix()
-    _require_in_guard("the mean of a_values", A.total / A.size, cfg.grid)
-    return A
+def _series_guard(label: str, w: float, grid: Grid) -> None:
+    """Raise a ValueError naming ``label`` = w and the grid horizon when a
+    field at weight w would read the series f outside its guard.  Such a
+    field reads f((w - 1) t x) and f(-theta) for theta up to T X, so its
+    largest series argument is max(|w - 1|, 1) T X.  ChaosConfig and the
+    particle solve read no series, and take any weight and horizon."""
+    area = grid.horizon.area
+    if max(abs(w - 1.0), 1.0) * area > _Y_GUARD:
+        raise ValueError(
+            f"{label}={w} on the grid horizon with T X = {area} puts max(|w - 1|, 1) T X"
+            f" outside the series' |y| <= {_Y_GUARD:g}"
+        )
 
 
 def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
@@ -210,7 +201,8 @@ def closed_form_solution(cfg: ChaosConfig, sheet: SheetPath) -> StateField:
     if sheet.channels != cfg.N:
         raise ValueError(f"sheet has {sheet.channels} channels, system needs N={cfg.N}")
     grid = cfg.grid
-    A = _guarded_matrix(cfg)
+    A = cfg.matrix()
+    _series_guard("the mean of a_values", A.total / A.size, grid)
     theta = _theta_table(grid)
     dB = sheet.increments
     shared = _convolve_cells(
@@ -241,7 +233,8 @@ def remainder_variance(cfg: ChaosConfig, replicates: int, seed: int) -> Remainde
     _require_count(2, replicates=replicates)
     grid = cfg.grid
     theta = _theta_table(grid)
-    A = _guarded_matrix(cfg)
+    A = cfg.matrix()
+    _series_guard("the mean of a_values", A.total / A.size, grid)
     W = f_series(A.kappa() * theta) - f_series(-theta)
     samples = np.empty(replicates)
     for rep in range(replicates):
@@ -267,18 +260,13 @@ def _limit_fields(a: float, y0: float, grid: Grid, cells: np.ndarray) -> np.ndar
     return np.array([det + _convolve_cells(slab, K1) for slab in cells])
 
 
-def _limit_weight(a, grid: Grid) -> float:
-    """The limit weight a as a finite number inside the series' guard."""
-    a = _finite("a", a)
-    _require_in_guard("a", a, grid)
-    return a
-
-
 def limit_solution(a: float, y0: float, sheet_star: SheetPath) -> StateField:
     """Decoupled limit field on a single-channel sheet, constant weight a."""
     if sheet_star.channels != 1:
         raise ValueError(f"limit field uses one channel, sheet has {sheet_star.channels}")
-    a, y0 = _limit_weight(a, sheet_star.grid), _finite("y0", y0)
+    _require_number(a=a, y0=y0)
+    a, y0 = float(a), float(y0)
+    _series_guard("a", a, sheet_star.grid)
     values = _limit_fields(a, y0, sheet_star.grid, sheet_star.increments)
     return StateField(values=values[0, :, :, None], grid=sheet_star.grid)
 
@@ -314,7 +302,9 @@ def verify_limit_spde(
     (replicates, nt, nx) overrides the per-replicate sheet noise.
     """
     _require_count(2, replicates=replicates)
-    a, y0 = _limit_weight(a, grid), _finite("y0", y0)
+    _require_number(a=a, y0=y0)
+    a, y0 = float(a), float(y0)
+    _series_guard("a", a, grid)
     c = a - 1.0
     tx = np.outer(grid.t_nodes(), grid.x_nodes())
     f = f_series(c * tx)

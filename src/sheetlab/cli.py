@@ -46,7 +46,7 @@ from .fokker_planck import FrequencyGrid, lemma61_scalar_check, residual_table
 from .ito_check import ito_refinement_study, scalar_function
 from .measures import EmpiricalMeasure, MQuadrature, est_inequality_check, m_dist_sq
 from .noise import coarsen_increments, sample_sheet, sheet_from_increments
-from .plane import Grid, Point
+from .plane import Grid, Point, _require_count
 from .rng import DOMAIN_COUPLINGS, substream
 from .series import find_r0, picard_series_partial_sums
 from .solver import (
@@ -117,8 +117,8 @@ def _square_grid(k: int, t: float = 1.0, x: float = 1.0) -> Grid:
 
 def _run_sheet_stats(p):
     reps, k, seed = p["reps"], p["k"], p["seed"]
-    if reps < 2:  # one replicate has no standard error, none no estimate
-        raise ValueError(f"need at least two replicates, got reps={reps}")
+    # one replicate has no standard error, none no estimate
+    _require_count(2, reason="need at least two replicates", reps=reps)
     if k % 2:
         raise ValueError(f"k must be even to split the horizon, got {k}")
     grid = _square_grid(k)
@@ -307,8 +307,7 @@ def _run_picard(p):
 
 
 def _run_fokker_planck(p):
-    if p["reps"] < 2:
-        raise ValueError(f"need at least two replicates, got reps={p['reps']}")
+    _require_count(2, reason="need at least two replicates", reps=p["reps"])
     grid = _square_grid(p["k"])
     coeffs = mean_reversion_field(p["rate"], (0.7, 0.5))
     freqs = FrequencyGrid(np.asarray(_as_list(p["w"]), dtype=float))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import _node_values
-from .plane import Grid, Point, _require_count
+from .plane import Grid, Point, _require_count, _require_finite, _require_number
 from .rng import DOMAIN_CONTROL
 from .solver import (
     CoefficientField,
@@ -46,8 +46,6 @@ from .solver import (
     _constant_diffusion,
     _node_measures,
     _replicate_increments,
-    _require_finite,
-    _require_number,
     solve_conditional_mkv,
 )
 
@@ -90,8 +88,8 @@ class ControlledCoefficients:
     diffusion: object
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 2:
-            raise ValueError(f"need n >= 1, m >= 2 (one common channel), got n={self.n}, m={self.m}")
+        _require_count(1, n=self.n)
+        _require_count(2, reason="need m >= 2, a common and an own channel", m=self.m)
 
 
 @dataclass(frozen=True)

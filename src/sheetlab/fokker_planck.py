@@ -92,7 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plane import Grid, Point, mixed_partial, quarter_indicator
+from .plane import Grid, Point, _require_finite, mixed_partial, quarter_indicator
 from .solver import ParticleEnsemble, coefficient_rows
 
 __all__ = [
@@ -118,6 +118,7 @@ class FrequencyGrid:
             vals = vals[:, None]
         if vals.ndim != 2:
             raise ValueError(f"frequencies must be (Q,) or (Q, n), got shape {vals.shape}")
+        _require_finite(values=vals)
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

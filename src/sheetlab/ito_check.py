@@ -48,13 +48,12 @@ algebra); residuals are complex moduli.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import SheetPath, _sheet_cells
-from .plane import Grid, Point
+from .plane import Grid, Point, _require_count
 from .solver import CoefficientField, StateField, _check_finite, _start_state, _sweep, coefficient_table
 
 __all__ = [
@@ -199,8 +198,7 @@ def ito_refinement_study(
     """
     if len(grids) < 2:
         raise ValueError("need at least two grids, coarse to fine")
-    if not isinstance(replications, numbers.Integral) or replications < 2:
-        raise ValueError(f"need at least two replications, an integer, got replications={replications!r}")
+    _require_count(2, reason="need at least two replications, an integer", replications=replications)
     if coeffs.depends_on_measure:
         raise ValueError("ito_refinement_study solves single paths: the field must be measure-free")
     y0 = _start_state(y0, coeffs.n)

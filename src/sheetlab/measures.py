@@ -33,6 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .plane import _require_count, _require_number
+
 __all__ = [
     "EmpiricalMeasure",
     "MQuadrature",
@@ -100,8 +102,8 @@ class MQuadrature:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1 or self.order < 2:
-            raise ValueError(f"need dim >= 1 and order >= 2, got dim={self.dim}, order={self.order}")
+        _require_count(1, dim=self.dim)
+        _require_count(2, order=self.order)
         pts, wts = np.polynomial.hermite.hermgauss(self.order)
         grids = np.meshgrid(*([pts] * self.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
@@ -152,6 +154,7 @@ def est_inequality_check(pairs, quad: MQuadrature, slack: float = 0.02) -> EstRe
     (M,) or (M, n).  The left side averages the empirical M-distance over the
     pairs; the right side is pi times the overall mean squared gap.
     """
+    _require_number(slack=slack)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one coupled pair set")

@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import Grid, Point, _cell_pair_sum, _field_on_corners, _require_count
-from .rng import DOMAIN_SHEET, _require_integer, _substreams
+from .plane import Grid, Point, _cell_pair_sum, _field_on_corners, _require_count, _require_integer
+from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
     "SheetPath",
@@ -124,8 +124,9 @@ def coarsen_increments(increments: np.ndarray, factor: int = 2) -> np.ndarray:
     of the same sheet path to the coarse nodes, which is what couples a
     refinement study to one underlying noise realization.
     """
+    _require_count(1, factor=factor)
     nt, nx = increments.shape[-2:]
-    if factor < 1 or nt % factor or nx % factor:
+    if nt % factor or nx % factor:
         raise ValueError(f"cannot coarsen {nt}x{nx} cells by factor {factor}")
     shape = increments.shape[:-2] + (nt // factor, factor, nx // factor, factor)
     return increments.reshape(shape).sum(axis=(-3, -1))

@@ -70,12 +70,50 @@ class Point:
         return self.t * self.x
 
 
-def _require_count(least: int, **counts) -> None:
-    """Raise a ValueError naming the first of ``counts`` that is not an
-    integer >= ``least`` (a Python or numpy integer, not a whole float)."""
+# The argument checks of the library: each raises a ValueError naming the
+# first of its keyword arguments that breaks its rule.  A helper that takes a
+# ``reason`` raises "<reason>, got name=value" with it, in place of its rule.
+
+
+def _require_count(least: int, *, reason: str | None = None, **counts) -> None:
+    """Each of ``counts`` is an integer >= ``least`` (a Python or numpy
+    integer, not a whole float)."""
     for name, count in counts.items():
         if not isinstance(count, numbers.Integral) or count < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {name}={count!r}")
+            raise ValueError(f"{reason or f'{name} must be an integer >= {least}'}, got {name}={count!r}")
+
+
+def _require_integer(**words) -> None:
+    """Each of ``words`` is an integer (a Python or numpy integer, not a whole float)."""
+    for name, word in words.items():
+        if not isinstance(word, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {word!r}")
+
+
+def _require_finite(**args) -> None:
+    """Each of ``args``, a number or an array, is all finite."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            got = f", got {value}" if np.ndim(value) == 0 else ""
+            raise ValueError(f"{name} must be finite{got}")
+
+
+def _require_number(least: float = -np.inf, /, **args) -> None:
+    """Each of ``args`` is one finite number, and none is below ``least``."""
+    for name, value in args.items():
+        if np.ndim(value) != 0:
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    _require_finite(**args)
+    for name, value in args.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least:g}, got {name}={value!r}")
+
+
+def _require_positive(*, reason: str | None = None, **args) -> None:
+    """Each of ``args`` is one finite number > 0."""
+    for name, value in args.items():
+        if not (np.ndim(value) == 0 and np.isfinite(value) and value > 0):
+            raise ValueError(f"{reason or f'{name} must be a positive number'}, got {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +126,7 @@ class Grid:
 
     def __post_init__(self):
         _require_count(1, nt=self.nt, nx=self.nx)
-        if not (0.0 < self.horizon.t < np.inf and 0.0 < self.horizon.x < np.inf):
-            raise ValueError(f"grid horizon needs positive finite sides, got {self.horizon}")
+        _require_positive(reason="grid horizon needs positive finite sides", T=self.horizon.t, X=self.horizon.x)
 
     @property
     def dt(self) -> float:
@@ -212,8 +249,7 @@ def mixed_partial(F, z: Point, h: float) -> float:
     The four-point rectangle stencil is the exact discrete analogue of the
     rectangle increment; it recovers d^2 F / dt dx for bilinear F exactly.
     """
-    if h <= 0:
-        raise ValueError(f"stencil step must be positive, got {h}")
+    _require_positive(reason="stencil step must be positive", h=h)
     t, x = z.t, z.x
     return (
         F(Point(t + h, x + h)) - F(Point(t + h, x)) - F(Point(t, x + h)) + F(Point(t, x))

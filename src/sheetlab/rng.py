@@ -17,10 +17,11 @@ est-check experiment's couplings, takes a ``substream`` of its own.
 
 from __future__ import annotations
 
-import numbers
 from operator import index
 
 import numpy as np
+
+from .plane import _require_integer
 
 _MASK64 = (1 << 64) - 1
 _SALT = 0x9E3779B97F4A7C15  # fixed key word; distinguishes this library's streams
@@ -32,14 +33,6 @@ DOMAIN_CHAOS = 3
 DOMAIN_CONTROL = 4
 DOMAIN_REPLICATE = 5  # replicate-keyed ensemble noise (Monte Carlo over ensembles)
 DOMAIN_COUPLINGS = 6  # the est-check experiment's Gaussian couplings
-
-
-def _require_integer(**words) -> None:
-    """Raise a ValueError naming the first of ``words`` that is not an integer
-    (a Python or numpy integer, not a whole float)."""
-    for name, word in words.items():
-        if not isinstance(word, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {word!r}")
 
 
 def _key(seed: int) -> np.ndarray:

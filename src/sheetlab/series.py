@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plane import _require_count, _require_number, _require_positive
+
 __all__ = [
     "f_series",
     "f_series_derivative",
@@ -96,8 +98,7 @@ def find_r0(tol: float) -> float:
     The bracket is re-verified on every call (f(-1) > 0 > f(-2)); its failure
     would mean a broken series evaluation, not a property of the root.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _require_positive(reason="tolerance must be positive", tol=tol)
     lo, hi = 1.0, 2.0
     flo, fhi = f_series(-lo), f_series(-hi)
     if not (flo > 0.0 > fhi):
@@ -115,8 +116,7 @@ def find_r0(tol: float) -> float:
 
 def x_seq(n_max: int) -> np.ndarray:
     """Majorant coefficients x_0..x_n_max via the convolution recursion."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    _require_count(0, n_max=n_max)
     # c_j = (-1)^j / (j!)^2, the coefficients of f(-t)
     c = np.ones(n_max + 1)
     for j in range(1, n_max + 1):
@@ -133,8 +133,7 @@ def picard_series_partial_sums(K: float, area: float, n_max: int) -> np.ndarray:
     Convergent iff K*area < sqrt(r0); the caller reads convergence off the
     Cauchy differences and divergence off a magnitude blow-up.
     """
-    if K < 0 or area < 0:
-        raise ValueError(f"K and area must be nonnegative, got K={K}, area={area}")
+    _require_number(0.0, K=K, area=area)
     x = x_seq(n_max)
     q = (K * area) ** 2
     powers = q ** np.arange(n_max + 1)

@@ -97,15 +97,14 @@ is exactly 0.0.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import EmpiricalMeasure
 from .noise import SheetPath, _draw_cells
-from .plane import Grid, Point, _require_count
-from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE, _require_integer
+from .plane import Grid, Point, _require_count, _require_finite, _require_integer, _require_number, _require_positive
+from .rng import DOMAIN_ENSEMBLE, DOMAIN_REPLICATE
 from .series import find_r0
 
 __all__ = [
@@ -355,22 +354,6 @@ def _sweep(coeffs, y0, grid, noise) -> np.ndarray:
     return states
 
 
-def _require_finite(**args) -> None:
-    """Raise a ValueError naming the first of ``args`` that is not all finite."""
-    for name, value in args.items():
-        if not np.all(np.isfinite(value)):
-            got = f", got {value}" if np.ndim(value) == 0 else ""
-            raise ValueError(f"{name} must be finite{got}")
-
-
-def _require_number(**args) -> None:
-    """Raise a ValueError naming the first of ``args`` that is not one finite number."""
-    for name, value in args.items():
-        if np.ndim(value) != 0:
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    _require_finite(**args)
-
-
 def _start_state(y0, n: int) -> np.ndarray:
     """y0 as the (n,) start state: a finite scalar, length-1 or length-n vector."""
     if np.shape(y0) not in ((), (1,), (n,)):
@@ -507,10 +490,8 @@ def _ensemble_setup(coeffs: CoefficientField, y0, M: int, grid: Grid, seed: int,
     not given is then drawn from the standard streams of ``seed``.  Returns
     the (n,) start state, the m channel arrays (the common one, then each
     particle's own) and ``ensemble(values)``, the solved states' ensemble."""
-    if not isinstance(M, numbers.Integral) or M < 1:
-        raise ValueError(f"need at least one particle, an integer M >= 1, got M={M!r}")
-    if coeffs.m < 2:
-        raise ValueError("conditional dynamics need m >= 2: one common plus idiosyncratic channels")
+    _require_count(1, reason="need at least one particle, an integer M >= 1", M=M)
+    _require_count(2, reason="conditional dynamics need m >= 2: one common plus idiosyncratic channels", m=coeffs.m)
     y0 = _start_state(y0, coeffs.n)
     given = []
     for name, arr, shape in (
@@ -593,8 +574,7 @@ def picard_solve(
     :func:`solve_conditional_mkv` for the arguments the two share.
     """
     _require_count(1, max_iter=max_iter)
-    if np.ndim(tol) != 0 or not tol > 0:
-        raise ValueError(f"tol must be a positive number, got {tol!r}")
+    _require_positive(tol=tol)
     y0, noise, ensemble = _ensemble_setup(coeffs, y0, M, grid, seed)
     prev = _held_at(y0, grid, M).transpose(2, 0, 1, 3)  # node-major like every iterate
     gaps = []
@@ -632,8 +612,7 @@ def convergence_radius_report(coeffs: CoefficientField, grid: Grid) -> RadiusRep
     if coeffs.lipschitz_hint is None:
         raise ValueError("convergence_radius_report needs coeffs.lipschitz_hint")
     K = coeffs.lipschitz_hint
-    if K < 0:
-        raise ValueError(f"Lipschitz hint must be nonnegative, got {K}")
+    _require_number(0.0, lipschitz_hint=K)
     area = grid.horizon.area
     r0 = find_r0(1e-12)
     picard_threshold = np.inf if K == 0 else np.sqrt(r0) / K

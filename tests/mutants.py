@@ -130,6 +130,31 @@ MUTANTS = [
         ("tests/test_solver.py::TestConditionalEnsemble::test_grids_of_one_shape_give_the_drift_their_own_coordinates",),
     ),
     Mutant(
+        "count-takes-a-whole-float",
+        "sheetlab/plane.py",
+        "if not isinstance(count, numbers.Integral) or count < least:",
+        "if not (isinstance(count, numbers.Integral) or isinstance(count, float) and count.is_integer())"
+        " or count < least:",
+        ("tests/test_properties.py::test_every_door_returns_or_names_each_scalar[44-n_max]",),
+    ),
+    Mutant(
+        "finite-when-any-entry-is",
+        "sheetlab/plane.py",
+        "if not np.all(np.isfinite(value)):",
+        "if not np.any(np.isfinite(value)):",
+        (
+            "tests/test_solver.py::TestInputsFailAtTheDoor::"
+            "test_mean_reversion_names_a_rate_that_is_no_finite_number_or_a_sigma_not_finite[0.5-sigma2-sigma]",
+        ),
+    ),
+    Mutant(
+        "series-guard-without-the-horizon",
+        "sheetlab/chaos.py",
+        "if max(abs(w - 1.0), 1.0) * area > _Y_GUARD:",
+        "if abs(w - 1.0) * area > _Y_GUARD:",
+        ("tests/test_chaos.py::TestChaosConfig::test_the_series_routes_name_a_horizon_outside_the_series_guard",),
+    ),
+    Mutant(
         "raw-control",
         "sheetlab/control.py",
         "if type(u) is np.ndarray and u.ndim == 1 and u.dtype is float64:",

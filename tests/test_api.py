@@ -1,5 +1,9 @@
-"""The package surface: which names ``sheetlab`` exports, and how its
-array-holding records compare."""
+"""The package surface: which names ``sheetlab`` exports, how its
+array-holding records compare, and where its argument checks live."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,3 +120,22 @@ def test_array_holders_compare_by_identity(build):
     assert x == x
     assert (x == twin) is False
     assert hash(x) == hash(x)
+
+
+CHECK_HELPER = re.compile(r"_require_\w+|_finite")
+
+
+def test_argument_checks_have_one_owner():
+    # every check helper is defined in plane, and taken from there by the
+    # modules that use it, so one admissibility rule is spelled once
+    defined, imported = {}, {}
+    for path in sorted(Path(sheetlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and CHECK_HELPER.fullmatch(node.name):
+                defined.setdefault(path.stem, []).append(node.name)
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if CHECK_HELPER.fullmatch(alias.name):
+                        imported.setdefault(node.module, []).append(f"{path.stem}: {alias.name}")
+    assert list(defined) == ["plane"], defined
+    assert list(imported) == ["plane"], imported

@@ -83,6 +83,27 @@ class TestChaosConfig:
                 else:
                     route()
 
+    def test_the_series_routes_name_a_horizon_outside_the_series_guard(self):
+        # at unit weights the kernel f(-theta) alone reads theta up to T X:
+        # the four series routes name the horizon past the guard, while the
+        # config and the particle solve, which read no series, take it
+        for side, rejected in ((700.5, True), (699.5, False)):
+            g = Grid(horizon=Point(1.0, side), nt=2, nx=2)
+            cfg = ChaosConfig(N=2, a_values=1.0, y0=1.0, grid=g)
+            sheet = sample_sheet(g, 2, 0)
+            assert np.isfinite(simulate_particle_system(cfg, sheet).values).all()
+            for route in (
+                lambda: closed_form_solution(cfg, sheet),
+                lambda: remainder_variance(cfg, 2, 0),
+                lambda: limit_solution(1.0, 1.0, sample_sheet(g, 1, 0)),
+                lambda: verify_limit_spde(1.0, 1.0, g, 2, 0),
+            ):
+                if rejected:
+                    with pytest.raises(ValueError, match=rf"grid horizon with T X = {side}"):
+                        route()
+                else:
+                    route()
+
     def test_matrix_carries_the_weights(self):
         cfg = ChaosConfig(N=2, a_values=np.array([1.0, 3.0]), y0=0.0, grid=square_grid(4))
         assert cfg.matrix().total == pytest.approx(4.0)

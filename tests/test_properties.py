@@ -37,22 +37,31 @@ from hypothesis.extra import numpy as hnp
 from sheetlab import (
     ChaosConfig,
     CoefficientField,
+    ControlledCoefficients,
     EmpiricalMeasure,
+    FrequencyGrid,
     Grid,
+    MQuadrature,
     Point,
+    RankOneMatrix,
     TestFunction as ItoTestFunction,  # aliased so pytest does not collect it
     closed_form_solution,
+    coarsen_increments,
     controlled_linear_field,
     convergence_radius_report,
+    est_inequality_check,
     find_r0,
     ito_integral,
     ito_refinement_study,
     ito_terms,
+    lemma61_scalar_check,
     lq_cost,
+    matrix_power_decomposition,
     mean_feedback_policy,
     mean_reversion_field,
     performance_direct,
     performance_measure_based,
+    picard_series_partial_sums,
     picard_solve,
     rect_integral,
     remainder_variance,
@@ -64,6 +73,7 @@ from sheetlab import (
     solve_conditional_mkv,
     solve_goursat,
     verify_limit_spde,
+    x_seq,
 )
 from sheetlab import ito_check
 from sheetlab.cli import EXPERIMENTS
@@ -714,6 +724,19 @@ DOORS = [
     ("stream", lambda v: sample_sheet(FUZZ_GRID, 1, 0, stream=v)),
     ("rep", lambda v: sample_replicate_increments(FUZZ_GRID, 2, 2, 0, rep=v)),
     ("a_values", lambda v: closed_form_solution(ChaosConfig(N=2, a_values=v, y0=1.0, grid=FUZZ_GRID), FUZZ_SHEET)),
+    ("n", lambda v: ControlledCoefficients(n=v, m=2, drift=None, diffusion=None)),
+    ("m", lambda v: ControlledCoefficients(n=1, m=v, drift=None, diffusion=None)),
+    ("dim", lambda v: MQuadrature(dim=v, order=4)),
+    ("order", lambda v: MQuadrature(order=v)),
+    ("n_max", x_seq),
+    ("factor", lambda v: coarsen_increments(np.zeros((5, 5)), v)),
+    ("n", lambda v: matrix_power_decomposition(RankOneMatrix(np.ones(2)), v)),
+    ("K", lambda v: picard_series_partial_sums(v, 1.0, 5)),
+    ("area", lambda v: picard_series_partial_sums(1.0, v, 5)),
+    ("lipschitz_hint", lambda v: convergence_radius_report(dataclasses.replace(FUZZ_FIELD, lipschitz_hint=v), FUZZ_GRID)),
+    ("values", FrequencyGrid),
+    ("slack", lambda v: est_inequality_check([(np.zeros(2), np.ones(2))], MQuadrature(order=4), slack=v)),
+    ("h", lambda v: lemma61_scalar_check(lambda p: 1.0, lambda p: 1.0, Point(0.5, 0.5), FUZZ_GRID, v)),
 ]
 NOISE_SHAPES = {
     "common_increments": [(2, 2), (2, 3), (2,), (), (1, 2, 2)],
@@ -747,9 +770,9 @@ def test_every_door_returns_or_names_each_scalar(name, door):
 
 def assert_returns_or_names(name, call, value):
     """``call(value)`` returns, or raises a ValueError naming ``name``; a NaN
-    is bad wherever it is drawn, and so is an infinity but for tol."""
+    is bad wherever it is drawn, and so is an infinity."""
     flat = np.ravel(np.asarray(value, dtype=float))
-    bad = bool(np.isnan(flat).any() or (np.isinf(flat).any() and name != "tol"))
+    bad = not np.isfinite(flat).all()
     try:
         call(value)
     except ValueError as err:
