@@ -52,14 +52,16 @@ frequencies then cost their cos and sin per cell, stacked into one (2Q,
 cells) array, and a single (2Q, cells) x (cells, K) product.
 
 Not every row pays for its own trig.  A plan made once per call from the
-frequency rows sorts them three ways: a row that is all zero takes cos = 1
-and sin = 0; a row exactly twice a row evaluated directly takes the double
-angle, cos = c^2 - s^2 and sin = 2 s c, since 2w.Y is exactly twice w.Y in
-floating point; every other row is evaluated with cos and sin.  Neither half
-of a +-w pair is ever taken from the other, so -2 may come from -1 but never
-from +1.  AC09's {+-1, +-2} thus needs trig for +-1 only, and w = 0 for no
-row at all.  Every row, the zero row included, still goes through the table
-product.
+frequency rows sorts them four ways: a row that is all zero takes cos = 1
+and sin = 0; a row exactly twice a row evaluated directly or negated takes
+the double angle, cos = c^2 - s^2 and sin = 2 s c, since 2w.Y is exactly
+twice w.Y in floating point; a row exactly the negation of a row evaluated
+directly takes cos = c and sin = -s, since -w.Y is exactly the negation of
+w.Y and libm's cos and sin are exactly even and odd; every other row is
+evaluated with cos and sin.  The sums are then bit for bit those of
+evaluating every non-doubled row directly.  AC09's {+-1, +-2} thus needs
+trig for +1 only, and w = 0 for no row at all.  Every row, the zero row
+included, still goes through the table product.
 
 The tables are built while the coefficients stream in: R_z, the cells
 [0, i) x [0, j), is read one grid row at a time from solver.coefficient_rows,
@@ -77,11 +79,10 @@ At w = 0 every monomial of w vanishes, so the kernel sum is an exact zero,
 and so is the left side: the residual is identically 0.0 — a structural
 identity the tests pin.  Negating w flips the sign of the sines and of the odd
 monomials only, so the residual is conjugate-symmetric in w to rounding.
-Both halves of +-1 are evaluated directly, so the gap at +-1 is a real
-check of the kernel and carries the conjugate test.  At +-2, doubled from
-+-1, the double angle keeps the cosines and negates the sines exactly when
-+-1's do: the gap there reads exactly 0.0 and tests nothing the gap at +-1
-does not.
+Within one call, -w takes its phase from +w, so the gap between a residual
+and its mirror's conjugate checks only that copy (it reads 0.0 in AC09's
+tables).  The conjugate check of the evaluated phases is two calls, one per
+sign, each evaluated on its own.
 """
 
 from __future__ import annotations
@@ -264,13 +265,15 @@ class _TrigPlan(NamedTuple):
     """Where each frequency row's cos and sin come from (module docstring).
 
     order lists the caller's row indices as the kernel holds them: first the
-    rows of direct (d, n), evaluated with cos and sin, then one doubled row
-    per entry of halves, the index into direct of the row it is twice, then
-    the zero rows.
+    rows of direct (d, n), evaluated with cos and sin, then one negated row
+    per entry of mirrors, the index into direct of the row it negates, then
+    one doubled row per entry of halves, the index into the direct and
+    negated rows of the row it is twice, then the zero rows.
     """
 
     order: np.ndarray
     direct: np.ndarray
+    mirrors: np.ndarray
     halves: np.ndarray
 
 
@@ -278,25 +281,32 @@ def _trig_plan(W: np.ndarray) -> _TrigPlan:
     """Plan the trig of the frequency rows W (Q, n); see :class:`_TrigPlan`.
 
     Rows are decided by increasing largest |component|, so a row's half is
-    decided before it.  A row is doubled only if its half is evaluated
-    directly, never from a row that is itself doubled; direct rows keep the
-    caller's order.
+    decided before it.  A row is doubled if its half is evaluated directly or
+    negated, never from a row that is itself doubled; otherwise it is negated
+    if its negation is evaluated directly.  Doubling goes first, so a row is
+    doubled exactly when it would be with no negated rows, and the sums keep
+    every bit.  Direct rows keep the caller's order.
     """
     zero = ~W.any(axis=1)
-    direct, half_of = [], {}
+    direct, mirror_of, half_of = [], {}, {}
     for r in np.argsort(np.abs(W).max(axis=1), kind="stable"):
         if zero[r]:
             continue
-        half = next((s for s in direct if np.array_equal(2 * W[s], W[r])), None)
-        if half is None:
-            direct.append(r)
-        else:
+        half = next((s for s in direct + list(mirror_of) if np.array_equal(2 * W[s], W[r])), None)
+        mirror = next((s for s in direct if np.array_equal(-W[s], W[r])), None)
+        if half is not None:
             half_of[r] = half
+        elif mirror is not None:
+            mirror_of[r] = mirror
+        else:
+            direct.append(r)
     direct.sort()
-    doubled = sorted(half_of)
-    order = np.array(direct + doubled + list(np.flatnonzero(zero)), dtype=np.intp)
-    halves = np.searchsorted(direct, [half_of[r] for r in doubled]).astype(np.intp)
-    return _TrigPlan(order, W[direct], halves)
+    negated, doubled = sorted(mirror_of), sorted(half_of)
+    order = np.array(direct + negated + doubled + list(np.flatnonzero(zero)), dtype=np.intp)
+    position = {r: k for k, r in enumerate(direct + negated)}
+    mirrors = np.array([position[mirror_of[r]] for r in negated], dtype=np.intp)
+    halves = np.array([position[half_of[r]] for r in doubled], dtype=np.intp)
+    return _TrigPlan(order, W[direct], mirrors, halves)
 
 
 def _chunk_sums(A, B, Q, cD, cQ, Y, plan, mono) -> np.ndarray:
@@ -309,8 +319,9 @@ def _chunk_sums(A, B, Q, cD, cQ, Y, plan, mono) -> np.ndarray:
     real part's w^2 and w^4 coefficients, then the imaginary part's w and w^3
     ones.  C, S, the cos and sin of w.Y for the Q frequencies in the order of
     plan (a :class:`_TrigPlan`), fill one (2Q, cells) array block by block:
-    the direct rows by cos and sin of their theta, the doubled rows by the
-    double angle of their halves' rows, the zero rows by 1 and 0.  [C; S] @
+    the direct rows by cos and sin of their theta, the negated rows by their
+    mirrors' cos and negated sin, the doubled rows by the double angle of
+    their halves' rows, the zero rows by 1 and 0.  [C; S] @
     T^T is then one product, and frequency q's sum is (C_q @ T^T - i S_q @
     T^T) @ mono[q] with mono = [w^2, w^4, i w, i w^3].
     """
@@ -325,21 +336,26 @@ def _chunk_sums(A, B, Q, cD, cQ, Y, plan, mono) -> np.ndarray:
     T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD)
     T3 = (_outer(cQ, rD) + _outer(cD, rQ)) * 0.5 - _outer(Q, B)
     T = np.concatenate([T2, _outer(cQ, rQ) * 0.25, -D, T3])
-    q, d, e = len(mono), len(plan.direct), len(plan.halves)
+    q, d = len(mono), len(plan.direct)
+    g = d + len(plan.mirrors)
+    e = g + len(plan.halves)
     cs = np.empty((2 * q, cells))
     cos, sin = cs[:q], cs[q:]
     theta = np.dot(plan.direct, Y, out=sin[:d])  # np.matmul is several times slower for n = 1
     np.cos(theta, out=cos[:d])
     np.sin(theta, out=theta)
-    for r, h in enumerate(plan.halves, d):  # in place, no temporaries: c^2 - s^2 and 2 s c
+    for r, s in enumerate(plan.mirrors, d):  # cos is even and sin odd, bit for bit
+        cos[r] = cos[s]
+        np.negative(sin[s], out=sin[r])
+    for r, h in enumerate(plan.halves, g):  # in place, no temporaries: c^2 - s^2 and 2 s c
         c, s = cos[h], sin[h]
         np.multiply(c, c, out=cos[r])
         np.multiply(s, s, out=sin[r])
         cos[r] -= sin[r]
         np.multiply(s, c, out=sin[r])
         sin[r] *= 2
-    cos[d + e :] = 1.0
-    sin[d + e :] = 0.0
+    cos[e:] = 1.0
+    sin[e:] = 0.0
     P = cs @ T.T
     return np.sum((P[:q] - 1j * P[q:]) * mono, axis=1)
 

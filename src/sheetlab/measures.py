@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import _require_count, _require_number
+from .plane import _require_count, _require_finite, _require_number
 
 __all__ = [
     "EmpiricalMeasure",
@@ -56,6 +56,7 @@ class EmpiricalMeasure:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError(f"samples must be a nonempty (M, n) array, got shape {samples.shape}")
+        _require_finite(samples=samples)
         object.__setattr__(self, "samples", samples)
 
     @classmethod

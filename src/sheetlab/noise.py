@@ -26,7 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import Grid, Point, _cell_pair_sum, _field_on_corners, _require_count, _require_integer
+from .plane import (
+    Grid,
+    Point,
+    _cell_pair_sum,
+    _field_on_corners,
+    _require_count,
+    _require_finite,
+    _require_index,
+    _require_integer,
+)
 from .rng import DOMAIN_SHEET, _substreams
 
 __all__ = [
@@ -76,10 +85,13 @@ def _draw_cells(grid: Grid, seed: int, domain: int, coordinates) -> np.ndarray:
     ``substream(seed, domain, *coordinates[s]).normal(0, sqrt(dt*dx), (nt, nx))``
     draws, for the k (stream, channel) pairs of ``coordinates``."""
     coordinates = list(coordinates)
-    scale, shape = np.sqrt(grid.dt * grid.dx), (grid.nt, grid.nx)
-    cells = np.empty((len(coordinates), *shape))
-    for out, gen in zip(cells, _substreams(seed, domain, coordinates)):
-        out[...] = gen.normal(0.0, scale, shape)
+    cells = np.empty((len(coordinates), grid.nt, grid.nx))
+    for slab, gen in zip(cells, _substreams(seed, domain, coordinates)):
+        gen.standard_normal(out=slab)
+    # normal(0, scale) draws 0.0 + scale * z from the same standard normals z:
+    # one in-place product over the block gives it bit for bit (but for the
+    # sign of a draw of exactly zero, odds about 2**-52 a cell)
+    cells *= np.sqrt(grid.dt * grid.dx)
     return cells
 
 
@@ -113,6 +125,7 @@ def sheet_from_increments(grid: Grid, increments: np.ndarray, seed: int = 0) -> 
     increments = np.array(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (grid.nt, grid.nx):
         raise ValueError(f"increments shape {increments.shape} != (m, {grid.nt}, {grid.nx})")
+    _require_finite(increments=increments)
     increments.setflags(write=False)
     return SheetPath(increments=increments, grid=grid, seed=seed)
 
@@ -134,6 +147,7 @@ def coarsen_increments(increments: np.ndarray, factor: int = 2) -> np.ndarray:
 
 def rect_increment(path: SheetPath, channel: int, lower: Point, upper: Point) -> float:
     """B over the rectangle [lower, upper]: the sum of its cell increments."""
+    _require_index(path.channels, channel=channel)
     i1, j1 = path.grid.node_index(lower)
     i2, j2 = path.grid.node_index(upper)
     if i2 < i1 or j2 < j1:
@@ -144,6 +158,7 @@ def rect_increment(path: SheetPath, channel: int, lower: Point, upper: Point) ->
 def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
     """First-type integral of phi against one channel over R_z (left evaluation);
     phi is a callable of Point or node values covering R_z's cell corners."""
+    _require_index(path.channels, channel=channel)
     i, j = path.grid.node_index(z)
     if i == 0 or j == 0:
         return 0.0
@@ -159,6 +174,7 @@ def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point) -> f
     ``psi=None``.  Quadratic-variation diagonal pairs are excluded; see the
     module docstring.
     """
+    _require_index(path.channels, ch1=ch1, ch2=ch2)
     grid = path.grid
     i, j = grid.node_index(z)
     if i == 0 or j == 0:

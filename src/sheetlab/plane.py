@@ -90,6 +90,15 @@ def _require_integer(**words) -> None:
             raise ValueError(f"{name} must be an integer, got {word!r}")
 
 
+def _require_index(size: int, **indices) -> None:
+    """Each of ``indices`` is an integer in [0, ``size``): a negative index
+    does not count from the end."""
+    _require_count(0, **indices)
+    for name, index in indices.items():
+        if index >= size:
+            raise ValueError(f"{name} must be < {size}, got {name}={index!r}")
+
+
 def _require_finite(**args) -> None:
     """Each of ``args``, a number or an array, is all finite."""
     for name, value in args.items():

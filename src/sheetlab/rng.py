@@ -52,6 +52,7 @@ def substream(seed: int, domain: int, stream: int = 0, channel: int = 0) -> np.r
     The counter's first word is left at zero as the draw index; each stream
     therefore has 2**64 draws before any overlap, far beyond desk scale.
     """
+    _require_integer(domain=domain, stream=stream, channel=channel)
     return np.random.Generator(np.random.Philox(key=_key(seed), counter=_counter(domain, stream, channel)))
 
 

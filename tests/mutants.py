@@ -161,6 +161,20 @@ MUTANTS = [
         "if True:",
         ("tests/test_control.py::TestCurriedObservation::test_a_rule_may_return_a_number_or_a_length_one_sequence",),
     ),
+    Mutant(
+        "negated-row-keeps-its-sine",
+        "sheetlab/fokker_planck.py",
+        "np.negative(sin[s], out=sin[r])",
+        "sin[r] = sin[s]",
+        ("tests/test_fokker_planck.py::TestKernelProperties::test_zero_conjugates_and_reference",),
+    ),
+    Mutant(
+        "sampler-drops-the-scale",
+        "sheetlab/noise.py",
+        "    cells *= np.sqrt(grid.dt * grid.dx)\n",
+        "",
+        ("tests/test_noise.py::TestDrawCells::test_slabs_are_the_scaled_draws_of_their_substreams",),
+    ),
 ]
 
 

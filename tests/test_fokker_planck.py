@@ -269,8 +269,8 @@ class TestPolynomialTableKernel:
 @st.composite
 def kernel_cases(draw):
     """A small coupled ensemble, a node (i, j) of its grid, a frequency set of
-    1 to 9 rows holding w = 0, +-w pairs and possibly their doubles +-2w (the
-    kernel's double-angle rows) in a drawn order, and a chunk size that may
+    1 to 9 rows holding w = 0, +-w pairs (the kernel's negated rows) and
+    possibly their doubles +-2w (its double-angle rows) in a drawn order, and a chunk size that may
     split every row into particle sub-chunks."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     grid = Grid(horizon=Point(1.0, 0.75), nt=draw(st.integers(1, 6)), nx=draw(st.integers(1, 6)))
@@ -288,7 +288,9 @@ def kernel_cases(draw):
 
 class TestKernelProperties:
     """Over random small ensembles: the exact zero at w = 0, conjugate symmetry
-    of +-w, and the tables against the per-frequency reference."""
+    of +-w (within one call -w takes +w's phase, so the per-frequency
+    reference is what checks a negated row), and the tables against that
+    reference."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kernel_cases())
@@ -314,29 +316,37 @@ class TestKernelProperties:
 
 class TestTrigPlan:
     """Which frequency rows the kernel evaluates with cos and sin: the rest are
-    doubles of those (the double angle) or zero (cos = 1, sin = 0)."""
+    negations of those (cos kept, sin negated), doubles of those or of their
+    negations (the double angle), or zero (cos = 1, sin = 0)."""
 
     @pytest.mark.parametrize(
         "W, direct",
         [
-            ([1.0, -2.0], [1.0, -2.0]),  # -2 is not twice +1: no cross-sign derivation
+            ([1.0, -2.0], [1.0, -2.0]),  # -2 is neither twice +1 nor its negation
             ([-1.0, 2.0], [-1.0, 2.0]),
             ([0.0], []),
-            ([1.0, -1.0, 2.0, -2.0, 0.0], [1.0, -1.0]),
+            ([1.0, -1.0, 2.0, -2.0, 0.0], [1.0]),  # -1 negates +1, -2 doubles -1
+            ([-1.0, 1.0], [-1.0]),
             ([[0.5, -1.0], [3.0, 0.0], [1.0, -2.0]], [[0.5, -1.0], [3.0, 0.0]]),
+            ([[0.5, -1.0], [-0.5, 1.0], [-1.0, 2.0]], [[0.5, -1.0]]),
             ([4.0, 2.0, 1.0], [4.0, 1.0]),  # 4 is twice a doubled row, so it is evaluated
+            ([-2.0, 1.0, 2.0], [-2.0, 1.0]),  # 2 doubles 1 before it could negate -2
+            ([2.0, -2.0, 1.0], [-2.0, 1.0]),  # -2 negates a doubled row only: evaluated
         ],
-        ids=["1,-2", "-1,2", "0", "+-1,+-2,0", "n2", "1,2,4"],
+        ids=["1,-2", "-1,2", "0", "+-1,+-2,0", "-1,1", "n2", "n2-mirror", "1,2,4", "-2,1,2", "2,-2,1"],
     )
     def test_direct_rows(self, W, direct):
         W = FrequencyGrid(np.array(W)).values
         plan = _trig_plan(W)
-        d, e = len(plan.direct), len(plan.halves)
+        d = len(plan.direct)
+        g = d + len(plan.mirrors)
+        e = g + len(plan.halves)
         np.testing.assert_array_equal(plan.direct, np.reshape(direct, (-1, W.shape[1])))
         assert sorted(plan.order) == list(range(len(W)))
         np.testing.assert_array_equal(W[plan.order[:d]], plan.direct)
-        np.testing.assert_array_equal(W[plan.order[d : d + e]], 2 * plan.direct[plan.halves])
-        assert not W[plan.order[d + e :]].any()
+        np.testing.assert_array_equal(W[plan.order[d:g]], -plan.direct[plan.mirrors])
+        np.testing.assert_array_equal(W[plan.order[g:e]], 2 * W[plan.order[:g]][plan.halves])
+        assert not W[plan.order[e:]].any()
 
 
 class TestRowStream:

@@ -27,6 +27,18 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError, match="nonempty"):
             EmpiricalMeasure(samples=np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_samples_that_are_not_finite(self, bad):
+        with pytest.raises(ValueError, match="^samples must be finite"):
+            EmpiricalMeasure(samples=np.array([[0.0], [bad]]))
+
+    def test_the_solvers_door_does_not_check(self):
+        # the node passes build a measure per node from clouds the solver
+        # already checked; _unchecked takes what it is given
+        samples = np.array([[np.nan]])
+        mu = EmpiricalMeasure._unchecked(samples, samples[0])
+        assert mu.samples is samples
+
     def test_fourier_hand_value(self):
         mu = EmpiricalMeasure(samples=np.array([[0.0], [2.0]]))
         w = 1.5

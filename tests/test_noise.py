@@ -50,6 +50,19 @@ class TestSubstream:
         np.testing.assert_array_equal(base, same.normal(size=8))
 
 
+class TestDrawCells:
+    def test_slabs_are_the_scaled_draws_of_their_substreams(self):
+        # dt * dx = 0.25 * 0.5: a sampler that loses the scale, or reads
+        # another stream's words, differs from normal(0, sqrt(dt * dx))
+        g = Grid(horizon=Point(1.0, 2.0), nt=4, nx=4 + 3)
+        words = [(0, 0), (0, 1), (5, 0), (2, 3)]
+        cells = _draw_cells(g, 11, DOMAIN_CHAOS, words)
+        assert cells.shape == (4, 4, 7)
+        for slab, (stream, channel) in zip(cells, words):
+            gen = substream(11, DOMAIN_CHAOS, stream=stream, channel=channel)
+            assert np.array_equal(slab, gen.normal(0.0, np.sqrt(g.dt * g.dx), (g.nt, g.nx)))
+
+
 class TestSampleSheet:
     def test_shape_and_zero_boundary(self):
         g = Grid(horizon=Point(1.0, 2.0), nt=4, nx=6)
@@ -99,6 +112,13 @@ class TestIncrementsRoundTrip:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sheet_from_increments_names_increments_that_are_not_finite(self, bad):
+        incr = np.zeros((1, 2, 2))
+        incr[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="^increments must be finite"):
+            sheet_from_increments(square_grid(2), incr)
 
     def test_sheet_from_increments_copies_its_input(self):
         g = square_grid(3)
@@ -171,6 +191,27 @@ class TestItoIntegrals:
         got = ito_integral(combo, sh, 0, z)
         want = 2.0 * ito_integral(f, sh, 0, z) + 3.0 * ito_integral(h, sh, 0, z)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("channel", [-1, 2, 1.0])
+    def test_readers_name_a_channel_that_is_not_one_of_the_sheet(self, channel):
+        # -1 would read the last channel as numpy counts from the end
+        sh = sample_sheet(square_grid(2), 2, seed=0)
+        lo, z = Point(0.0, 0.0), Point(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^channel must be"):
+            rect_increment(sh, channel, lo, z)
+        with pytest.raises(ValueError, match=r"^channel must be"):
+            ito_integral(lambda p: 1.0, sh, channel, z)
+        with pytest.raises(ValueError, match=r"^ch1 must be"):
+            double_ito_integral(None, sh, channel, 0, z)
+        with pytest.raises(ValueError, match=r"^ch2 must be"):
+            double_ito_integral(None, sh, 1, channel, z)
+
+    def test_readers_take_every_channel_of_the_sheet(self):
+        sh = sample_sheet(square_grid(2), 2, seed=0)
+        z = Point(1.0, 1.0)
+        for c in (0, np.int64(1)):
+            assert rect_increment(sh, c, Point(0.0, 0.0), z) == pytest.approx(sh.values[c, 2, 2], abs=1e-15)
+            assert ito_integral(lambda p: 1.0, sh, c, z) == pytest.approx(sh.values[c, 2, 2], abs=1e-15)
 
     def test_double_integral_vs_pair_loop(self):
         g = square_grid(4)

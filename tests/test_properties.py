@@ -48,6 +48,7 @@ from sheetlab import (
     closed_form_solution,
     coarsen_increments,
     controlled_linear_field,
+    double_ito_integral,
     convergence_radius_report,
     est_inequality_check,
     find_r0,
@@ -63,6 +64,7 @@ from sheetlab import (
     performance_measure_based,
     picard_series_partial_sums,
     picard_solve,
+    rect_increment,
     rect_integral,
     remainder_variance,
     sample_ensemble_increments,
@@ -72,6 +74,7 @@ from sheetlab import (
     sheet_from_increments,
     solve_conditional_mkv,
     solve_goursat,
+    substream,
     verify_limit_spde,
     x_seq,
 )
@@ -737,6 +740,13 @@ DOORS = [
     ("values", FrequencyGrid),
     ("slack", lambda v: est_inequality_check([(np.zeros(2), np.ones(2))], MQuadrature(order=4), slack=v)),
     ("h", lambda v: lemma61_scalar_check(lambda p: 1.0, lambda p: 1.0, Point(0.5, 0.5), FUZZ_GRID, v)),
+    ("channel", lambda v: rect_increment(FUZZ_SHEET, v, Point(0.0, 0.0), Point(1.0, 1.0))),
+    ("channel", lambda v: ito_integral(lambda p: 1.0, FUZZ_SHEET, v, Point(1.0, 1.0))),
+    ("ch1", lambda v: double_ito_integral(None, FUZZ_SHEET, v, 0, Point(1.0, 1.0))),
+    ("ch2", lambda v: double_ito_integral(None, FUZZ_SHEET, 0, v, Point(1.0, 1.0))),
+    ("domain", lambda v: substream(0, v)),
+    ("stream", lambda v: substream(0, 1, stream=v)),
+    ("channel", lambda v: substream(0, 1, channel=v)),
 ]
 NOISE_SHAPES = {
     "common_increments": [(2, 2), (2, 3), (2,), (), (1, 2, 2)],
