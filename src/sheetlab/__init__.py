@@ -37,9 +37,7 @@ from .control import (
 )
 from .fokker_planck import (
     FrequencyGrid,
-    KernelContext,
     Lemma61Report,
-    kernel_a,
     lemma61_scalar_check,
     residual_table,
     weak_residual,
@@ -64,7 +62,6 @@ from .measures import (
 from .noise import (
     SheetPath,
     coarsen_increments,
-    double_ito_integral,
     ito_integral,
     load_sheet,
     rect_increment,
@@ -75,11 +72,7 @@ from .noise import (
 from .plane import (
     Grid,
     Point,
-    diff_double_integral_identity_check,
-    double_rect_integral,
     mixed_partial,
-    quarter_indicator,
-    rect_integral,
 )
 from .rng import (
     DOMAIN_CHAOS,

@@ -311,23 +311,32 @@ def _run_fokker_planck(p):
     grid = _square_grid(p["k"])
     coeffs = mean_reversion_field(p["rate"], (0.7, 0.5))
     freqs = FrequencyGrid(np.asarray(_as_list(p["w"]), dtype=float))
-    # w = 0 rides along as one extra row of the same table, so each replicate
-    # takes one coefficient pass; its residual is split off before the rows.
-    with_zero = FrequencyGrid(np.vstack([freqs.values, np.zeros((1, 1))]))
+    _require_count(1, reason="w needs at least one frequency", frequencies=len(freqs))
+    wvals = [float(w[0]) for w in freqs]
+    # Within one table -w takes +w's phase, so a negative w whose +w is asked
+    # for too goes to a second table on the same ensemble: the conjugate gap
+    # below then compares phases evaluated apart.  w = 0 rides along as one
+    # extra row of the first table; its residual is split off before the rows.
+    mirrored = np.array([w < 0 and -w in wvals for w in wvals])
+    first = FrequencyGrid(np.vstack([freqs.values[~mirrored], np.zeros((1, 1))]))
+    second = FrequencyGrid(freqs.values[mirrored])
 
     def one(rep):
         common, idio = sample_replicate_increments(grid, coeffs.m, p["M"], p["seed"], rep)
         ensemble = solve_conditional_mkv(
             coeffs, p["y0"], p["M"], grid, p["seed"], common_increments=common, idio_increments=idio
         )
-        *table, (_, zero) = residual_table(ensemble, with_zero, grid.horizon)
-        return [res for _, res in table], abs(zero)
+        residuals = np.empty(len(freqs), dtype=complex)
+        *table, (_, zero) = residual_table(ensemble, first, grid.horizon)
+        residuals[~mirrored] = [res for _, res in table]
+        if mirrored.any():
+            residuals[mirrored] = [res for _, res in residual_table(ensemble, second, grid.horizon)]
+        return residuals, abs(zero)
 
     results = [one(rep) for rep in range(p["reps"])]
     residuals = np.array([r[0] for r in results])  # (reps, Q)
     zero_residuals = np.array([r[1] for r in results])
     rows = []
-    wvals = [float(w[0]) for w in freqs]
     for qi, w in enumerate(wvals):
         col = residuals[:, qi]
         rows.append(

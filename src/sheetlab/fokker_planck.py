@@ -28,6 +28,10 @@ channels are independent across particles, so their conditional averages
 vanish and dropping them costs O(M^{-1/2}) — the Monte Carlo floor of the
 residual.
 
+The pointwise kernels, and the loop over quarter-ordered cell pairs that sums
+them term by term, are test oracles (``tests/oracles.py``); the library sums
+the five terms one way only, through the tables below.
+
 Every term is a polynomial of degree <= 4 in w whose coefficients depend only
 on the cell, so the sums are built from per-cell tables once and reused for
 every frequency.  Per cell, with A = alpha dt dx, B = beta_1 dB1 (common
@@ -80,9 +84,12 @@ and so is the left side: the residual is identically 0.0 — a structural
 identity the tests pin.  Negating w flips the sign of the sines and of the odd
 monomials only, so the residual is conjugate-symmetric in w to rounding.
 Within one call, -w takes its phase from +w, so the gap between a residual
-and its mirror's conjugate checks only that copy (it reads 0.0 in AC09's
-tables).  The conjugate check of the evaluated phases is two calls, one per
-sign, each evaluated on its own.
+and its mirror's conjugate checks only that copy.  The conjugate check of the
+evaluated phases is two calls, one per sign, each evaluated on its own: the
+CLI's ``fokker-planck`` experiment evaluates its negated rows in a second
+call on the same ensemble, and AC09 and the tests compare separate calls.
+The gap may still read exactly 0.0 there, since libm's cos and sin are
+exactly even and odd, but it is then computed, not copied.
 """
 
 from __future__ import annotations
@@ -93,13 +100,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plane import Grid, Point, _require_finite, mixed_partial, quarter_indicator
+from .plane import Grid, Point, _require_finite, mixed_partial
 from .solver import ParticleEnsemble, coefficient_rows
 
 __all__ = [
     "FrequencyGrid",
-    "KernelContext",
-    "kernel_a",
     "weak_residual",
     "residual_table",
     "lemma61_scalar_check",
@@ -127,55 +132,6 @@ class FrequencyGrid:
 
     def __iter__(self):
         return iter(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class KernelContext:
-    """Coefficient values feeding the kernels: alpha (..., n), beta (..., n, m).
-
-    The primed pair carries the zeta' argument for the double-integral kernels
-    (indices 3-5).  Optional points activate the quarter-order indicator in
-    a5; without them the pair is assumed quarter-ordered.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    alpha_p: np.ndarray | None = None
-    beta_p: np.ndarray | None = None
-    zeta: Point | None = None
-    zeta_p: Point | None = None
-
-
-def _wa_wb_wq(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(w.alpha, w.beta_1, w^T beta beta^T w) broadcast over leading axes."""
-    wa = np.einsum("n,...n->...", w, alpha)
-    wb_all = np.einsum("n,...nm->...m", w, beta)
-    return wa, wb_all[..., 0], np.sum(wb_all**2, axis=-1)
-
-
-def kernel_a(idx: int, w, ctx: KernelContext):
-    """Pointwise kernel a_idx (idx in 1..5), complex, broadcast over batch axes."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    wa, wb, wq = _wa_wb_wq(w, np.asarray(ctx.alpha, dtype=float), np.asarray(ctx.beta, dtype=float))
-    if idx == 1:
-        return -1j * wa - 0.5 * wq
-    if idx == 2:
-        return -1j * wb + 0j
-    if idx not in (3, 4, 5):
-        raise ValueError(f"kernel index must be 1..5, got {idx}")
-    if ctx.alpha_p is None or ctx.beta_p is None:
-        raise ValueError(f"kernel a{idx} needs the primed coefficients in the context")
-    wa_p, wb_p, wq_p = _wa_wb_wq(
-        w, np.asarray(ctx.alpha_p, dtype=float), np.asarray(ctx.beta_p, dtype=float)
-    )
-    if idx == 3:
-        return -wb * wb_p + 0j
-    if idx == 4:
-        return -(wa * wb_p + wb * wa_p) + 0.5j * (wq * wb_p + wb * wq_p)
-    value = -wa * wa_p + 0.5j * (wa_p * wq + wa * wq_p) + 0.25 * wq * wq_p
-    if ctx.zeta is not None and ctx.zeta_p is not None:
-        value = value * quarter_indicator(ctx.zeta, ctx.zeta_p)
-    return value
 
 
 # cells per kernel chunk: bounds the (n + n^2 + n^3 + n^4, cells) table and the

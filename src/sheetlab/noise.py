@@ -1,4 +1,4 @@
-"""Brownian sheets on a grid and the two stochastic integral types.
+"""Brownian sheets on a grid and their first-type stochastic integral.
 
 A sheet path stores, read-only and per channel, the independent N(0, dt*dx)
 cell increments it is drawn as (and dumps them, format version 2); its node
@@ -10,8 +10,11 @@ First-type integrals sum phi(lower corner) * dB(cell) — adapted evaluation.
 Second-type integrals sum psi(corner, corner') * dB(cell) * dB(cell') over
 ordered pairs of *distinct* cells: the diagonal carries the quadratic
 variation, which the planar Ito formula books under its separate
-(1/2) beta beta^T term, so including identical-cell pairs here would double
-count it.
+(1/2) beta beta^T term, so including identical-cell pairs would double count
+it.  The library sums them where it uses them, as cumulative sums over
+quarter-ordered pairs (:mod:`sheetlab.ito_check`,
+:mod:`sheetlab.fokker_planck`); the loop over cell pairs that checks those
+sums, ``double_ito_integral``, is a test oracle in ``tests/oracles.py``.
 
 One sampler, :func:`_draw_cells`, draws all cell noise of the library: sheets
 (and so the CLI's sheet statistics), ensemble, replicate and control noise, and
@@ -29,7 +32,6 @@ import numpy as np
 from .plane import (
     Grid,
     Point,
-    _cell_pair_sum,
     _field_on_corners,
     _require_count,
     _require_finite,
@@ -45,7 +47,6 @@ __all__ = [
     "coarsen_increments",
     "rect_increment",
     "ito_integral",
-    "double_ito_integral",
     "save_sheet",
     "load_sheet",
 ]
@@ -164,26 +165,6 @@ def ito_integral(phi, path: SheetPath, channel: int, z: Point) -> float:
         return 0.0
     dB = path.increments[channel, :i, :j]
     return float(np.sum(_field_on_corners(phi, path.grid, i, j) * dB))
-
-
-def double_ito_integral(psi, path: SheetPath, ch1: int, ch2: int, z: Point) -> float:
-    """Second-type integral: sum of psi(corner, corner') dB_ch1(cell) dB_ch2(cell')
-    over ordered pairs of distinct cells of R_z.
-
-    psi is a callable of two Points (vectorized) or the constant 1 via
-    ``psi=None``.  Quadratic-variation diagonal pairs are excluded; see the
-    module docstring.
-    """
-    _require_index(path.channels, ch1=ch1, ch2=ch2)
-    grid = path.grid
-    i, j = grid.node_index(z)
-    if i == 0 or j == 0:
-        return 0.0
-    d1 = path.increments[ch1, :i, :j].ravel()
-    d2 = path.increments[ch2, :i, :j].ravel()
-    if psi is None:
-        return float(d1.sum() * d2.sum() - float(d1 @ d2))
-    return _cell_pair_sum(psi, grid, i, j, (d1, d2))
 
 
 _MAGIC = b"SHTL"

@@ -1,18 +1,21 @@
-"""Geometry of the parameter plane: points, grids, and rectangle quadrature.
+"""Geometry of the parameter plane: points, grids, lower-corner field
+evaluation, the mixed difference stencil, and the library's argument checks.
 
 Points z = (t, x) live in the closed quarter-plane.  R_z denotes the
-rectangle [0, t] x [0, x]; |z| = t*x is its area.  The *quarter order*
-``quarter_indicator`` is the indicator that a precedes b in time but succeeds
-it in space (a.t <= b.t and a.x >= b.x).  It governs the mixed
-double-integral term of the planar Ito formula and the differentiation
-identities checked here and in :mod:`sheetlab.fokker_planck`.
+rectangle [0, t] x [0, x]; |z| = t*x is its area.  The *quarter order* a qb b
+holds when a precedes b in time but succeeds it in space (a.t <= b.t and
+a.x >= b.x).  It governs the mixed double-integral term of the planar Ito
+formula and the differentiation identity of :mod:`sheetlab.fokker_planck`.
 
 All quadrature is lower-left-corner Riemann: it is the deterministic twin of
 the adapted (left-point) evaluation used for stochastic integrals, so both
 integral types share one discretization.  Grids are uniform and closed at
 both ends; APIs that take an evaluation point require it to sit on a node —
-no silent interpolation.  The one loop over cell pairs, :func:`_cell_pair_sum`,
-lives here; :mod:`sheetlab.noise`'s second-type integral sums through it too.
+no silent interpolation.  The library's pair sums over quarter-ordered cells
+are cumulative sums (:mod:`sheetlab.fokker_planck`, :mod:`sheetlab.ito_check`);
+the reference loops over cell pairs that check them, with the quarter-order
+indicator and the plain rectangle and pair quadrature, are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,15 +29,10 @@ import numpy as np
 __all__ = [
     "Point",
     "Grid",
-    "quarter_indicator",
-    "rect_integral",
-    "double_rect_integral",
     "mixed_partial",
-    "diff_double_integral_identity_check",
 ]
 
 _NODE_RTOL = 1e-9
-_PAIR_CHUNK = 128  # first cells per block of _cell_pair_sum
 
 
 def _negative(v) -> bool:
@@ -179,14 +177,6 @@ class Grid:
         return Point._unchecked(T, X)
 
 
-def quarter_indicator(a: Point, b: Point):
-    """I(a qb b): 1 iff a.t <= b.t and a.x >= b.x (ties included)."""
-    out = (np.asarray(a.t) <= np.asarray(b.t)) & (np.asarray(a.x) >= np.asarray(b.x))
-    if out.ndim == 0:
-        return int(out)
-    return out.astype(np.int64)
-
-
 def _field_on_corners(h, grid: Grid, i_count: int, j_count: int) -> np.ndarray:
     """Evaluate a field (callable of Point, or node array) at cell lower corners."""
     if callable(h):
@@ -200,58 +190,6 @@ def _field_on_corners(h, grid: Grid, i_count: int, j_count: int) -> np.ndarray:
     return arr[:i_count, :j_count]
 
 
-def rect_integral(h, z: Point, grid: Grid) -> float:
-    """Lower-corner Riemann sum of h over R_z = [0, z.t] x [0, z.x].
-
-    ``h`` is either a callable of Point (vectorized over array coordinates)
-    or an array of node values covering the grid.
-    """
-    i, j = grid.node_index(z)
-    if i == 0 or j == 0:
-        return 0.0
-    vals = _field_on_corners(h, grid, i, j)
-    return float(vals.sum() * grid.dt * grid.dx)
-
-
-def double_rect_integral(h, z: Point, grid: Grid) -> float:
-    """Double lower-corner Riemann sum of h(zeta, zeta') over R_z x R_z.
-
-    Sums over *all* ordered cell pairs (identical pairs included: this is
-    plain product quadrature, unlike the diagonal-free second-type stochastic
-    sum).  ``h`` is a callable of two Points; evaluation is chunked over the
-    first cell index to bound memory at O(_PAIR_CHUNK * cells).
-    """
-    i, j = grid.node_index(z)
-    if i == 0 or j == 0:
-        return 0.0
-    return _cell_pair_sum(h, grid, i, j) * (grid.dt * grid.dx) ** 2
-
-
-def _cell_pair_sum(pair, grid: Grid, i: int, j: int, weights=None) -> float:
-    """Sum of pair(corner, corner') over ordered pairs of the first i x j cells,
-    _PAIR_CHUNK first cells per block: each block summed whole (identical
-    pairs kept), or, given flat cell weights (d1, d2), as d1 @ block @ d2 with
-    the identical-cell diagonal left out."""
-    corners = grid.corner_points(i, j)
-    flat_t, flat_x = corners.t.ravel(), corners.x.ravel()
-    n = flat_t.size
-    second = Point(flat_t[None, :], flat_x[None, :])
-    total = 0.0
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        block = pair(Point(flat_t[lo:hi, None], flat_x[lo:hi, None]), second)
-        # a kernel may return a scalar or a partly broadcast array: every pair counts once
-        block = np.broadcast_to(np.asarray(block, dtype=float), (hi - lo, n))
-        if weights is None:
-            total += float(np.sum(block))
-            continue
-        d1, d2 = weights
-        block = block.copy()
-        block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        total += float(d1[lo:hi] @ block @ d2)
-    return total
-
-
 def mixed_partial(F, z: Point, h: float) -> float:
     """Second mixed difference (F(t+h,x+h) - F(t+h,x) - F(t,x+h) + F(t,x)) / h^2.
 
@@ -263,35 +201,3 @@ def mixed_partial(F, z: Point, h: float) -> float:
     return (
         F(Point(t + h, x + h)) - F(Point(t + h, x)) - F(Point(t, x + h)) + F(Point(t, x))
     ) / (h * h)
-
-
-def diff_double_integral_identity_check(f, z: Point, grid: Grid, h: float) -> float:
-    """Residual of the two-term differentiation identity for double integrals.
-
-    Compares d^2/dt dx of F(z) = integral over R_z x R_z of f(zeta, zeta')
-    against  integral f(z, zeta') dzeta' + integral f(zeta, z) dzeta.
-
-    The stencil corners sit off-node (h is far below the cell size), so each
-    corner re-evaluates the double integral on a rescaled grid with the same
-    cell counts — for polynomial kernels F is then polynomial in the corner
-    coordinates and the stencil differentiates it exactly.
-
-    The two-term identity drops the cross-edge contributions
-    int f((t,a),(s,x)) + int f((s,x),(t,a)) ds da, which vanish only for
-    kernels that are zero on quarter-ordered pairs.  For f == 1 the residual
-    is 2*t*x, not 0 — callers asserting smallness must use kernels supported
-    away from the quarter order.
-    """
-    i, j = grid.node_index(z)
-    if i == 0 or j == 0:
-        raise ValueError("identity check needs a nonempty rectangle R_z")
-
-    def F(corner: Point) -> float:
-        scaled = Grid(corner, i, j)
-        return double_rect_integral(f, corner, scaled)
-
-    fd = mixed_partial(F, z, h)
-    corners = grid.corner_points(i, j)
-    here = Point(np.broadcast_to(z.t, corners.t.shape), np.broadcast_to(z.x, corners.x.shape))
-    rhs = (np.sum(f(here, corners)) + np.sum(f(corners, here))) * grid.dt * grid.dx
-    return abs(fd - rhs)

@@ -12,8 +12,9 @@ is discretized by the explicit lower-corner recursion
                   + alpha_{ij} dt dx + beta_{ij} dB_{ij},
 
 which telescopes exactly to the discrete integrals: on-grid, the solved field
-*is* y0 + rect_integral(drift) + ito_integral(each diffusion column), an
-algebraic identity the test suite pins at 1e-10.  The recursion runs in one of
+*is* y0 + the lower-corner Riemann sum of the drift + ito_integral(each
+diffusion column), an algebraic identity the test suite pins at 1e-10 against
+the ``rect_integral`` oracle of ``tests/oracles.py``.  The recursion runs in one of
 two forms, by one rule: a solve whose coefficients do not read the states
 being solved takes the closed form.
 

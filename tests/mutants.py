@@ -175,6 +175,13 @@ MUTANTS = [
         "",
         ("tests/test_noise.py::TestDrawCells::test_slabs_are_the_scaled_draws_of_their_substreams",),
     ),
+    Mutant(
+        "table-keeps-the-noise-self-pair",
+        "sheetlab/fokker_planck.py",
+        "T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD)",
+        "T2 = Q * -0.5 + _outer(D, D) - _outer(A, A) - _outer(cD, rD) - _outer(B, B)",
+        ("tests/test_properties.py::test_five_term_sums_are_the_brute_force_pair_loop",),
+    ),
 ]
 
 

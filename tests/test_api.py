@@ -15,7 +15,6 @@ from sheetlab import (
     FrequencyGrid,
     Grid,
     GridSearchResult,
-    KernelContext,
     MQuadrature,
     ParticleEnsemble,
     PerformanceEstimate,
@@ -42,8 +41,7 @@ PUBLIC_NAMES = [
     "PerformanceEstimate", "controlled_linear_field", "grid_search",
     "lq_cost", "mean_feedback_policy", "performance_direct", "performance_measure_based",
     # fokker_planck
-    "FrequencyGrid", "KernelContext", "Lemma61Report", "kernel_a",
-    "lemma61_scalar_check", "residual_table", "weak_residual",
+    "FrequencyGrid", "Lemma61Report", "lemma61_scalar_check", "residual_table", "weak_residual",
     # ito_check
     "ItoTermReport", "RefinementStudy", "TestFunction", "ito_refinement_study",
     "ito_terms", "scalar_function",
@@ -51,11 +49,10 @@ PUBLIC_NAMES = [
     "EmpiricalMeasure", "EstReport", "MQuadrature", "est_inequality_check",
     "fourier_batch", "m_dist_sq", "m_inner",
     # noise
-    "SheetPath", "coarsen_increments", "double_ito_integral", "ito_integral",
-    "load_sheet", "rect_increment", "sample_sheet", "save_sheet", "sheet_from_increments",
+    "SheetPath", "coarsen_increments", "ito_integral", "load_sheet", "rect_increment",
+    "sample_sheet", "save_sheet", "sheet_from_increments",
     # plane
-    "Grid", "Point", "diff_double_integral_identity_check", "double_rect_integral",
-    "mixed_partial", "quarter_indicator", "rect_integral",
+    "Grid", "Point", "mixed_partial",
     # rng
     "DOMAIN_CHAOS", "DOMAIN_CONTROL", "DOMAIN_ENSEMBLE", "DOMAIN_REPLICATE",
     "DOMAIN_SHEET", "substream",
@@ -70,7 +67,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 90
+    assert len(PUBLIC_NAMES) == 83
     assert sorted(sheetlab.__all__) == sorted(PUBLIC_NAMES)
 
 
@@ -109,7 +106,6 @@ ARRAY_HOLDERS = {
     "GridSearchResult": lambda: GridSearchResult(
         best_index=0, best_policy=mean_feedback_policy(0.0), table=[_estimate(), _estimate()]
     ),
-    "KernelContext": lambda: KernelContext(alpha=np.zeros(1), beta=np.zeros((1, 2))),
 }
 
 

@@ -1,6 +1,7 @@
 """Bit goldens: the exact doubles (``float.hex``) of the comparison series f and
-f', the cell-pair sums, the limit field, the rank-one closed form, the weak-residual table, a Picard solve
-of the conditional OU field, the two control cost routes and the M-norm of
+f', the cell-pair sums (of the reference loops in ``oracles.py``), the limit
+field, the rank-one closed form, the weak-residual table, a Picard solve of
+the conditional OU field, the two control cost routes and the M-norm of
 empirical measures.
 
 They pin the last bit, not a tolerance, so a refactor of these routines that
@@ -25,8 +26,6 @@ from sheetlab import (
     Point,
     closed_form_solution,
     controlled_linear_field,
-    double_ito_integral,
-    double_rect_integral,
     est_inequality_check,
     f_series,
     f_series_derivative,
@@ -47,6 +46,8 @@ from sheetlab import (
     solve_conditional_mkv,
     verify_limit_spde,
 )
+
+from oracles import double_ito_integral, double_rect_integral
 
 GOLDEN = Path(__file__).parent / "data" / "bit_goldens.json"
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sheetlab.cli import ENV_OUT, EXPERIMENTS, _gaussian_couplings, main
+from sheetlab.fokker_planck import residual_table
 from sheetlab.noise import sample_sheet
 from sheetlab.plane import Grid, Point
 from sheetlab.rng import DOMAIN_SHEET, substream
@@ -117,6 +118,14 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("argument error:") and "two replicates" in err
         assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_fokker_planck_needs_a_frequency(self, capsys, tmp_path, monkeypatch):
+        # "w=," parses to no frequency at all: a usage error, not a numpy
+        # TypeError or a NaN mean
+        assert run(["fokker-planck", "M=20", "k=4", "w=,"], tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("argument error:") and "at least one frequency" in err
+        assert not (tmp_path / "fokker-planck.csv").exists()
 
     def test_chaos_rate_rejects_a_zero_horizon(self, capsys, tmp_path, monkeypatch):
         # a zero side makes dt = 0: a usage error, not a ZeroDivisionError
@@ -226,6 +235,24 @@ class TestFokkerPlanckGolden:
         assert body[0] == golden["header"]
         got = np.array([[float(v) for v in row] for row in body[1:]])
         np.testing.assert_allclose(got, np.array(golden["rows"], dtype=float), rtol=0, atol=1e-12)
+
+    def test_conjugate_rows_are_evaluated_in_a_table_of_their_own(self, capsys, tmp_path, monkeypatch):
+        # within one table -w copies +w's phase, so the conjugate gap checks
+        # something only when -w and +w are evaluated in different calls
+        from sheetlab import cli
+
+        calls = []
+
+        def recording(ensemble, freqs, z):
+            calls.append(sorted(float(w[0]) for w in freqs))
+            return residual_table(ensemble, freqs, z)
+
+        monkeypatch.setattr(cli, "residual_table", recording)
+        assert run(["fokker-planck", "M=20", "k=4", "reps=2"], tmp_path, monkeypatch) == 0
+        capsys.readouterr()
+        assert calls == [[0.0, 1.0, 2.0], [-2.0, -1.0]] * 2
+        _, body = _csv(tmp_path / "fokker-planck.csv")
+        assert [row[0] for row in body[1:]] == ["1.0", "-1.0", "2.0", "-2.0"]
 
 
 class TestItoCheckGolden:

@@ -13,10 +13,8 @@ from sheetlab import (
     CoefficientField,
     FrequencyGrid,
     Grid,
-    KernelContext,
     Point,
     ito_terms,
-    kernel_a,
     lemma61_scalar_check,
     mean_reversion_field,
     residual_table,
@@ -27,10 +25,12 @@ from sheetlab import (
     weak_residual,
 )
 from sheetlab import fokker_planck
-from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _trig_plan, _wa_wb_wq
+from sheetlab.fokker_planck import _five_term_sums, _quarter_product_sum, _trig_plan
 from sheetlab.ito_check import TestFunction as ItoTestFunction  # aliased so pytest does not collect it
 from sheetlab.ito_check import _batched_terms
 from sheetlab.solver import coefficient_table
+
+from oracles import wa_wb_wq
 
 
 def square_grid(k):
@@ -47,58 +47,6 @@ class TestFrequencyGrid:
     def test_rejects_higher_rank(self):
         with pytest.raises(ValueError):
             FrequencyGrid(np.zeros((2, 2, 2)))
-
-
-class TestKernels:
-    """Pointwise kernel values against hand algebra (n=1, m=2, w=2)."""
-
-    @pytest.fixture()
-    def ctx(self):
-        return KernelContext(
-            alpha=np.array([0.5]),
-            beta=np.array([[0.7, 0.3]]),
-            alpha_p=np.array([-0.2]),
-            beta_p=np.array([[0.4, 0.1]]),
-        )
-
-    def test_drift_diffusion_kernel(self, ctx):
-        # wa = 1, wq = 1.96 + 0.36
-        assert kernel_a(1, 2.0, ctx) == pytest.approx(-1.16 - 1.0j, abs=1e-14)
-
-    def test_single_channel_quadratic_part(self):
-        # pure unit diffusion on one channel at w = 2: a1 = -(1/2) * 4 = -2
-        ctx = KernelContext(alpha=np.array([0.0]), beta=np.array([[1.0]]))
-        assert kernel_a(1, 2.0, ctx) == pytest.approx(-2.0 + 0.0j, abs=1e-14)
-
-    def test_common_noise_kernel_uses_first_channel_only(self, ctx):
-        assert kernel_a(2, 2.0, ctx) == pytest.approx(-1.4j, abs=1e-14)
-
-    def test_pair_kernels(self, ctx):
-        assert kernel_a(3, 2.0, ctx) == pytest.approx(-1.12 + 0.0j, abs=1e-14)
-        assert kernel_a(4, 2.0, ctx) == pytest.approx(-0.24 + 1.404j, abs=1e-14)
-        assert kernel_a(5, 2.0, ctx) == pytest.approx(0.7944 - 0.124j, abs=1e-14)
-
-    def test_last_kernel_vanishes_off_the_quarter_order(self, ctx):
-        ordered = KernelContext(
-            alpha=ctx.alpha, beta=ctx.beta, alpha_p=ctx.alpha_p, beta_p=ctx.beta_p,
-            zeta=Point(0.3, 0.8), zeta_p=Point(0.5, 0.2),
-        )
-        off = KernelContext(
-            alpha=ctx.alpha, beta=ctx.beta, alpha_p=ctx.alpha_p, beta_p=ctx.beta_p,
-            zeta=Point(0.5, 0.2), zeta_p=Point(0.3, 0.8),
-        )
-        assert kernel_a(5, 2.0, ordered) == pytest.approx(0.7944 - 0.124j, abs=1e-14)
-        assert kernel_a(5, 2.0, off) == 0.0
-
-    def test_pair_kernels_need_primed_coefficients(self):
-        bare = KernelContext(alpha=np.array([0.0]), beta=np.array([[1.0, 0.0]]))
-        for idx in (3, 4, 5):
-            with pytest.raises(ValueError):
-                kernel_a(idx, 1.0, bare)
-
-    def test_unknown_index_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            kernel_a(6, 1.0, ctx)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +125,7 @@ def _five_term_sum(
     dBc = ensemble.common_increments[:i, :j]
     M = ensemble.particles
 
-    wa, wb, wq = _wa_wb_wq(w, alpha, beta)  # each (M, i, j)
+    wa, wb, wq = wa_wb_wq(w, alpha, beta)  # each (M, i, j)
     total = 0.0 + 0.0j
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)

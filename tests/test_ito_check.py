@@ -10,7 +10,6 @@ from sheetlab import (
     Grid,
     Point,
     TestFunction as ScalarTestFunction,  # aliased so pytest does not collect it
-    double_ito_integral,
     ito_refinement_study,
     ito_terms,
     mean_reversion_field,
@@ -18,7 +17,8 @@ from sheetlab import (
     scalar_function,
     solve_goursat,
 )
-from sheetlab.plane import quarter_indicator
+
+from oracles import double_ito_integral, quarter_indicator
 
 
 def square_grid(k):

@@ -11,7 +11,6 @@ from sheetlab import (
     Grid,
     Point,
     coarsen_increments,
-    double_ito_integral,
     ito_integral,
     load_sheet,
     rect_increment,
@@ -179,7 +178,6 @@ class TestItoIntegrals:
         sh = sample_sheet(g, 1, seed=0)
         phi = lambda p: p.t  # noqa: E731
         assert ito_integral(phi, sh, 0, Point(0.0, 1.0)) == 0.0
-        assert double_ito_integral(None, sh, 0, 0, Point(1.0, 0.0)) == 0.0
 
     def test_linearity(self):
         g = square_grid(6)
@@ -201,10 +199,6 @@ class TestItoIntegrals:
             rect_increment(sh, channel, lo, z)
         with pytest.raises(ValueError, match=r"^channel must be"):
             ito_integral(lambda p: 1.0, sh, channel, z)
-        with pytest.raises(ValueError, match=r"^ch1 must be"):
-            double_ito_integral(None, sh, channel, 0, z)
-        with pytest.raises(ValueError, match=r"^ch2 must be"):
-            double_ito_integral(None, sh, 1, channel, z)
 
     def test_readers_take_every_channel_of_the_sheet(self):
         sh = sample_sheet(square_grid(2), 2, seed=0)
@@ -212,33 +206,6 @@ class TestItoIntegrals:
         for c in (0, np.int64(1)):
             assert rect_increment(sh, c, Point(0.0, 0.0), z) == pytest.approx(sh.values[c, 2, 2], abs=1e-15)
             assert ito_integral(lambda p: 1.0, sh, c, z) == pytest.approx(sh.values[c, 2, 2], abs=1e-15)
-
-    def test_double_integral_vs_pair_loop(self):
-        g = square_grid(4)
-        sh = sample_sheet(g, 2, seed=6)
-        z = Point(1.0, 1.0)
-        psi = lambda a, b: 1.0 + a.t * b.x  # noqa: E731
-        got = double_ito_integral(psi, sh, 0, 1, z)
-        d0 = sh.increments[0]
-        d1 = sh.increments[1]
-        want = 0.0
-        for p in range(4):
-            for q in range(4):
-                for r in range(4):
-                    for s in range(4):
-                        if (p, q) == (r, s):
-                            continue  # identical-cell pairs are excluded
-                        want += (1.0 + (p / 4) * (s / 4)) * d0[p, q] * d1[r, s]
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_double_integral_constant_shortcut_matches_callable(self):
-        g = square_grid(5)
-        sh = sample_sheet(g, 1, seed=8)
-        z = Point(1.0, 1.0)
-        one = lambda a, b: np.ones(np.broadcast(a.t + a.x, b.t + b.x).shape)  # noqa: E731
-        assert double_ito_integral(None, sh, 0, 0, z) == pytest.approx(
-            double_ito_integral(one, sh, 0, 0, z), abs=1e-12
-        )
 
 
 class TestMoments:

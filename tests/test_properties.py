@@ -13,12 +13,13 @@ K|z| < sqrt(r0) to be the direct conditional solve, a grid row's batched
 node means to be each cloud's own mean, bit for bit, and the cloud means of
 the conditional OU solves and of the controlled linear field to be the exact
 oracles of ``oracles.py``, as are each particle's deviation from the mean in
-both and the OU Picard gaps.  Whatever the field and K|z|, Picard iterate
-min(nt, nx) is pinned to be the direct solve bit for bit, with a next gap of
-0.0.  A fuzz over the arguments of the solvers, the sheet and ensemble
-samplers, the stock factories and the chaos, Ito-study and control entry
-points pins that each call returns or raises a ValueError naming the
-argument it got wrong.
+both, the OU Picard gaps and the weak-residual kernel's five-term sums (a
+brute-force loop over quarter-ordered cell pairs).  Whatever the field and
+K|z|, Picard iterate min(nt, nx) is pinned to be the direct solve bit for
+bit, with a next gap of 0.0.  A fuzz over the arguments of the solvers, the
+sheet and ensemble samplers, the stock factories and the chaos, Ito-study
+and control entry points pins that each call returns or raises a ValueError
+naming the argument it got wrong.
 """
 
 import dataclasses
@@ -48,7 +49,6 @@ from sheetlab import (
     closed_form_solution,
     coarsen_increments,
     controlled_linear_field,
-    double_ito_integral,
     convergence_radius_report,
     est_inequality_check,
     find_r0,
@@ -65,7 +65,6 @@ from sheetlab import (
     picard_series_partial_sums,
     picard_solve,
     rect_increment,
-    rect_integral,
     remainder_variance,
     sample_ensemble_increments,
     sample_replicate_increments,
@@ -81,10 +80,19 @@ from sheetlab import (
 from sheetlab import ito_check
 from sheetlab.cli import EXPERIMENTS
 from sheetlab.control import _control, _curry
+from sheetlab.fokker_planck import _five_term_sums
 from sheetlab.noise import _node_values
 from sheetlab.solver import _node_measures, coefficient_table
 
-from oracles import deviations, drift_free_cloud_mean, goursat_mean, ou_picard_gaps, sheet_average
+from oracles import (
+    deviations,
+    drift_free_cloud_mean,
+    five_term_sums,
+    goursat_mean,
+    ou_picard_gaps,
+    rect_integral,
+    sheet_average,
+)
 
 # derandomized, so the suite draws the same examples on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -438,16 +446,16 @@ def test_row_means_are_each_clouds_own_mean(M, n, cols, extra, seed):
 
 
 @st.composite
-def ou_cases(draw):
-    """(rate, sigma, y0, M, grid, seed): a rate, n in {1, 2}, m in {2, 3},
-    sigma of shape (m,) or (n, m), M >= 2."""
+def ou_cases(draw, sides=st.integers(1, 8), rates=COEFFICIENT):
+    """(rate, sigma, y0, M, grid, seed): a rate from ``rates``, n in {1, 2},
+    m in {2, 3}, sigma of shape (m,) or (n, m), M >= 2, grid sides from ``sides``."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     sigma_shape = draw(st.sampled_from([(m,), (n, m)]))
     sigma = draw(hnp.arrays(float, sigma_shape, elements=COEFFICIENT))
-    rate = draw(COEFFICIENT)
+    rate = draw(rates)
     y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
     t, x = draw(st.floats(0.25, 2.0)), draw(st.floats(0.25, 2.0))
-    grid = Grid(horizon=Point(t, x), nt=draw(st.integers(1, 8)), nx=draw(st.integers(1, 8)))
+    grid = Grid(horizon=Point(t, x), nt=draw(sides), nx=draw(sides))
     return rate, sigma, y0, draw(st.integers(2, 40)), grid, draw(st.integers(0, 2**32 - 1))
 
 
@@ -478,11 +486,19 @@ def test_ou_cloud_mean_is_the_drift_free_sheet_average(problem, iterates):
         np.testing.assert_allclose(ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
 
 
+def drifting_ou_cases():
+    """:func:`ou_cases` on grids of 3 to 9 cells a side, at a rate of either
+    sign and a size from 0.25 to 2, so that the drift never vanishes."""
+    signed = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(0.25, 2.0))
+    return ou_cases(sides=st.integers(3, 9), rates=signed)
+
+
 @PROPERTY
-@given(ou_cases())
+@given(st.one_of(ou_cases(), drifting_ou_cases()))
 def test_ou_deviations_are_the_scalar_recursion_at_minus_rate(case):
     # each particle's deviation from the cloud mean is its own recursion at
-    # -rate, driven by its own noise less the cloud's mean of it
+    # -rate, driven by its own noise less the cloud's mean of it; about half
+    # the examples keep the drift on, on grids of 3 and more cells a side
     rate, sigma, y0, M, grid, seed = case
     ens = solve_conditional_mkv(mean_reversion_field(rate, sigma, n=len(y0)), y0, M, grid, seed)
     want = deviations(-rate, full_sigma(sigma, len(y0)), ens.idio_increments, grid.dt * grid.dx)
@@ -636,6 +652,37 @@ def test_controlled_deviations_are_the_scalar_recursion_at_minus_one(nt, nx, M, 
     np.testing.assert_allclose(ens.values - ens.values.mean(axis=0), want, rtol=0, atol=1e-12)
 
 
+@st.composite
+def pair_loop_cases(draw):
+    """(ensemble, W, node): :func:`coupled_field` with n in {1, 2} and m in
+    {2, 3}, solved for M = 2..4 particles on grids of 3 to 5 by 3 to 6
+    cells; one or two random frequency rows; and an interior node."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    field = coupled_field(
+        draw(hnp.arrays(float, (n, n), elements=COEFFICIENT)),
+        draw(hnp.arrays(float, (n, m), elements=COEFFICIENT)),
+    )
+    y0 = draw(hnp.arrays(float, (n,), elements=COEFFICIENT))
+    grid = Grid(horizon=Point(1.0, 0.75), nt=draw(st.integers(3, 5)), nx=draw(st.integers(3, 6)))
+    ens = solve_conditional_mkv(field, y0, draw(st.integers(2, 4)), grid, draw(st.integers(0, 2**32 - 1)))
+    W = draw(hnp.arrays(float, (draw(st.integers(1, 2)), n), elements=st.floats(-3.0, 3.0)))
+    return ens, W, (draw(st.integers(1, grid.nt - 1)), draw(st.integers(1, grid.nx - 1)))
+
+
+# each example loops over up to 315 cell pairs in Python: fewer examples
+PAIR_LOOP = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@PAIR_LOOP
+@given(pair_loop_cases())
+def test_five_term_sums_are_the_brute_force_pair_loop(case):
+    # the kernel's tables and cumulative sums against one kernel evaluation
+    # per cell and per quarter-ordered cell pair, at the corner and inside
+    ens, W, node = case
+    for i, j in ((ens.grid.nt, ens.grid.nx), node):
+        np.testing.assert_allclose(_five_term_sums(ens, W, i, j), five_term_sums(ens, W, i, j), rtol=0, atol=1e-12)
+
+
 # what a caller can get wrong about a number: NaN, infinities, zero,
 # negatives, non-integers; and values that are fine
 ARGUMENT_SCALARS = [np.nan, np.inf, -np.inf, 0, 0.0, -1, -2.5, 1, 2, np.int64(2), 2.5, 1e3]
@@ -742,8 +789,6 @@ DOORS = [
     ("h", lambda v: lemma61_scalar_check(lambda p: 1.0, lambda p: 1.0, Point(0.5, 0.5), FUZZ_GRID, v)),
     ("channel", lambda v: rect_increment(FUZZ_SHEET, v, Point(0.0, 0.0), Point(1.0, 1.0))),
     ("channel", lambda v: ito_integral(lambda p: 1.0, FUZZ_SHEET, v, Point(1.0, 1.0))),
-    ("ch1", lambda v: double_ito_integral(None, FUZZ_SHEET, v, 0, Point(1.0, 1.0))),
-    ("ch2", lambda v: double_ito_integral(None, FUZZ_SHEET, 0, v, Point(1.0, 1.0))),
     ("domain", lambda v: substream(0, v)),
     ("stream", lambda v: substream(0, 1, stream=v)),
     ("channel", lambda v: substream(0, 1, channel=v)),
